@@ -30,12 +30,23 @@ DEFAULT_FOCAL_LENGTH = "150mm"
 DEFAULT_PIXELS = 3648
 DEFAULT_PIXEL_SIZE = "8um"
 
+# upper bounds checked before allocating: 2*nmax+1 modes, one frame of
+# pixels, a grid^2 kernel
+MAX_NMAX = 1_000_000
+MAX_PIXELS = 65_536
+MAX_GRID_SIZE = 4000
+
 
 def _length(flag: str, text: str) -> float:
     try:
         return parse_length(text)
     except InvalidArgument as exc:
         raise InvalidArgument(f"{flag}: {exc}") from exc
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise InvalidArgument(f"{flag} must be <= {cap}, got {value}")
 
 
 def _out_path(args, name: str) -> str:
@@ -54,6 +65,7 @@ def cmd_minstate(args) -> int:
     delta_x = _length("--slit-width", args.slit_width)
     if args.nmax < 1:
         raise InvalidArgument(f"--nmax must be >= 1, got {args.nmax}")
+    _check_cap("--nmax", args.nmax, MAX_NMAX)
     units = core.UnitsConvention()
     state = core.min_uncertainty_coefficients(args.nmax, delta_x)
     _, sigma_p = core.momentum_moments(state, units)
@@ -149,6 +161,7 @@ def cmd_lanczos(args) -> int:
 def cmd_lpbound(args) -> int:
     if any(xi < 0 for xi in args.xi):
         raise InvalidArgument("--xi values must be nonnegative")
+    _check_cap("--grid-size", args.grid_size, MAX_GRID_SIZE)
     results = [lp_lambda0(xi, grid_size=args.grid_size) for xi in args.xi]
     write_csv(
         _out_path(args, "lpbound.csv"),
@@ -176,6 +189,7 @@ def cmd_lpbound(args) -> int:
 
 
 def cmd_reanalyze(args) -> int:
+    _check_cap("--grid-size", args.grid_size, MAX_GRID_SIZE)
     rows = reanalysis.reanalyze_products(args.a, grid_size=args.grid_size)
     write_csv(
         _out_path(args, "reanalysis.csv"),
@@ -208,6 +222,7 @@ def cmd_reanalyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     geometry = _geometry(args)
+    _check_cap("--pixels", args.pixels, MAX_PIXELS)
     detector = diffraction.DetectorSpec(
         num_pixels=args.pixels,
         pixel_size=_length("--pixel-size", args.pixel_size),
@@ -255,7 +270,9 @@ def cmd_estimate(args) -> int:
     intens = np.asarray(intens)
     spacings = np.diff(y)
     pixel_size = float(np.median(spacings))
-    if pixel_size <= 0 or np.any(np.abs(spacings - pixel_size) > 1e-6 * pixel_size):
+    # y_mm keeps 9 significant digits, so each y is within 5e-9*max|y| and
+    # each spacing, like their median, within 1e-8*max|y| of the true pitch
+    if pixel_size <= 0 or np.any(np.abs(spacings - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = diffraction.DetectorSpec(num_pixels=len(y), pixel_size=pixel_size)
     frame = diffraction.normalize_frame(

@@ -20,11 +20,7 @@ import numpy as np
 
 from .core import SlitGeometry
 from .errors import InvalidArgument
-from .special import (
-    LanczosState,
-    _segment_gl_nodes,
-    eval_lanczos_momentum_density,
-)
+from .special import LanczosState, eval_lanczos_momentum_density, lanczos_band_moments
 
 
 @dataclass(frozen=True)
@@ -158,12 +154,5 @@ def theory_trace(geometry: SlitGeometry, y_grid) -> np.ndarray:
     if y.ndim != 1 or np.any(y <= 0) or np.any(np.diff(y) <= 0):
         raise InvalidArgument("y_grid must be 1-d, positive and strictly increasing")
     state = LanczosState(geometry.slit_width)
-    k_edges = np.concatenate([[0.0], geometry.k0 * y / geometry.focal_length])
-    max_panel = np.pi / geometry.slit_width  # half an oscillation period in k
-    increments = np.empty(y.size)
-    for j in range(y.size):
-        nodes, weights = _segment_gl_nodes(k_edges[j], k_edges[j + 1], max_panel)
-        vals = nodes**2 * eval_lanczos_momentum_density(nodes, state)
-        increments[j] = 2.0 * float(np.dot(weights, vals))
-    m2 = np.cumsum(increments)
+    m2 = lanczos_band_moments(state, geometry.k0 * y / geometry.focal_length, 2)
     return geometry.slit_width / np.pi * np.sqrt(m2)

@@ -146,35 +146,57 @@ def eval_lanczos_momentum_density(k, state: LanczosState):
     return float(out) if np.isscalar(k) else out
 
 
-def _segment_gl_nodes(a: float, b: float, max_panel: float, order: int = 16):
-    """Gauss-Legendre nodes/weights tiling [a, b] with panels <= max_panel."""
-    npanel = max(1, int(np.ceil((b - a) / max_panel)))
-    edges = np.linspace(a, b, npanel + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
-    weights = half[:, None] * wg[None, :]
-    return nodes.ravel(), weights.ravel()
+def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray:
+    """Cumulative band moments int_{|k| <= k_j} |k|^power * density(k) dk
+    for every edge k_j of a nondecreasing array of nonnegative edges.
+
+    Each interval [k_{j-1}, k_j] (with k_{-1} = 0) is tiled by equal panels
+    of at most pi/dx, a quarter of the period 4*pi/dx in k of the amplitude
+    Si(u + pi) - Si(u - pi), u = dx*k/2, with 16-point Gauss-Legendre on
+    every panel; all panels are evaluated in one pass.
+    """
+    hi = np.asarray(k_edges, dtype=float)
+    lo = np.concatenate([[0.0], hi.ravel()[:-1]])
+    if hi.ndim != 1 or np.any(hi < lo):
+        raise InvalidArgument("k_edges must be 1-d, nonnegative and nondecreasing")
+    npanel = np.maximum(1, np.ceil((hi - lo) / (np.pi / state.slit_width))).astype(int)
+    # panel i of interval j spans lo_j + [i, i+1]*step_j, the last one ending
+    # exactly at hi_j (the edges np.linspace would give)
+    j = np.repeat(np.arange(hi.size), npanel)
+    first = np.cumsum(npanel) - npanel
+    i = np.arange(j.size) - first[j]
+    step = ((hi - lo) / npanel)[j]
+    left = i * step + lo[j]
+    right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    half = (right - left) / 2.0
+    nodes = ((left + right) / 2.0)[:, None] + half[:, None] * xg[None, :]
+    vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
+    # one BLAS dot product per panel, summed the way np.dot sums one panel
+    panels = np.matmul((half[:, None] * wg[None, :])[:, None, :], vals[:, :, None])
+    return np.cumsum(2.0 * np.add.reduceat(panels[:, 0, 0], first))
 
 
 def lanczos_band_weight(state: LanczosState, k_max: float) -> float:
     """Probability mass of the momentum density inside |k| <= k_max."""
-    if k_max <= 0:
-        return 0.0
-    # integrand oscillates with period 4*pi/dx in k; panels of a quarter period
-    nodes, weights = _segment_gl_nodes(0.0, k_max, np.pi / state.slit_width)
-    vals = eval_lanczos_momentum_density(nodes, state)
-    return 2.0 * float(np.dot(weights, vals))
+    return float(lanczos_band_moments(state, [max(k_max, 0.0)], 0)[0])
 
 
 def lanczos_band_second_moment(state: LanczosState, k_max: float) -> float:
-    """int_{|k| <= k_max} k^2 * density(k) dk, by panelwise Gauss-Legendre."""
-    if k_max <= 0:
-        return 0.0
-    nodes, weights = _segment_gl_nodes(0.0, k_max, np.pi / state.slit_width)
-    vals = nodes**2 * eval_lanczos_momentum_density(nodes, state)
-    return 2.0 * float(np.dot(weights, vals))
+    """int_{|k| <= k_max} k^2 * density(k) dk."""
+    return float(lanczos_band_moments(state, [max(k_max, 0.0)], 2)[0])
+
+
+def _tail_prefactors(state: LanczosState, k_max: float):
+    """(U, C, lead) shared by the tail bounds: U = dx*k_max/2, C the density
+    prefactor in the u-measure (both tails), and lead >= 1 the inflation of
+    the bracket's leading term 2pi/(u^2-pi^2) at U."""
+    U = state.slit_width * k_max / 2.0
+    if U <= 2.0 * np.pi:
+        raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
+    lead = ((2*np.pi/(U**2 - np.pi**2) + 4*np.pi*U/(U**2 - np.pi**2)**2
+             + 8/(U - np.pi)**3) / (2*np.pi/(U**2 - np.pi**2)))
+    return U, 1.0 / (4.0 * np.pi**2 * SI_2PI), lead
 
 
 def lanczos_weight_tail_bound(state: LanczosState, k_max: float) -> float:
@@ -185,34 +207,17 @@ def lanczos_weight_tail_bound(state: LanczosState, k_max: float) -> float:
     2pi/(u^2-pi^2) + 4pi*u/(u^2-pi^2)^2 + 8/(u-pi)^3.
     Valid for dx*k_max/2 > 2*pi.
     """
-    dx = state.slit_width
-    U = dx * k_max / 2.0
-    if U <= 2.0 * np.pi:
-        raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
-
-    def bracket(u):
-        return (2*np.pi/(u**2 - np.pi**2)
-                + 4*np.pi*u/(u**2 - np.pi**2)**2
-                + 8/(u - np.pi)**3)
-
+    U, C, lead = _tail_prefactors(state, k_max)
     # integrand (in u) is <= C * bracket(u)^2, decreasing; bound the integral
     # by the leading 1/(3 (U-pi)^3) behavior with the bracket inflated at U
-    C = 1.0 / (4.0 * np.pi**2 * SI_2PI)  # density du-measure prefactor (both tails)
-    lead = bracket(U) / (2.0 * np.pi / (U**2 - np.pi**2))  # inflation factor >= 1
     integral = (2.0 * np.pi) ** 2 * lead**2 / (3.0 * (U - np.pi) ** 3)
     return 2.0 * C * integral
 
 
 def lanczos_second_moment_tail_bound(state: LanczosState, k_max: float) -> float:
     """Certified upper bound on int_{|k| > k_max} k^2 density dk."""
-    dx = state.slit_width
-    U = dx * k_max / 2.0
-    if U <= 2.0 * np.pi:
-        raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
+    U, C, lead = _tail_prefactors(state, k_max)
     # u^2 * bracket(u)^2 <= (2pi)^2 * lead^2 * u^2/(u^2-pi^2)^2 <= that /(U-pi)
-    lead = ((2*np.pi/(U**2 - np.pi**2) + 4*np.pi*U/(U**2 - np.pi**2)**2
-             + 8/(U - np.pi)**3) / (2*np.pi/(U**2 - np.pi**2)))
-    C = 1.0 / (4.0 * np.pi**2 * SI_2PI)
     integral_u = (2.0 * np.pi) ** 2 * lead**2 / (U - np.pi)
     # back to k units: k^2 dk = (2/dx)^3 u^2 du
-    return 2.0 * C * integral_u * (2.0 / dx) ** 2
+    return 2.0 * C * integral_u * (2.0 / state.slit_width) ** 2

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from slitbound import cli
+import slitbound
+from slitbound import cli, concentration, core, diffraction, reanalysis
 from slitbound.reports import REPORT_SCHEMA, parse_length, read_frame_csv
 
 import jsonschema
@@ -17,6 +21,43 @@ def load_report(tmp_path, name):
     report = json.loads((tmp_path / name).read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
     return report
+
+
+def refuse_allocation(*args, **kwargs):
+    raise AssertionError("size cap not checked before allocation")
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(slitbound.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = ("import sys, slitbound, slitbound.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+
+class TestSizeCaps:
+    # each allocator is replaced, so a missing cap fails the test instead of
+    # allocating the huge case
+    def test_nmax_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "min_uncertainty_coefficients", refuse_allocation)
+        assert run(tmp_path, "minstate", "--nmax", str(cli.MAX_NMAX + 1)) == 2
+
+    def test_pixels_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diffraction, "DetectorSpec", refuse_allocation)
+        assert run(tmp_path, "simulate", "--pixels", str(cli.MAX_PIXELS + 2)) == 2
+
+    def test_grid_size_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "lp_lambda0", refuse_allocation)
+        monkeypatch.setattr(concentration, "lp_lambda0", refuse_allocation)
+        monkeypatch.setattr(reanalysis, "reanalyze_products", refuse_allocation)
+        too_big = str(cli.MAX_GRID_SIZE + 1)
+        assert run(tmp_path, "lpbound", "--xi", "1.0", "--grid-size", too_big) == 2
+        assert run(tmp_path, "reanalyze", "--a", "1.0", "--grid-size", too_big) == 2
 
 
 class TestParseLength:
@@ -119,6 +160,10 @@ class TestLpbound:
     def test_bad_grid(self, tmp_path):
         assert run(tmp_path, "lpbound", "--xi", "1.0", "--grid-size", "4") == 2
 
+    def test_unresolved_xi_is_numeric_failure(self, tmp_path):
+        assert run(tmp_path, "lpbound", "--xi", "400") == 3
+        assert not (tmp_path / "lpbound.csv").exists()
+
 
 class TestReanalyze:
     def test_published_triple(self, tmp_path):
@@ -177,6 +222,17 @@ class TestSimulateAndEstimate:
         assert len(lines) == 1 + 1824
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(29.184 / 2, rel=1e-8)
+
+    def test_estimate_reads_fine_pitch_frame(self, tmp_path):
+        # this pitch needs more than the 9 significant digits frame.csv keeps
+        assert run(tmp_path, "simulate", "--pixel-size", "7.123456um",
+                   "--pixels", "2048") == 0
+        assert cli.main(["estimate", str(tmp_path / "frame.csv"),
+                         "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1024
+        # the pitch is read back to within 1e-8 * max|y|, about 1e-5 of itself
+        assert float(lines[-1].split(",")[1]) == pytest.approx(1024 * 7.123456e-3, rel=2e-5)
 
     def test_estimate_missing_frame(self, tmp_path):
         assert cli.main(["estimate", str(tmp_path / "nope.csv"),

@@ -6,6 +6,7 @@ from slitbound import (
     FourierState,
     InvalidArgument,
     LanczosState,
+    NumericFailure,
     SampledDensity,
     concentration_probability,
     eval_lanczos_momentum_density,
@@ -71,10 +72,22 @@ class TestLambda0:
         with pytest.raises(InvalidArgument):
             lp_lambda0(1.0, grid_size=8)
 
-    def test_cache_hit_is_identical(self):
-        a = lp_lambda0(0.7373)
-        b = lp_lambda0(0.7373)
-        assert a is b
+    def test_nearby_xi_not_conflated(self):
+        # xi values that agree to 6 decimals are still distinct inputs
+        lp_lambda0(0.1000004)
+        res = lp_lambda0(0.1000001)
+        assert res.xi == 0.1000001
+        assert res.kernel_c == np.pi * 0.1000001 / 2.0
+
+    def test_rounding_excess_clipped_to_one(self):
+        # grid-400 Nystrom rounds to 1 + ~5e-14 here
+        for xi in (15.0, 100.0, 200.0):
+            assert lp_lambda0(xi).lambda0 == 1.0
+
+    def test_unresolved_kernel_raises(self):
+        # at xi = 400 the grid-400 eigenvalue is 2.0
+        with pytest.raises(NumericFailure, match="xi=400.0.*grid=400"):
+            lp_lambda0(400.0)
 
 
 class TestConcentrationProbability:

@@ -59,6 +59,12 @@ class TestReanalyzeProducts:
         assert row.lambda0 == pytest.approx(0.78, abs=0.01)
         assert row.well_defined
 
+    def test_large_product_saturates(self):
+        # xi = 12: lambda0 rounds to 1 + O(1e-14) on the grid and is clipped
+        (row,) = reanalyze_products([2 * np.pi * 12])
+        assert 0.999 < row.lambda0 <= 1.0
+        assert row.well_defined
+
     def test_round_trip(self):
         rng = np.random.default_rng(17)
         xis = rng.uniform(1e-3, 3.0, size=100)

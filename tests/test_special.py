@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from slitbound import (
+    InvalidArgument,
     LanczosState,
     eval_lanczos_momentum_density,
     eval_lanczos_position,
@@ -12,6 +13,7 @@ from slitbound import (
 from slitbound.special import (
     SI_2PI,
     SI_PI,
+    lanczos_band_moments,
     lanczos_band_second_moment,
     lanczos_band_weight,
     lanczos_second_moment_tail_bound,
@@ -152,6 +154,35 @@ class TestLanczosMomentumDensity:
         m_inner = lanczos_band_second_moment(state, 200.0)
         m_outer = lanczos_band_second_moment(state, 2000.0)
         assert m_outer - m_inner <= lanczos_second_moment_tail_bound(state, 200.0)
+
+
+class TestBandMoments:
+    def test_cumulative_moments_match_adaptive_quadrature(self):
+        dx = 1.0
+        state = LanczosState(dx)
+        edges = np.array([0.0, 0.3, 2.0, 2.0, 17.5, 60.0])
+        for power in (0, 2):
+            got = lanczos_band_moments(state, edges, power)
+            want = [
+                2 * quad(lambda k: k**power * eval_lanczos_momentum_density(k, state),
+                         0.0, e, limit=200, epsabs=1e-14)[0]
+                for e in edges
+            ]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_single_edge_helpers_agree(self):
+        state = LanczosState(0.7)
+        edges = np.linspace(5.0, 300.0, 40)
+        assert lanczos_band_moments(state, edges, 0)[-1] == pytest.approx(
+            lanczos_band_weight(state, 300.0), rel=1e-13)
+        assert lanczos_band_moments(state, edges, 2)[-1] == pytest.approx(
+            lanczos_band_second_moment(state, 300.0), rel=1e-13)
+
+    def test_invalid_arguments(self):
+        state = LanczosState(1.0)
+        for bad in ([-1.0], [2.0, 1.0], [[1.0]], 1.0):
+            with pytest.raises(InvalidArgument):
+                lanczos_band_moments(state, bad, 2)
 
 
 class TestFourierConsistency:
