@@ -30,11 +30,9 @@ DEFAULT_FOCAL_LENGTH = "150mm"
 DEFAULT_PIXELS = 3648
 DEFAULT_PIXEL_SIZE = "8um"
 
-# upper bounds checked before allocating: 2*nmax+1 modes, one frame of
-# pixels, a grid^2 kernel
+# upper bounds checked before allocating: 2*nmax+1 modes, one frame of pixels
 MAX_NMAX = 1_000_000
 MAX_PIXELS = 65_536
-MAX_GRID_SIZE = 4000
 
 
 def _length(flag: str, text: str) -> float:
@@ -159,10 +157,7 @@ def cmd_lanczos(args) -> int:
 
 
 def cmd_lpbound(args) -> int:
-    if any(xi < 0 for xi in args.xi):
-        raise InvalidArgument("--xi values must be nonnegative")
-    _check_cap("--grid-size", args.grid_size, MAX_GRID_SIZE)
-    results = [lp_lambda0(xi, grid_size=args.grid_size) for xi in args.xi]
+    results = [lp_lambda0(xi) for xi in args.xi]
     write_csv(
         _out_path(args, "lpbound.csv"),
         ["xi", "lambda0"],
@@ -172,11 +167,11 @@ def cmd_lpbound(args) -> int:
         _out_path(args, "lpbound_report.json"),
         {
             "command": "lpbound",
-            "parameters": {"xi": list(args.xi), "grid_size": args.grid_size},
+            "parameters": {"xi": list(args.xi)},
             "results": {
                 "rows": [
                     {"xi": r.xi, "kernel_c": r.kernel_c, "lambda0": r.lambda0,
-                     "residual": r.residual}
+                     "tail": r.tail}
                     for r in results
                 ]
             },
@@ -189,8 +184,7 @@ def cmd_lpbound(args) -> int:
 
 
 def cmd_reanalyze(args) -> int:
-    _check_cap("--grid-size", args.grid_size, MAX_GRID_SIZE)
-    rows = reanalysis.reanalyze_products(args.a, grid_size=args.grid_size)
+    rows = reanalysis.reanalyze_products(args.a)
     write_csv(
         _out_path(args, "reanalysis.csv"),
         ["a", "xi", "lambda0", "well_defined"],
@@ -200,7 +194,7 @@ def cmd_reanalyze(args) -> int:
         _out_path(args, "reanalysis_report.json"),
         {
             "command": "reanalyze",
-            "parameters": {"a": list(args.a), "grid_size": args.grid_size, "threshold": 0.70},
+            "parameters": {"a": list(args.a), "threshold": 0.70},
             "results": {
                 "rows": [
                     {"a": r.a, "xi": r.xi, "lambda0": r.lambda0,
@@ -268,11 +262,13 @@ def cmd_estimate(args) -> int:
     y, intens, _ = read_frame_csv(args.frame)
     y = np.asarray(y)
     intens = np.asarray(intens)
-    spacings = np.diff(y)
-    pixel_size = float(np.median(spacings))
-    # y_mm keeps 9 significant digits, so each y is within 5e-9*max|y| and
-    # each spacing, like their median, within 1e-8*max|y| of the true pitch
-    if pixel_size <= 0 or np.any(np.abs(spacings - pixel_size) > 2e-8 * np.max(np.abs(y))):
+    if len(y) < 2:
+        raise InvalidArgument("frame must have at least two pixels")
+    # y_mm keeps 9 significant digits, so each y is within 5e-9*max|y| of its
+    # true value: each spacing within 1e-8*max|y| of the true pitch, and the
+    # span over N-1 within 1e-8*max|y|/(N-1)
+    pixel_size = float((y[-1] - y[0]) / (len(y) - 1))
+    if pixel_size <= 0 or np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = diffraction.DetectorSpec(num_pixels=len(y), pixel_size=pixel_size)
     frame = diffraction.normalize_frame(
@@ -342,13 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lpbound", help="concentration bound lambda0(xi)")
     p.add_argument("--xi", type=float, nargs="+", required=True)
-    p.add_argument("--grid-size", type=int, default=400)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_lpbound)
 
     p = sub.add_parser("reanalyze", help="reanalyze measured products a (units of hbar)")
     p.add_argument("--a", type=float, nargs="+", required=True)
-    p.add_argument("--grid-size", type=int, default=400)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_reanalyze)
 

@@ -18,11 +18,29 @@ import numpy as np
 from .core import SampledDensity
 from .errors import InvalidArgument, NumericFailure
 
-_EIG_RESIDUAL_TOL = 1e-10
-# largest excess of lambda0 over 1 that counts as rounding and is clipped;
-# at grid 400 the excess is below 1e-13 up to xi = 200, 3e-12 at xi = 236
-# and 2.0 at xi = 400
+# psi0 is expanded on the even normalized Legendre polynomials P_0, P_2, ...,
+# P_94; at c = pi*_XI_SATURATED/2 the last four coefficients are ~5e-27
+_N_TERMS = 48
+# lambda0 is nondecreasing and at most 1, and Slepian's asymptotic
+# 1 - lambda0 ~ 4 sqrt(pi c) exp(-2c) is ~1e-42 at xi = 32, so lambda0 of every
+# larger xi is that of xi = 32 to double precision
+_XI_SATURATED = 32.0
+_TAIL_TOL = 1e-15
+# the computed lambda0 carries a rounding error of about 1e-15 (it reads
+# 1 +- 1.3e-15 from xi = 12 up), so a value within _LAMBDA_ROUNDING of 1 is
+# reported as 1; an excess over 1 beyond _LAMBDA_EXCESS_TOL is a fault
+_LAMBDA_ROUNDING = 1e-14
 _LAMBDA_EXCESS_TOL = 1e-12
+
+_N = 2.0 * np.arange(_N_TERMS)
+# matrix of u^2 between normalized Legendre polynomials: diagonal <P_n, u^2 P_n>
+# and off-diagonal <P_n+2, u^2 P_n>
+_U2_DIAG = (2 * _N * (_N + 1) - 1) / ((2 * _N + 3) * (2 * _N - 1))
+_U2_OFF = ((_N[:-1] + 1) * (_N[:-1] + 2)
+           / ((2 * _N[:-1] + 3) * np.sqrt((2 * _N[:-1] + 1) * (2 * _N[:-1] + 5))))
+# P_2k(0) = sqrt((4k+1)/2) (-1)^k (2k)!/(4^k k!^2), the ratio as a running product
+_P_AT_ZERO = np.sqrt((2 * _N + 1) / 2.0) * np.cumprod(
+    np.concatenate([[1.0], (1.0 - _N[1:]) / _N[1:]]))
 
 
 @dataclass(frozen=True)
@@ -30,66 +48,44 @@ class LpBoundResult:
     xi: float
     kernel_c: float
     lambda0: float
-    grid_size: int
-    residual: float
+    tail: float
 
 
-def _nystrom_matrix(xi: float, grid_size: int) -> np.ndarray:
-    """Nystrom discretization of the concentration operator: the sinc kernel
-    at Gauss-Legendre nodes on [-1, 1], symmetrized with the square-root
-    weight diagonal."""
-    if xi < 0:
-        raise InvalidArgument(f"xi must be nonnegative, got {xi}")
-    if grid_size < 32:
-        raise InvalidArgument(f"grid_size must be >= 32, got {grid_size}")
-    c = np.pi * xi / 2.0
-    u, w = np.polynomial.legendre.leggauss(grid_size)
-    du = u[:, None] - u[None, :]
-    off = ~np.eye(grid_size, dtype=bool)
-    kernel = np.full_like(du, c / np.pi)
-    kernel[off] = np.sin(c * du[off]) / (np.pi * du[off])
-    sw = np.sqrt(w)
-    return sw[:, None] * kernel * sw[None, :]
+def lp_lambda0(xi: float) -> LpBoundResult:
+    """Largest concentration eigenvalue lambda0(xi), with the expansion tail.
 
-
-def concentration_eigenvalues(xi: float, grid_size: int = 400) -> np.ndarray:
-    """All eigenvalues of the Nystrom-discretized concentration operator,
-    ascending."""
-    return np.linalg.eigvalsh(_nystrom_matrix(xi, grid_size))
-
-
-def lp_lambda0(xi: float, grid_size: int = 400) -> LpBoundResult:
-    """Largest concentration eigenvalue lambda0(xi), with eigen-residual.
+    The top eigenfunction psi0 of the concentration operator is the ground
+    state of the prolate operator -d/du (1-u^2) d/du + c^2 u^2, which commutes
+    with it (Slepian & Pollak 1961) and is symmetric tridiagonal on the even
+    normalized Legendre polynomials (Osipov, Rokhlin & Xiao 2013).  With
+    psi0 = sum_k beta_k P_2k, lambda0 = (c/pi) beta_0^2 / psi0(0)^2.  ``tail``
+    is the largest |beta_k| of the last four terms, the truncation
+    certificate.
 
     Monotone nondecreasing in xi, lambda0(0) = 0, -> 1 as xi -> infinity.
-    Raises NumericFailure where the grid no longer resolves the kernel and
-    the eigenvalue exceeds 1 by more than rounding.
     """
-    A = _nystrom_matrix(xi, grid_size)
-    if xi == 0.0:
-        return LpBoundResult(xi=0.0, kernel_c=0.0, lambda0=0.0,
-                             grid_size=grid_size, residual=0.0)
+    if not (np.isfinite(xi) and xi >= 0):
+        raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
+    c = np.pi * min(xi, _XI_SATURATED) / 2.0
+    prolate = np.diag(_N * (_N + 1) + c * c * _U2_DIAG)
+    i = np.arange(_N_TERMS - 1)
+    prolate[i + 1, i] = prolate[i, i + 1] = c * c * _U2_OFF
     try:
-        vals, vecs = np.linalg.eigh(A)
+        _, vecs = np.linalg.eigh(prolate)
     except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"prolate eigensolve failed at xi={xi}: {exc}") from exc
+    beta = vecs[:, 0]
+    tail = float(np.max(np.abs(beta[-4:])))
+    if tail > _TAIL_TOL:
         raise NumericFailure(
-            f"concentration eigensolve failed at xi={xi}, grid={grid_size}: {exc}"
-        ) from exc
-    lam = float(vals[-1])
-    v = vecs[:, -1]
-    residual = float(np.linalg.norm(A @ v - lam * v))
-    if residual > _EIG_RESIDUAL_TOL:
-        raise NumericFailure(
-            f"eigenpair residual {residual:.3e} exceeds {_EIG_RESIDUAL_TOL} "
-            f"at xi={xi}, grid={grid_size}"
+            f"Legendre expansion tail {tail:.3e} exceeds {_TAIL_TOL} at xi={xi}"
         )
+    lam = float(c / np.pi * beta[0] ** 2 / (beta @ _P_AT_ZERO) ** 2)
     if lam - 1.0 > _LAMBDA_EXCESS_TOL:
-        raise NumericFailure(
-            f"lambda0 = {lam!r} exceeds 1 at xi={xi}: grid={grid_size} "
-            f"does not resolve the kernel"
-        )
-    return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=min(lam, 1.0),
-                         grid_size=int(grid_size), residual=residual)
+        raise NumericFailure(f"lambda0 = {lam!r} exceeds 1 at xi={xi}")
+    if lam > 1.0 - _LAMBDA_ROUNDING:
+        lam = 1.0
+    return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=lam, tail=tail)
 
 
 def concentration_probability(density, delta_p: float, assume_normalized: bool = False) -> float:

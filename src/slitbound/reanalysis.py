@@ -65,20 +65,16 @@ def fringe_delta_p(
     return value
 
 
-def reanalyze_products(
-    a_values,
-    grid_size: int = 400,
-    threshold: float = 0.70,
-) -> list[ReanalysisRow]:
+def reanalyze_products(a_values, threshold: float = 0.70) -> list[ReanalysisRow]:
     """One ReanalysisRow per product a (in units of hbar): xi = a/(2*pi),
     the concentration bound at that xi, and the well-definedness verdict."""
     a_arr = [float(a) for a in a_values]
-    if any(a <= 0 for a in a_arr):
-        raise InvalidArgument("all products a must be positive")
+    if not all(np.isfinite(a) and a > 0 for a in a_arr):
+        raise InvalidArgument("all products a must be finite and positive")
     rows = []
     for a in a_arr:
         xi = a / (2.0 * np.pi)
-        lam = lp_lambda0(xi, grid_size=grid_size).lambda0
+        lam = lp_lambda0(xi).lambda0
         rows.append(
             ReanalysisRow(a=a, xi=xi, lambda0=lam,
                           well_defined=well_defined_verdict(lam, threshold))

@@ -72,8 +72,8 @@ def test_criterion_2_sharp_bound_equality():
 def test_criterion_3_landau_pollak_triple():
     t0 = time.perf_counter()
     triple = [(0.179, 0.178), (0.392, 0.376), (0.433, 0.412)]
-    errs = [abs(lp_lambda0(xi, grid_size=400).lambda0 - ref) for xi, ref in triple]
-    err_one = abs(lp_lambda0(1.0, grid_size=400).lambda0 - 0.78)
+    errs = [abs(lp_lambda0(xi).lambda0 - ref) for xi, ref in triple]
+    err_one = abs(lp_lambda0(1.0).lambda0 - 0.78)
     elapsed = time.perf_counter() - t0
     ok = max(errs) <= 0.005 and err_one <= 0.01 and elapsed < 10.0
     report("criterion 3: Landau-Pollak triple", ok,

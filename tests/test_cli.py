@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import slitbound
-from slitbound import cli, concentration, core, diffraction, reanalysis
+from slitbound import cli, core, diffraction
 from slitbound.reports import REPORT_SCHEMA, parse_length, read_frame_csv
 
 import jsonschema
@@ -50,14 +50,6 @@ class TestSizeCaps:
     def test_pixels_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(diffraction, "DetectorSpec", refuse_allocation)
         assert run(tmp_path, "simulate", "--pixels", str(cli.MAX_PIXELS + 2)) == 2
-
-    def test_grid_size_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "lp_lambda0", refuse_allocation)
-        monkeypatch.setattr(concentration, "lp_lambda0", refuse_allocation)
-        monkeypatch.setattr(reanalysis, "reanalyze_products", refuse_allocation)
-        too_big = str(cli.MAX_GRID_SIZE + 1)
-        assert run(tmp_path, "lpbound", "--xi", "1.0", "--grid-size", too_big) == 2
-        assert run(tmp_path, "reanalyze", "--a", "1.0", "--grid-size", too_big) == 2
 
 
 class TestParseLength:
@@ -157,12 +149,18 @@ class TestLpbound:
     def test_negative_xi(self, tmp_path):
         assert run(tmp_path, "lpbound", "--xi", "-0.5") == 2
 
-    def test_bad_grid(self, tmp_path):
-        assert run(tmp_path, "lpbound", "--xi", "1.0", "--grid-size", "4") == 2
+    def test_non_finite_xi(self, tmp_path):
+        for bad in ("nan", "inf"):
+            assert run(tmp_path, "lpbound", "--xi", "1.0", bad) == 2
+            assert not (tmp_path / "lpbound.csv").exists()
 
-    def test_unresolved_xi_is_numeric_failure(self, tmp_path):
-        assert run(tmp_path, "lpbound", "--xi", "400") == 3
-        assert not (tmp_path / "lpbound.csv").exists()
+    def test_far_saturated_xi(self, tmp_path):
+        assert run(tmp_path, "lpbound", "--xi", "400", "1000") == 0
+        rows = load_report(tmp_path, "lpbound_report.json")["results"]["rows"]
+        assert [r["lambda0"] for r in rows] == [1.0, 1.0]
+        assert all(r["tail"] <= 1e-15 for r in rows)
+        lines = (tmp_path / "lpbound.csv").read_text().splitlines()
+        assert lines[1:] == ["400,1", "1000,1"]
 
 
 class TestReanalyze:
@@ -175,6 +173,17 @@ class TestReanalyze:
         lines = (tmp_path / "reanalysis.csv").read_text().splitlines()
         assert lines[0] == "a,xi,lambda0,well_defined"
         assert all(line.endswith(",false") for line in lines[1:])
+
+    def test_far_saturated_product(self, tmp_path):
+        assert run(tmp_path, "reanalyze", "--a", "2513.3") == 0
+        (row,) = load_report(tmp_path, "reanalysis_report.json")["results"]["rows"]
+        assert row["lambda0"] == 1.0
+        assert row["well_defined"]
+
+    def test_non_finite_a(self, tmp_path):
+        for bad in ("nan", "inf"):
+            assert run(tmp_path, "reanalyze", "--a", "1.128", bad) == 2
+            assert not (tmp_path / "reanalysis.csv").exists()
 
     def test_empty_a_rejected(self, tmp_path):
         # argparse exits the process with status 2 for a missing required flag
@@ -231,8 +240,8 @@ class TestSimulateAndEstimate:
                          "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(lines) == 1 + 1024
-        # the pitch is read back to within 1e-8 * max|y|, about 1e-5 of itself
-        assert float(lines[-1].split(",")[1]) == pytest.approx(1024 * 7.123456e-3, rel=2e-5)
+        # the pitch is read back from the span over N-1 pixels
+        assert float(lines[-1].split(",")[1]) == pytest.approx(1024 * 7.123456e-3, rel=1e-8)
 
     def test_estimate_missing_frame(self, tmp_path):
         assert cli.main(["estimate", str(tmp_path / "nope.csv"),
@@ -241,6 +250,11 @@ class TestSimulateAndEstimate:
     def test_estimate_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
+        assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_estimate_single_pixel_frame(self, tmp_path):
+        bad = tmp_path / "frame.csv"
+        bad.write_text("pixel,y_mm,intensity\n1,0.004,0.2\n")
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_estimate_nonuniform_pixels(self, tmp_path):

@@ -6,7 +6,6 @@ from slitbound import (
     FourierState,
     InvalidArgument,
     LanczosState,
-    NumericFailure,
     SampledDensity,
     concentration_probability,
     eval_lanczos_momentum_density,
@@ -16,12 +15,25 @@ from slitbound import (
     min_uncertainty_coefficients,
     well_defined_verdict,
 )
-from slitbound.concentration import concentration_eigenvalues
 from slitbound.core import random_symmetric_state
 
 # mass of the minimum-uncertainty momentum density inside |k| <= 2 pi / dx,
 # frozen from an adaptive-quadrature oracle (epsabs 1e-13)
 MIN_STATE_MASS_2PI_WINDOW = 0.9700940527700347
+
+
+def nystrom_eigenvalues(xi: float, grid_size: int) -> np.ndarray:
+    """Independent oracle for the concentration spectrum: the sinc kernel at
+    Gauss-Legendre nodes on [-1, 1], symmetrized with the square-root weight
+    diagonal, all eigenvalues ascending."""
+    c = np.pi * xi / 2.0
+    u, w = np.polynomial.legendre.leggauss(grid_size)
+    du = u[:, None] - u[None, :]
+    off = ~np.eye(grid_size, dtype=bool)
+    kernel = np.full_like(du, c / np.pi)
+    kernel[off] = np.sin(c * du[off]) / (np.pi * du[off])
+    sw = np.sqrt(w)
+    return np.linalg.eigvalsh(sw[:, None] * kernel * sw[None, :])
 
 
 class TestLambda0:
@@ -45,32 +57,39 @@ class TestLambda0:
     def test_large_xi_saturates(self):
         assert lp_lambda0(10.0).lambda0 > 0.999
 
-    def test_residual_small(self):
-        for xi in (0.2, 1.0, 2.5):
-            assert lp_lambda0(xi).residual < 1e-10
+    def test_tail_small(self):
+        for xi in (0.0, 0.2, 1.0, 2.5, 32.0, 1e4):
+            assert lp_lambda0(xi).tail <= 1e-15
 
     def test_monotone_in_xi(self):
-        xis = np.arange(0.0, 3.01, 0.1)
+        xis = np.concatenate([[0.0], np.logspace(-3, 4, 500)])
         vals = [lp_lambda0(float(x)).lambda0 for x in xis]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
+
+    def test_matches_nystrom_oracle(self):
+        # c <= 10 pi here, which 200 Gauss-Legendre nodes resolve far below
+        # 1e-12 (test_grid_convergence)
+        for xi in np.logspace(-3, np.log10(20.0), 200):
+            oracle = nystrom_eigenvalues(float(xi), 200)[-1]
+            assert abs(lp_lambda0(float(xi)).lambda0 - oracle) <= 1e-12
 
     def test_grid_convergence(self):
-        for xi in (0.5, 1.5, 3.0):
-            a = lp_lambda0(xi, grid_size=400).lambda0
-            b = lp_lambda0(xi, grid_size=800).lambda0
-            assert abs(a - b) < 1e-8
+        for xi in (0.5, 1.5, 3.0, 20.0):
+            fine = nystrom_eigenvalues(xi, 800)[-1]
+            for grid in (200, 400):
+                assert abs(nystrom_eigenvalues(xi, grid)[-1] - fine) < 1e-13
 
     def test_spectrum_in_unit_interval(self):
         for xi in (0.3, 1.0, 2.0, 3.0):
-            ev = concentration_eigenvalues(xi, 400)
+            ev = nystrom_eigenvalues(xi, 400)
             assert ev.min() >= -1e-12
             assert ev.max() <= 1.0 + 1e-12
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidArgument):
-            lp_lambda0(-0.1)
-        with pytest.raises(InvalidArgument):
-            lp_lambda0(1.0, grid_size=8)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(InvalidArgument):
+                lp_lambda0(bad)
 
     def test_nearby_xi_not_conflated(self):
         # xi values that agree to 6 decimals are still distinct inputs
@@ -80,14 +99,16 @@ class TestLambda0:
         assert res.kernel_c == np.pi * 0.1000001 / 2.0
 
     def test_rounding_excess_clipped_to_one(self):
-        # grid-400 Nystrom rounds to 1 + ~5e-14 here
+        # the expansion reads 1 +- ~1.3e-15 here
         for xi in (15.0, 100.0, 200.0):
             assert lp_lambda0(xi).lambda0 == 1.0
 
-    def test_unresolved_kernel_raises(self):
-        # at xi = 400 the grid-400 eigenvalue is 2.0
-        with pytest.raises(NumericFailure, match="xi=400.0.*grid=400"):
-            lp_lambda0(400.0)
+    def test_far_saturated_xi_is_one(self):
+        # a grid-400 Nystrom eigenvalue is 2.0 at xi = 400 and 4.0 at 1000
+        for xi in (400.0, 1000.0, 1e300):
+            res = lp_lambda0(xi)
+            assert res.lambda0 == 1.0
+            assert res.kernel_c == np.pi * xi / 2.0
 
 
 class TestConcentrationProbability:

@@ -60,7 +60,7 @@ class TestReanalyzeProducts:
         assert row.well_defined
 
     def test_large_product_saturates(self):
-        # xi = 12: lambda0 rounds to 1 + O(1e-14) on the grid and is clipped
+        # xi = 12: 1 - lambda0 is below double precision
         (row,) = reanalyze_products([2 * np.pi * 12])
         assert 0.999 < row.lambda0 <= 1.0
         assert row.well_defined
@@ -82,3 +82,8 @@ class TestReanalyzeProducts:
             reanalyze_products([1.0, -2.0])
         with pytest.raises(InvalidArgument):
             reanalyze_products([0.0])
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidArgument, match="finite"):
+                reanalyze_products([1.0, bad])
