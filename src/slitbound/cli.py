@@ -2,8 +2,8 @@
 
 Subcommands: minstate, lanczos, lpbound, reanalyze, simulate, estimate.
 Every command is deterministic given its flags (fixed default seed 42) and
-writes plot-ready CSV plus a schema-validated JSON report.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
+writes plot-ready CSV plus a strict JSON report.  Exit codes: 0 success,
+2 configuration error, 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import core, diffraction, reanalysis, special
 from .concentration import lp_lambda0
 from .errors import InvalidArgument, NumericFailure
-from .reports import fmt, parse_length, read_frame_csv, write_csv, write_report
+from .reports import parse_length, read_frame_csv, write_csv, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,21 +94,19 @@ def cmd_minstate(args) -> int:
     )
     write_report(
         _out_path(args, "minstate_report.json"),
+        "minstate",
+        {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": units.hbar},
         {
-            "command": "minstate",
-            "parameters": {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": units.hbar},
-            "results": {
-                "sigma_x_m": sigma_x,
-                "sigma_p": sigma_p,
-                "delta_p": report.delta_p,
-                "product_over_hbar": report.product_over_hbar,
-                "verdicts": report.verdicts,
-                "parseval_residual": float(residuals.parseval),
-                "boundary_residual": float(residuals.boundary),
-                "truncation_warning": bool(residuals.boundary > 1e-3),
-            },
-            "display": {"product_over_hbar": f"{report.product_over_hbar:.3f}"},
+            "sigma_x_m": sigma_x,
+            "sigma_p": sigma_p,
+            "delta_p": report.delta_p,
+            "product_over_hbar": report.product_over_hbar,
+            "verdicts": report.verdicts,
+            "parseval_residual": float(residuals.parseval),
+            "boundary_residual": float(residuals.boundary),
+            "truncation_warning": bool(residuals.boundary > 1e-3),
         },
+        display={"product_over_hbar": f"{report.product_over_hbar:.3f}"},
     )
     return EXIT_OK
 
@@ -137,20 +135,18 @@ def cmd_lanczos(args) -> int:
     )
     write_report(
         _out_path(args, "lanczos_report.json"),
+        "lanczos",
+        {"slit_width_m": delta_x, "hbar": units.hbar},
         {
-            "command": "lanczos",
-            "parameters": {"slit_width_m": delta_x, "hbar": units.hbar},
-            "results": {
-                "gamma": gamma,
-                "sigma_p": sigma_p,
-                "delta_p": report.delta_p,
-                "product_over_hbar": report.product_over_hbar,
-                "verdicts": report.verdicts,
-            },
-            "display": {
-                "gamma": f"{gamma:.3f}",
-                "product_over_hbar": f"{report.product_over_hbar:.3f}",
-            },
+            "gamma": gamma,
+            "sigma_p": sigma_p,
+            "delta_p": report.delta_p,
+            "product_over_hbar": report.product_over_hbar,
+            "verdicts": report.verdicts,
+        },
+        display={
+            "gamma": f"{gamma:.3f}",
+            "product_over_hbar": f"{report.product_over_hbar:.3f}",
         },
     )
     return EXIT_OK
@@ -165,20 +161,15 @@ def cmd_lpbound(args) -> int:
     )
     write_report(
         _out_path(args, "lpbound_report.json"),
+        "lpbound",
+        {"xi": list(args.xi)},
         {
-            "command": "lpbound",
-            "parameters": {"xi": list(args.xi)},
-            "results": {
-                "rows": [
-                    {"xi": r.xi, "kernel_c": r.kernel_c, "lambda0": r.lambda0,
-                     "tail": r.tail}
-                    for r in results
-                ]
-            },
-            "display": {
-                "lambda0": [f"{r.lambda0:.3f}" for r in results],
-            },
+            "rows": [
+                {"xi": r.xi, "kernel_c": r.kernel_c, "lambda0": r.lambda0, "tail": r.tail}
+                for r in results
+            ]
         },
+        display={"lambda0": [f"{r.lambda0:.3f}" for r in results]},
     )
     return EXIT_OK
 
@@ -192,23 +183,20 @@ def cmd_reanalyze(args) -> int:
     )
     write_report(
         _out_path(args, "reanalysis_report.json"),
+        "reanalyze",
+        {"a": list(args.a), "threshold": 0.70},
         {
-            "command": "reanalyze",
-            "parameters": {"a": list(args.a), "threshold": 0.70},
-            "results": {
-                "rows": [
-                    {"a": r.a, "xi": r.xi, "lambda0": r.lambda0,
-                     "well_defined": r.well_defined}
-                    for r in rows
-                ]
-            },
-            "display": {
-                "rows": [
-                    {"a": f"{r.a:.3f}", "xi": f"{r.xi:.3f}", "lambda0": f"{r.lambda0:.3f}",
-                     "verdict": "well-defined" if r.well_defined else "not well-defined"}
-                    for r in rows
-                ]
-            },
+            "rows": [
+                {"a": r.a, "xi": r.xi, "lambda0": r.lambda0, "well_defined": r.well_defined}
+                for r in rows
+            ]
+        },
+        display={
+            "rows": [
+                {"a": f"{r.a:.3f}", "xi": f"{r.xi:.3f}", "lambda0": f"{r.lambda0:.3f}",
+                 "verdict": "well-defined" if r.well_defined else "not well-defined"}
+                for r in rows
+            ]
         },
     )
     return EXIT_OK
@@ -235,23 +223,21 @@ def cmd_simulate(args) -> int:
     )
     write_report(
         _out_path(args, "simulate_report.json"),
+        "simulate",
         {
-            "command": "simulate",
-            "parameters": {
-                "slit_width_m": geometry.slit_width,
-                "wavelength_m": geometry.wavelength,
-                "focal_length_m": geometry.focal_length,
-                "num_pixels": detector.num_pixels,
-                "pixel_size_m": detector.pixel_size,
-                "detector_span_m": detector.span,
-                "noise_sigma": noise.additive_sigma,
-                "quantize": noise.quantize,
-                "seed": noise.seed,
-            },
-            "results": {
-                "peak_intensity": float(np.max(frame.intensities)),
-                "total_weight": float(np.sum(frame.intensities)) * detector.pixel_size,
-            },
+            "slit_width_m": geometry.slit_width,
+            "wavelength_m": geometry.wavelength,
+            "focal_length_m": geometry.focal_length,
+            "num_pixels": detector.num_pixels,
+            "pixel_size_m": detector.pixel_size,
+            "detector_span_m": detector.span,
+            "noise_sigma": noise.additive_sigma,
+            "quantize": noise.quantize,
+            "seed": noise.seed,
+        },
+        {
+            "peak_intensity": float(np.max(frame.intensities)),
+            "total_weight": float(np.sum(frame.intensities)) * detector.pixel_size,
         },
     )
     return EXIT_OK
@@ -285,24 +271,22 @@ def cmd_estimate(args) -> int:
     gamma = special.lanczos_gamma()
     write_report(
         _out_path(args, "estimate_report.json"),
+        "estimate",
         {
-            "command": "estimate",
-            "parameters": {
-                "frame": os.path.basename(args.frame),
-                "slit_width_m": geometry.slit_width,
-                "wavelength_m": geometry.wavelength,
-                "focal_length_m": geometry.focal_length,
-            },
-            "results": {
-                "gamma_hat_final": float(trace.gamma_hat[-1]),
-                "gamma_theory_edge": float(theory[-1]),
-                "gamma_exact": gamma,
-                "exceeds_one": bool(trace.gamma_hat[-1] > 1.0),
-            },
-            "display": {
-                "gamma_hat_final": f"{trace.gamma_hat[-1]:.3f}",
-                "gamma_exact": f"{gamma:.3f}",
-            },
+            "frame": os.path.basename(args.frame),
+            "slit_width_m": geometry.slit_width,
+            "wavelength_m": geometry.wavelength,
+            "focal_length_m": geometry.focal_length,
+        },
+        {
+            "gamma_hat_final": float(trace.gamma_hat[-1]),
+            "gamma_theory_edge": float(theory[-1]),
+            "gamma_exact": gamma,
+            "exceeds_one": bool(trace.gamma_hat[-1] > 1.0),
+        },
+        display={
+            "gamma_hat_final": f"{trace.gamma_hat[-1]:.3f}",
+            "gamma_exact": f"{gamma:.3f}",
         },
     )
     return EXIT_OK

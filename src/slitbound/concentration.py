@@ -88,37 +88,26 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=lam, tail=tail)
 
 
-def concentration_probability(density, delta_p: float, assume_normalized: bool = False) -> float:
-    """Probability mass of a momentum density inside |p| <= delta_p/2.
+def concentration_probability(density: SampledDensity, delta_p: float) -> float:
+    """Probability mass of a sampled momentum density inside |p| <= delta_p/2.
 
-    ``density`` is either a SampledDensity or a callable density function;
-    the density must be normalized to 1 (checked unless assume_normalized).
+    The density must be normalized to 1.
     """
+    if not isinstance(density, SampledDensity):
+        raise InvalidArgument("density must be a SampledDensity")
     if delta_p < 0:
         raise InvalidArgument(f"delta_p must be nonnegative, got {delta_p}")
     if delta_p == 0:
         return 0.0
-    if isinstance(density, SampledDensity):
-        if not assume_normalized and abs(density.integral() - 1.0) > 1e-8:
-            raise InvalidArgument(f"density not normalized: integral = {density.integral()!r}")
-        g, v = density.grid, density.values
-        lo, hi = -delta_p / 2.0, delta_p / 2.0
-        lo = max(lo, g[0])
-        hi = min(hi, g[-1])
-        if hi <= lo:
-            return 0.0
-        pts = np.unique(np.concatenate([[lo], g[(g > lo) & (g < hi)], [hi]]))
-        return float(np.trapezoid(np.interp(pts, g, v), pts))
-    if callable(density):
-        from scipy.integrate import quad
-
-        if not assume_normalized:
-            total, _ = quad(density, -np.inf, np.inf, limit=400)
-            if abs(total - 1.0) > 1e-6:
-                raise InvalidArgument(f"density not normalized: integral = {total!r}")
-        val, _ = quad(density, -delta_p / 2.0, delta_p / 2.0, limit=400, epsabs=1e-12)
-        return float(min(max(val, 0.0), 1.0))
-    raise InvalidArgument("density must be a SampledDensity or a callable")
+    if abs(density.integral() - 1.0) > 1e-8:
+        raise InvalidArgument(f"density not normalized: integral = {density.integral()!r}")
+    g, v = density.grid, density.values
+    lo = max(-delta_p / 2.0, g[0])
+    hi = min(delta_p / 2.0, g[-1])
+    if hi <= lo:
+        return 0.0
+    pts = np.unique(np.concatenate([[lo], g[(g > lo) & (g < hi)], [hi]]))
+    return float(np.trapezoid(np.interp(pts, g, v), pts))
 
 
 def well_defined_verdict(probability: float, threshold: float = 0.70) -> bool:

@@ -60,8 +60,10 @@ class NoiseSpec:
     quantize: bool = False
 
     def __post_init__(self):
-        if self.additive_sigma < 0:
-            raise InvalidArgument(f"additive_sigma must be nonnegative, got {self.additive_sigma}")
+        if not (np.isfinite(self.additive_sigma) and self.additive_sigma >= 0):
+            raise InvalidArgument(
+                f"additive_sigma must be finite and nonnegative, got {self.additive_sigma}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
-"""Bit-exact output formats: CSV writers, the JSON report schema, unit
-parsing, and atomic file writes."""
+"""Bit-exact output formats: CSV writers, the JSON report, unit parsing,
+and atomic file writes."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
-import jsonschema
-
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NumericFailure
 
 CSV_FLOAT_FORMAT = "{:.9g}"
 
@@ -20,27 +19,6 @@ LENGTH_SUFFIXES = {
     "cm": 1e-2,
     "m": 1.0,
 }
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "slitbound report",
-    "type": "object",
-    "required": ["command", "parameters", "results"],
-    "properties": {
-        "command": {
-            "type": "string",
-            "enum": ["minstate", "lanczos", "lpbound", "reanalyze", "simulate", "estimate"],
-        },
-        "parameters": {"type": "object"},
-        "results": {"type": "object"},
-        "display": {
-            "type": "object",
-            "description": "3-decimal fields for direct table comparison",
-        },
-    },
-    "additionalProperties": False,
-}
-
 
 def parse_length(text) -> float:
     """Parse a length with an optional SI suffix (nm, um, mm, cm, m) into
@@ -59,8 +37,8 @@ def parse_length(text) -> float:
             value = float(s) * factor
         except ValueError as exc:
             raise InvalidArgument(f"cannot parse length {text!r}") from exc
-    if not value > 0:
-        raise InvalidArgument(f"length must be positive, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidArgument(f"length must be positive and finite, got {text!r}")
     return value
 
 
@@ -96,9 +74,19 @@ def write_csv(path: str, header: list[str], rows, comments: list[str] | None = N
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_report(path: str, report: dict) -> None:
-    jsonschema.validate(report, REPORT_SCHEMA)
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+def write_report(path: str, command: str, parameters: dict, results: dict,
+                 display: dict | None = None) -> None:
+    """Write the report {command, parameters, results[, display]} as strict
+    JSON; a NaN or infinity anywhere in it raises NumericFailure and nothing
+    is written."""
+    report = {"command": command, "parameters": parameters, "results": results}
+    if display is not None:
+        report["display"] = display
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"{command} report holds a non-finite value") from exc
+    atomic_write_text(path, text + "\n")
 
 
 def read_frame_csv(path: str):
@@ -126,11 +114,15 @@ def read_frame_csv(path: str):
                     )
                 header_seen = True
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InvalidArgument(f"malformed frame CSV row {line!r}")
-            y.append(float(parts[1]) * 1e-3)
-            intens.append(float(parts[2]))
+            try:
+                _, y_text, value_text = line.split(",")
+                y_mm, value = float(y_text), float(value_text)
+            except ValueError as exc:
+                raise InvalidArgument(f"malformed frame CSV row {line!r}") from exc
+            if not (math.isfinite(y_mm) and math.isfinite(value)):
+                raise InvalidArgument(f"non-finite value in frame CSV row {line!r}")
+            y.append(y_mm * 1e-3)
+            intens.append(value)
     if not header_seen or not y:
         raise InvalidArgument(f"frame CSV {path!r} contains no data")
     return y, intens, normalized

@@ -3,22 +3,46 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 import slitbound
 from slitbound import cli, core, diffraction
-from slitbound.reports import REPORT_SCHEMA, parse_length, read_frame_csv
+from slitbound.reports import parse_length, read_frame_csv
 
-import jsonschema
+# the shape every report must have, checked independently of the writer
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "slitbound report",
+    "type": "object",
+    "required": ["command", "parameters", "results"],
+    "properties": {
+        "command": {
+            "type": "string",
+            "enum": ["minstate", "lanczos", "lpbound", "reanalyze", "simulate", "estimate"],
+        },
+        "parameters": {"type": "object"},
+        "results": {"type": "object"},
+        "display": {
+            "type": "object",
+            "description": "3-decimal fields for direct table comparison",
+        },
+    },
+    "additionalProperties": False,
+}
 
 
 def run(tmp_path, *argv):
     return cli.main([*argv, "--out", str(tmp_path)])
 
 
+def reject_constant(name):
+    raise ValueError(f"report holds non-JSON constant {name}")
+
+
 def load_report(tmp_path, name):
-    report = json.loads((tmp_path / name).read_text())
+    report = json.loads((tmp_path / name).read_text(), parse_constant=reject_constant)
     jsonschema.validate(report, REPORT_SCHEMA)
     return report
 
@@ -27,17 +51,35 @@ def refuse_allocation(*args, **kwargs):
     raise AssertionError("size cap not checked before allocation")
 
 
+def run_python(*argv):
+    """A fresh interpreter on this package, outside pytest's warning filters."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slitbound.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 class TestImportPath:
-    def test_cli_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(slitbound.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    def test_cli_import_loads_no_scipy_or_jsonschema(self):
         code = ("import sys, slitbound, slitbound.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+                "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestStrictReports:
+    @pytest.mark.parametrize("command", ["minstate", "lanczos"])
+    def test_non_finite_result_is_numeric_failure(self, tmp_path, command):
+        # a finite but subnormal width overflows sigma_p; the report is not
+        # written.  Run in a fresh interpreter: pytest turns the overflow
+        # RuntimeWarning into an error before the report writer is reached.
+        proc = run_python("-m", "slitbound.cli", command, "--slit-width", "1e-310",
+                          "--out", str(tmp_path))
+        assert proc.returncode == 3, proc.stderr
+        assert "non-finite" in proc.stderr
+        assert not (tmp_path / f"{command}_report.json").exists()
 
 
 class TestSizeCaps:
@@ -65,7 +107,7 @@ class TestParseLength:
     def test_rejects(self):
         from slitbound import InvalidArgument
 
-        for bad in ("abc", "-3mm", "0m", ""):
+        for bad in ("abc", "-3mm", "0m", "", "inf", "nan", "infmm"):
             with pytest.raises(InvalidArgument):
                 parse_length(bad)
 
@@ -113,6 +155,11 @@ class TestMinstate:
 
     def test_invalid_slit_width(self, tmp_path):
         assert run(tmp_path, "minstate", "--slit-width", "bogus") == 2
+
+    def test_non_finite_slit_width(self, tmp_path):
+        for bad in ("inf", "nan", "infum"):
+            assert run(tmp_path, "minstate", "--slit-width", bad) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLanczos:
@@ -216,6 +263,12 @@ class TestSimulateAndEstimate:
     def test_simulate_bad_pixels(self, tmp_path):
         assert run(tmp_path, "simulate", "--pixels", "3647") == 2
 
+    @pytest.mark.parametrize("flag,bad", [("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+                                          ("--wavelength", "inf")])
+    def test_simulate_non_finite_input(self, tmp_path, flag, bad):
+        assert run(tmp_path, "simulate", flag, bad) == 2
+        assert not (tmp_path / "frame.csv").exists()
+
     def test_estimate_pipeline(self, tmp_path):
         run(tmp_path, "simulate")
         assert cli.main(["estimate", str(tmp_path / "frame.csv"),
@@ -251,6 +304,14 @@ class TestSimulateAndEstimate:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("row", ["2,0.004,nan", "2,0.004,inf", "2,inf,0.2",
+                                     "2,0.004,abc", "2,0.004"])
+    def test_estimate_bad_frame_row(self, tmp_path, row):
+        bad = tmp_path / "frame.csv"
+        bad.write_text(f"pixel,y_mm,intensity\n1,-0.004,0.2\n{row}\n")
+        assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_estimate_single_pixel_frame(self, tmp_path):
         bad = tmp_path / "frame.csv"

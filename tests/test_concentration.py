@@ -36,6 +36,13 @@ def nystrom_eigenvalues(xi: float, grid_size: int) -> np.ndarray:
     return np.linalg.eigvalsh(sw[:, None] * kernel * sw[None, :])
 
 
+def window_mass(density, delta_p: float) -> float:
+    """Independent oracle for the captured probability: adaptive quadrature
+    of a normalized callable momentum density over |p| <= delta_p/2."""
+    val, _ = quad(density, -delta_p / 2.0, delta_p / 2.0, limit=400, epsabs=1e-12)
+    return min(max(val, 0.0), 1.0)
+
+
 class TestLambda0:
     def test_zero(self):
         res = lp_lambda0(0.0)
@@ -113,25 +120,17 @@ class TestLambda0:
 
 class TestConcentrationProbability:
     def test_zero_window(self):
-        state = LanczosState(1.0)
-        assert concentration_probability(
-            lambda k: eval_lanczos_momentum_density(k, state), 0.0
-        ) == 0.0
+        x = np.linspace(-1, 1, 101)
+        assert concentration_probability(SampledDensity(x, np.full_like(x, 0.5)), 0.0) == 0.0
 
     def test_wide_window_captures_everything(self):
         dx = 1.0
-        p = concentration_probability(
-            lambda k: eval_momentum_wavefunction(k, dx) ** 2, 4000.0,
-            assume_normalized=True,
-        )
+        p = window_mass(lambda k: eval_momentum_wavefunction(k, dx) ** 2, 4000.0)
         assert p == pytest.approx(1.0, abs=1e-3)
 
     def test_min_state_window(self):
         dx = 1.0
-        p = concentration_probability(
-            lambda k: eval_momentum_wavefunction(k, dx) ** 2, 2 * (2 * np.pi / dx),
-            assume_normalized=True,
-        )
+        p = window_mass(lambda k: eval_momentum_wavefunction(k, dx) ** 2, 2 * (2 * np.pi / dx))
         assert p == pytest.approx(MIN_STATE_MASS_2PI_WINDOW, abs=1e-9)
         # window |k| <= 2pi/dx has xi = dx*dp/h = 2; the bound must dominate
         assert p <= lp_lambda0(2.0).lambda0 + 2e-3
@@ -147,6 +146,10 @@ class TestConcentrationProbability:
         x = np.linspace(-1, 1, 101)
         with pytest.raises(InvalidArgument):
             concentration_probability(SampledDensity(x, np.full_like(x, 3.0)), 1.0)
+
+    def test_callable_rejected(self):
+        with pytest.raises(InvalidArgument):
+            concentration_probability(lambda k: np.exp(-k * k / 2) / np.sqrt(2 * np.pi), 2.0)
 
     def test_negative_window_rejected(self):
         x = np.linspace(-1, 1, 101)
@@ -181,10 +184,7 @@ class TestBoundDominatesStates:
             state = random_symmetric_state(24, dx, rng, project_boundary=False)
             for xi in xis:
                 delta_p = float(xi) * 2 * np.pi / dx  # hbar = 1, h = 2 pi
-                prob = concentration_probability(
-                    lambda k: eval_momentum_density(state, k), delta_p,
-                    assume_normalized=True,
-                )
+                prob = window_mass(lambda k: eval_momentum_density(state, k), delta_p)
                 assert prob <= bounds[float(xi)] + 2e-3
 
     def test_lanczos_state_dominated(self):
@@ -192,10 +192,7 @@ class TestBoundDominatesStates:
         state = LanczosState(dx)
         for xi in (0.5, 1.0, 2.0):
             delta_p = xi * 2 * np.pi / dx
-            prob = concentration_probability(
-                lambda k: eval_lanczos_momentum_density(k, state), delta_p,
-                assume_normalized=True,
-            )
+            prob = window_mass(lambda k: eval_lanczos_momentum_density(k, state), delta_p)
             assert prob <= lp_lambda0(xi).lambda0 + 2e-3
 
     def test_min_state_near_saturation_at_small_xi(self):
@@ -203,8 +200,5 @@ class TestBoundDominatesStates:
         # its captured mass stays below but tracks the bound
         dx = 1.0
         state = min_uncertainty_coefficients(512, dx)
-        prob = concentration_probability(
-            lambda k: eval_momentum_density(state, k), 2 * np.pi / dx,
-            assume_normalized=True,
-        )
+        prob = window_mass(lambda k: eval_momentum_density(state, k), 2 * np.pi / dx)
         assert prob <= lp_lambda0(1.0).lambda0 + 2e-3
