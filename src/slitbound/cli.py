@@ -2,8 +2,14 @@
 
 Subcommands: minstate, lanczos, lpbound, reanalyze, simulate, estimate.
 Every command is deterministic given its flags (fixed default seed 42) and
-writes plot-ready CSV plus a strict JSON report.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure, 4 I/O error.
+writes plot-ready CSV plus a strict JSON report.  A ``cmd_*`` function
+computes and returns its files without writing any: a list of CSV tables
+``(file name, header, rows[, comments])`` and the report
+``(file name, command, parameters, results, display)``.  ``main`` encodes
+every file in memory, which checks that every value is finite, and only
+then writes them, the report last.  So exit 2 or 3 leaves no new file, and
+a report on disk means its CSVs were written with it.  Exit codes:
+0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from . import core, diffraction, reanalysis, special
 from .concentration import lp_lambda0
 from .errors import InvalidArgument, NumericFailure
-from .reports import parse_length, read_frame_csv, write_csv, write_report
+from .reports import atomic_write_text, format_csv, format_report, parse_length, read_frame_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,9 +41,10 @@ MAX_NMAX = 1_000_000
 MAX_PIXELS = 65_536
 
 
-def _length(flag: str, text: str) -> float:
+def _flag(flag: str, fn, *args, **kwargs):
+    """Call fn, prefixing an InvalidArgument it raises with the flag."""
     try:
-        return parse_length(text)
+        return fn(*args, **kwargs)
     except InvalidArgument as exc:
         raise InvalidArgument(f"{flag}: {exc}") from exc
 
@@ -47,20 +54,16 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise InvalidArgument(f"{flag} must be <= {cap}, got {value}")
 
 
-def _out_path(args, name: str) -> str:
-    return os.path.join(args.out, name)
-
-
 def _geometry(args) -> core.SlitGeometry:
     return core.SlitGeometry(
-        slit_width=_length("--slit-width", args.slit_width),
-        wavelength=_length("--wavelength", args.wavelength),
-        focal_length=_length("--focal-length", args.focal_length),
+        slit_width=_flag("--slit-width", parse_length, args.slit_width),
+        wavelength=_flag("--wavelength", parse_length, args.wavelength),
+        focal_length=_flag("--focal-length", parse_length, args.focal_length),
     )
 
 
-def cmd_minstate(args) -> int:
-    delta_x = _length("--slit-width", args.slit_width)
+def cmd_minstate(args):
+    delta_x = _flag("--slit-width", parse_length, args.slit_width)
     if args.nmax < 1:
         raise InvalidArgument(f"--nmax must be >= 1, got {args.nmax}")
     _check_cap("--nmax", args.nmax, MAX_NMAX)
@@ -72,28 +75,20 @@ def cmd_minstate(args) -> int:
     sigma_x = delta_x * np.sqrt(1.0 / 12.0 - 1.0 / (2.0 * np.pi**2))
     report = core.build_report(sigma_x, sigma_p, delta_x, units)
 
-    n = state.n_values
-    write_csv(
-        _out_path(args, "minstate_coefficients.csv"),
-        ["n", "c_n"],
-        zip(n.tolist(), state.coefficients.real.tolist()),
-    )
     x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
     psi = core.eval_position_wavefunction(x, delta_x)
-    write_csv(
-        _out_path(args, "minstate_position_density.csv"),
-        ["x_m", "density_per_m"],
-        zip(x.tolist(), (psi**2).tolist()),
-    )
     k = np.linspace(-8 * np.pi / delta_x, 8 * np.pi / delta_x, 2001)
     psik = core.eval_momentum_wavefunction(k, delta_x)
-    write_csv(
-        _out_path(args, "minstate_momentum_density.csv"),
-        ["k_per_m", "density_m"],
-        zip(k.tolist(), (psik**2).tolist()),
-    )
-    write_report(
-        _out_path(args, "minstate_report.json"),
+    tables = [
+        ("minstate_coefficients.csv", ["n", "c_n"],
+         zip(state.n_values.tolist(), state.coefficients.real.tolist())),
+        ("minstate_position_density.csv", ["x_m", "density_per_m"],
+         zip(x.tolist(), (psi**2).tolist())),
+        ("minstate_momentum_density.csv", ["k_per_m", "density_m"],
+         zip(k.tolist(), (psik**2).tolist())),
+    ]
+    return tables, (
+        "minstate_report.json",
         "minstate",
         {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": units.hbar},
         {
@@ -106,13 +101,12 @@ def cmd_minstate(args) -> int:
             "boundary_residual": float(residuals.boundary),
             "truncation_warning": bool(residuals.boundary > 1e-3),
         },
-        display={"product_over_hbar": f"{report.product_over_hbar:.3f}"},
+        {"product_over_hbar": f"{report.product_over_hbar:.3f}"},
     )
-    return EXIT_OK
 
 
-def cmd_lanczos(args) -> int:
-    delta_x = _length("--slit-width", args.slit_width)
+def cmd_lanczos(args):
+    delta_x = _flag("--slit-width", parse_length, args.slit_width)
     units = core.UnitsConvention()
     state = special.LanczosState(delta_x)
     gamma = special.lanczos_gamma()
@@ -121,20 +115,16 @@ def cmd_lanczos(args) -> int:
 
     x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
     phi = special.eval_lanczos_position(x, state)
-    write_csv(
-        _out_path(args, "lanczos_position_density.csv"),
-        ["x_m", "density_per_m"],
-        zip(x.tolist(), (phi**2).tolist()),
-    )
     k = np.linspace(-16 * np.pi / delta_x, 16 * np.pi / delta_x, 4001)
     dens = special.eval_lanczos_momentum_density(k, state)
-    write_csv(
-        _out_path(args, "lanczos_momentum_density.csv"),
-        ["k_per_m", "density_m"],
-        zip(k.tolist(), dens.tolist()),
-    )
-    write_report(
-        _out_path(args, "lanczos_report.json"),
+    tables = [
+        ("lanczos_position_density.csv", ["x_m", "density_per_m"],
+         zip(x.tolist(), (phi**2).tolist())),
+        ("lanczos_momentum_density.csv", ["k_per_m", "density_m"],
+         zip(k.tolist(), dens.tolist())),
+    ]
+    return tables, (
+        "lanczos_report.json",
         "lanczos",
         {"slit_width_m": delta_x, "hbar": units.hbar},
         {
@@ -144,23 +134,18 @@ def cmd_lanczos(args) -> int:
             "product_over_hbar": report.product_over_hbar,
             "verdicts": report.verdicts,
         },
-        display={
+        {
             "gamma": f"{gamma:.3f}",
             "product_over_hbar": f"{report.product_over_hbar:.3f}",
         },
     )
-    return EXIT_OK
 
 
-def cmd_lpbound(args) -> int:
+def cmd_lpbound(args):
     results = [lp_lambda0(xi) for xi in args.xi]
-    write_csv(
-        _out_path(args, "lpbound.csv"),
-        ["xi", "lambda0"],
-        [(r.xi, r.lambda0) for r in results],
-    )
-    write_report(
-        _out_path(args, "lpbound_report.json"),
+    tables = [("lpbound.csv", ["xi", "lambda0"], [(r.xi, r.lambda0) for r in results])]
+    return tables, (
+        "lpbound_report.json",
         "lpbound",
         {"xi": list(args.xi)},
         {
@@ -169,20 +154,16 @@ def cmd_lpbound(args) -> int:
                 for r in results
             ]
         },
-        display={"lambda0": [f"{r.lambda0:.3f}" for r in results]},
+        {"lambda0": [f"{r.lambda0:.3f}" for r in results]},
     )
-    return EXIT_OK
 
 
-def cmd_reanalyze(args) -> int:
+def cmd_reanalyze(args):
     rows = reanalysis.reanalyze_products(args.a)
-    write_csv(
-        _out_path(args, "reanalysis.csv"),
-        ["a", "xi", "lambda0", "well_defined"],
-        [(r.a, r.xi, r.lambda0, r.well_defined) for r in rows],
-    )
-    write_report(
-        _out_path(args, "reanalysis_report.json"),
+    tables = [("reanalysis.csv", ["a", "xi", "lambda0", "well_defined"],
+               [(r.a, r.xi, r.lambda0, r.well_defined) for r in rows])]
+    return tables, (
+        "reanalysis_report.json",
         "reanalyze",
         {"a": list(args.a), "threshold": 0.70},
         {
@@ -191,7 +172,7 @@ def cmd_reanalyze(args) -> int:
                 for r in rows
             ]
         },
-        display={
+        {
             "rows": [
                 {"a": f"{r.a:.3f}", "xi": f"{r.xi:.3f}", "lambda0": f"{r.lambda0:.3f}",
                  "verdict": "well-defined" if r.well_defined else "not well-defined"}
@@ -199,30 +180,25 @@ def cmd_reanalyze(args) -> int:
             ]
         },
     )
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     geometry = _geometry(args)
     _check_cap("--pixels", args.pixels, MAX_PIXELS)
     detector = diffraction.DetectorSpec(
         num_pixels=args.pixels,
-        pixel_size=_length("--pixel-size", args.pixel_size),
+        pixel_size=_flag("--pixel-size", parse_length, args.pixel_size),
     )
-    noise = diffraction.NoiseSpec(
-        additive_sigma=args.noise_sigma, seed=args.seed, quantize=args.quantize
-    )
+    noise = _flag("--noise-sigma", diffraction.NoiseSpec,
+                  additive_sigma=args.noise_sigma, seed=args.seed, quantize=args.quantize)
     frame = diffraction.synthesize_frame(geometry, detector, noise)
     y = detector.pixel_positions()
-    write_csv(
-        _out_path(args, "frame.csv"),
-        ["pixel", "y_mm", "intensity"],
-        zip(range(1, detector.num_pixels + 1), (y * 1e3).tolist(),
-            frame.intensities.tolist()),
-        comments=[f"normalized={'true' if frame.normalized else 'false'}"],
-    )
-    write_report(
-        _out_path(args, "simulate_report.json"),
+    tables = [("frame.csv", ["pixel", "y_mm", "intensity"],
+               zip(range(1, detector.num_pixels + 1), (y * 1e3).tolist(),
+                   frame.intensities.tolist()),
+               [f"normalized={'true' if frame.normalized else 'false'}"])]
+    return tables, (
+        "simulate_report.json",
         "simulate",
         {
             "slit_width_m": geometry.slit_width,
@@ -239,11 +215,11 @@ def cmd_simulate(args) -> int:
             "peak_intensity": float(np.max(frame.intensities)),
             "total_weight": float(np.sum(frame.intensities)) * detector.pixel_size,
         },
+        None,
     )
-    return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args):
     geometry = _geometry(args)
     y, intens, _ = read_frame_csv(args.frame)
     y = np.asarray(y)
@@ -262,15 +238,12 @@ def cmd_estimate(args) -> int:
     )
     trace = diffraction.gamma_trace(frame, geometry)
     theory = diffraction.theory_trace(geometry, trace.y_extent)
-    write_csv(
-        _out_path(args, "trace.csv"),
-        ["n", "y_mm", "gamma_hat", "gamma_theory"],
-        zip(trace.n.tolist(), (trace.y_extent * 1e3).tolist(),
-            trace.gamma_hat.tolist(), theory.tolist()),
-    )
     gamma = special.lanczos_gamma()
-    write_report(
-        _out_path(args, "estimate_report.json"),
+    tables = [("trace.csv", ["n", "y_mm", "gamma_hat", "gamma_theory"],
+               zip(trace.n.tolist(), (trace.y_extent * 1e3).tolist(),
+                   trace.gamma_hat.tolist(), theory.tolist()))]
+    return tables, (
+        "estimate_report.json",
         "estimate",
         {
             "frame": os.path.basename(args.frame),
@@ -284,12 +257,11 @@ def cmd_estimate(args) -> int:
             "gamma_exact": gamma,
             "exceeds_one": bool(trace.gamma_hat[-1] > 1.0),
         },
-        display={
+        {
             "gamma_hat_final": f"{trace.gamma_hat[-1]:.3f}",
             "gamma_exact": f"{gamma:.3f}",
         },
     )
-    return EXIT_OK
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -354,7 +326,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        tables, (report_name, *report) = args.func(args)
+        # encoding checks every value, so nothing is written unless all of it
+        # passes; the report goes last, so on disk it vouches for its CSVs
+        texts = [(table[0], format_csv(*table)) for table in tables]
+        texts.append((report_name, format_report(*report)))
+        for name, text in texts:
+            atomic_write_text(os.path.join(args.out, name), text)
+        return EXIT_OK
     except InvalidArgument as exc:
         print(f"slitbound: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

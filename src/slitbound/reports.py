@@ -1,4 +1,4 @@
-"""Bit-exact output formats: CSV writers, the JSON report, unit parsing,
+"""Bit-exact output formats: CSV tables, the JSON report, unit parsing,
 and atomic file writes."""
 
 from __future__ import annotations
@@ -43,10 +43,13 @@ def parse_length(text) -> float:
 
 
 def fmt(value) -> str:
-    """Format one CSV cell: floats at 9 significant digits."""
+    """Format one CSV cell: floats at 9 significant digits; a NaN or
+    infinity raises NumericFailure."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericFailure(f"non-finite CSV cell {value}")
         return CSV_FLOAT_FORMAT.format(value)
     return str(value)
 
@@ -66,19 +69,22 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows, comments: list[str] | None = None) -> None:
+def format_csv(name: str, header: list[str], rows, comments: list[str] | None = None) -> str:
+    """Encode the CSV table `name`; a NaN or infinity in any cell raises
+    NumericFailure naming the file."""
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    try:
+        lines.extend(",".join([fmt(v) for v in row]) for row in rows)
+    except NumericFailure as exc:
+        raise NumericFailure(f"{name} holds a non-finite value") from exc
+    return "\n".join(lines) + "\n"
 
 
-def write_report(path: str, command: str, parameters: dict, results: dict,
-                 display: dict | None = None) -> None:
-    """Write the report {command, parameters, results[, display]} as strict
-    JSON; a NaN or infinity anywhere in it raises NumericFailure and nothing
-    is written."""
+def format_report(command: str, parameters: dict, results: dict,
+                  display: dict | None = None) -> str:
+    """Encode the report {command, parameters, results[, display]} as strict
+    JSON; a NaN or infinity anywhere in it raises NumericFailure."""
     report = {"command": command, "parameters": parameters, "results": results}
     if display is not None:
         report["display"] = display
@@ -86,7 +92,7 @@ def write_report(path: str, command: str, parameters: dict, results: dict,
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericFailure(f"{command} report holds a non-finite value") from exc
-    atomic_write_text(path, text + "\n")
+    return text + "\n"
 
 
 def read_frame_csv(path: str):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import slitbound
-from slitbound import cli, core, diffraction
-from slitbound.reports import parse_length, read_frame_csv
+from slitbound import NumericFailure, cli, core, diffraction
+from slitbound.reports import format_csv, parse_length, read_frame_csv
 
 # the shape every report must have, checked independently of the writer
 REPORT_SCHEMA = {
@@ -79,7 +79,52 @@ class TestStrictReports:
                           "--out", str(tmp_path))
         assert proc.returncode == 3, proc.stderr
         assert "non-finite" in proc.stderr
-        assert not (tmp_path / f"{command}_report.json").exists()
+        # the CSVs hold the same non-finite values, and none is written either
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_csv_cell_is_numeric_failure(self, bad):
+        rows = [(1, 0.5, True), (2, bad, False)]
+        with pytest.raises(NumericFailure, match="table.csv holds a non-finite value"):
+            format_csv("table.csv", ["n", "value", "flag"], rows)
+
+    def test_report_written_last_by_main(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "atomic_write_text",
+                            lambda path, text: written.append(os.path.basename(path)))
+        assert run(tmp_path, "lanczos") == 0
+        assert written == ["lanczos_position_density.csv", "lanczos_momentum_density.csv",
+                           "lanczos_report.json"]
+        # with main's writer replaced nothing reaches the disk: no command writes
+        assert list(tmp_path.iterdir()) == []
+
+
+# the README commands in order, each with its row of "Output files per command"
+README_OUTPUTS = [
+    (["minstate", "--slit-width", "477um", "--nmax", "4096"],
+     {"minstate_coefficients.csv", "minstate_position_density.csv",
+      "minstate_momentum_density.csv", "minstate_report.json"}),
+    (["lanczos", "--slit-width", "477um"],
+     {"lanczos_position_density.csv", "lanczos_momentum_density.csv", "lanczos_report.json"}),
+    (["lpbound", "--xi", "0.179", "0.392", "0.433", "1.0"],
+     {"lpbound.csv", "lpbound_report.json"}),
+    (["reanalyze", "--a", "1.128", "2.464", "2.723"],
+     {"reanalysis.csv", "reanalysis_report.json"}),
+    (["simulate", "--noise-sigma", "1e-3", "--seed", "7"],
+     {"frame.csv", "simulate_report.json"}),
+    (["estimate", "{out}/frame.csv"], {"trace.csv", "estimate_report.json"}),
+]
+
+
+class TestOutputFiles:
+    def test_readme_commands_write_listed_files(self, tmp_path):
+        expected = set()
+        for argv, files in README_OUTPUTS:
+            argv = [a.format(out=tmp_path) for a in argv]
+            assert run(tmp_path, *argv) == 0, argv
+            expected |= files
+            # no extra file and no .tmp-* leftover
+            assert {p.name for p in tmp_path.iterdir()} == expected, argv[0]
 
 
 class TestSizeCaps:
@@ -265,9 +310,10 @@ class TestSimulateAndEstimate:
 
     @pytest.mark.parametrize("flag,bad", [("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
                                           ("--wavelength", "inf")])
-    def test_simulate_non_finite_input(self, tmp_path, flag, bad):
+    def test_simulate_non_finite_input(self, tmp_path, capsys, flag, bad):
         assert run(tmp_path, "simulate", flag, bad) == 2
         assert not (tmp_path / "frame.csv").exists()
+        assert f"configuration error: {flag}: " in capsys.readouterr().err
 
     def test_estimate_pipeline(self, tmp_path):
         run(tmp_path, "simulate")
