@@ -4,17 +4,19 @@ Subcommands: minstate, lanczos, lpbound, reanalyze, simulate, estimate.
 Every command is deterministic given its flags (fixed default seed 42) and
 writes plot-ready CSV plus a strict JSON report.  A ``cmd_*`` function
 computes and returns its files without writing any: a list of CSV tables
-``(file name, header, rows[, comments])`` and the report
-``(file name, command, parameters, results, display)``.  ``main`` encodes
-every file in memory, which checks that every value is finite, and only
-then writes them, the report last.  So exit 2 or 3 leaves no new file, and
-a report on disk means its CSVs were written with it.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
+``(file name, header, columns[, comments])``, each column an array, and
+the report ``(file name, command, parameters, results, display)``.  ``main``
+encodes every file in memory, each table a column at a time, checking that
+every value is finite, and only then writes them, the report last.  So
+exit 2 or 3 leaves no new file, and a report on disk means its CSVs were
+written with it.  Exit codes: 0 success, 2 configuration error, 3 numeric
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -80,12 +82,9 @@ def cmd_minstate(args):
     k = np.linspace(-8 * np.pi / delta_x, 8 * np.pi / delta_x, 2001)
     psik = core.eval_momentum_wavefunction(k, delta_x)
     tables = [
-        ("minstate_coefficients.csv", ["n", "c_n"],
-         zip(state.n_values.tolist(), state.coefficients.real.tolist())),
-        ("minstate_position_density.csv", ["x_m", "density_per_m"],
-         zip(x.tolist(), (psi**2).tolist())),
-        ("minstate_momentum_density.csv", ["k_per_m", "density_m"],
-         zip(k.tolist(), (psik**2).tolist())),
+        ("minstate_coefficients.csv", ["n", "c_n"], [state.n_values, state.coefficients.real]),
+        ("minstate_position_density.csv", ["x_m", "density_per_m"], [x, psi**2]),
+        ("minstate_momentum_density.csv", ["k_per_m", "density_m"], [k, psik**2]),
     ]
     return tables, (
         "minstate_report.json",
@@ -118,10 +117,8 @@ def cmd_lanczos(args):
     k = np.linspace(-16 * np.pi / delta_x, 16 * np.pi / delta_x, 4001)
     dens = special.eval_lanczos_momentum_density(k, state)
     tables = [
-        ("lanczos_position_density.csv", ["x_m", "density_per_m"],
-         zip(x.tolist(), (phi**2).tolist())),
-        ("lanczos_momentum_density.csv", ["k_per_m", "density_m"],
-         zip(k.tolist(), dens.tolist())),
+        ("lanczos_position_density.csv", ["x_m", "density_per_m"], [x, phi**2]),
+        ("lanczos_momentum_density.csv", ["k_per_m", "density_m"], [k, dens]),
     ]
     return tables, (
         "lanczos_report.json",
@@ -143,7 +140,8 @@ def cmd_lanczos(args):
 
 def cmd_lpbound(args):
     results = [lp_lambda0(xi) for xi in args.xi]
-    tables = [("lpbound.csv", ["xi", "lambda0"], [(r.xi, r.lambda0) for r in results])]
+    header = ["xi", "lambda0"]
+    tables = [("lpbound.csv", header, [[getattr(r, f) for r in results] for f in header])]
     return tables, (
         "lpbound_report.json",
         "lpbound",
@@ -160,8 +158,8 @@ def cmd_lpbound(args):
 
 def cmd_reanalyze(args):
     rows = reanalysis.reanalyze_products(args.a)
-    tables = [("reanalysis.csv", ["a", "xi", "lambda0", "well_defined"],
-               [(r.a, r.xi, r.lambda0, r.well_defined) for r in rows])]
+    header = ["a", "xi", "lambda0", "well_defined"]
+    tables = [("reanalysis.csv", header, [[getattr(r, f) for r in rows] for f in header])]
     return tables, (
         "reanalysis_report.json",
         "reanalyze",
@@ -194,8 +192,7 @@ def cmd_simulate(args):
     frame = diffraction.synthesize_frame(geometry, detector, noise)
     y = detector.pixel_positions()
     tables = [("frame.csv", ["pixel", "y_mm", "intensity"],
-               zip(range(1, detector.num_pixels + 1), (y * 1e3).tolist(),
-                   frame.intensities.tolist()),
+               [np.arange(1, detector.num_pixels + 1), y * 1e3, frame.intensities],
                [f"normalized={'true' if frame.normalized else 'false'}"])]
     return tables, (
         "simulate_report.json",
@@ -222,8 +219,6 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     geometry = _geometry(args)
     y, intens, _ = read_frame_csv(args.frame)
-    y = np.asarray(y)
-    intens = np.asarray(intens)
     if len(y) < 2:
         raise InvalidArgument("frame must have at least two pixels")
     # y_mm keeps 9 significant digits, so each y is within 5e-9*max|y| of its
@@ -240,8 +235,7 @@ def cmd_estimate(args):
     theory = diffraction.theory_trace(geometry, trace.y_extent)
     gamma = special.lanczos_gamma()
     tables = [("trace.csv", ["n", "y_mm", "gamma_hat", "gamma_theory"],
-               zip(trace.n.tolist(), (trace.y_extent * 1e3).tolist(),
-                   trace.gamma_hat.tolist(), theory.tolist()))]
+               [trace.n, trace.y_extent * 1e3, trace.gamma_hat, theory])]
     return tables, (
         "estimate_report.json",
         "estimate",
@@ -273,6 +267,7 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
                    help="focal length of the imaging lens (default %(default)s)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slitbound",
@@ -323,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         tables, (report_name, *report) = args.func(args)
         # encoding checks every value, so nothing is written unless all of it

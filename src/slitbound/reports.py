@@ -1,5 +1,5 @@
-"""Bit-exact output formats: CSV tables, the JSON report, unit parsing,
-and atomic file writes."""
+"""Bit-exact output formats: CSV tables encoded a column at a time, the
+JSON report, unit parsing, the frame CSV reader and atomic file writes."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import InvalidArgument, NumericFailure
 
-CSV_FLOAT_FORMAT = "{:.9g}"
+CSV_FLOAT_FORMAT = "%.9g"
 
 LENGTH_SUFFIXES = {
     "nm": 1e-9,
@@ -42,18 +44,6 @@ def parse_length(text) -> float:
     return value
 
 
-def fmt(value) -> str:
-    """Format one CSV cell: floats at 9 significant digits; a NaN or
-    infinity raises NumericFailure."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericFailure(f"non-finite CSV cell {value}")
-        return CSV_FLOAT_FORMAT.format(value)
-    return str(value)
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -69,15 +59,27 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def format_csv(name: str, header: list[str], rows, comments: list[str] | None = None) -> str:
-    """Encode the CSV table `name`; a NaN or infinity in any cell raises
-    NumericFailure naming the file."""
+def format_csv(name: str, header: list[str], columns,
+               comments: list[str] | None = None) -> str:
+    """Encode the CSV table `name` from one array per column: booleans as
+    true/false, floats at 9 significant digits, integers in full.  A NaN or
+    infinity in a float column raises NumericFailure naming the file."""
+    codes, cells = [], []
+    for column in map(np.asarray, columns):
+        if column.dtype == bool:
+            codes.append("%s")
+            column = np.where(column, "true", "false")
+        elif column.dtype.kind == "f":
+            if not np.isfinite(column).all():
+                raise NumericFailure(f"{name} holds a non-finite value")
+            codes.append(CSV_FLOAT_FORMAT)
+        else:
+            codes.append("%d")
+        cells.append(column.tolist())
+    template = ",".join(codes)
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(header))
-    try:
-        lines.extend(",".join([fmt(v) for v in row]) for row in rows)
-    except NumericFailure as exc:
-        raise NumericFailure(f"{name} holds a non-finite value") from exc
+    lines.extend([template % row for row in zip(*cells)])
     return "\n".join(lines) + "\n"
 
 
@@ -95,12 +97,22 @@ def format_report(command: str, parameters: dict, results: dict,
     return text + "\n"
 
 
+def _frame_table(lines: list[str]):
+    """The rows as an (n, 3) float array, or None unless every row holds
+    exactly three finite numbers."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == 3 and np.isfinite(table).all() else None
+
+
 def read_frame_csv(path: str):
     """Read a CCD frame CSV (`pixel,y_mm,intensity` plus a
-    `# normalized=<bool>` comment).  Returns (y_meters, intensities,
-    normalized)."""
-    y = []
-    intens = []
+    `# normalized=<bool>` comment).  Every data row must hold exactly three
+    finite numbers.  Returns (y_meters, intensities, normalized), the first
+    two as float arrays."""
+    rows = []
     normalized = False
     with open(path) as fh:
         header_seen = False
@@ -112,23 +124,19 @@ def read_frame_csv(path: str):
                 body = line[1:].strip()
                 if body.startswith("normalized="):
                     normalized = body.split("=", 1)[1].strip().lower() == "true"
-                continue
-            if not header_seen:
-                if line != "pixel,y_mm,intensity":
-                    raise InvalidArgument(
-                        f"unexpected frame CSV header {line!r}; expected pixel,y_mm,intensity"
-                    )
+            elif header_seen:
+                rows.append(line)
+            elif line != "pixel,y_mm,intensity":
+                raise InvalidArgument(
+                    f"unexpected frame CSV header {line!r}; expected pixel,y_mm,intensity"
+                )
+            else:
                 header_seen = True
-                continue
-            try:
-                _, y_text, value_text = line.split(",")
-                y_mm, value = float(y_text), float(value_text)
-            except ValueError as exc:
-                raise InvalidArgument(f"malformed frame CSV row {line!r}") from exc
-            if not (math.isfinite(y_mm) and math.isfinite(value)):
-                raise InvalidArgument(f"non-finite value in frame CSV row {line!r}")
-            y.append(y_mm * 1e-3)
-            intens.append(value)
-    if not header_seen or not y:
+    if not rows:
         raise InvalidArgument(f"frame CSV {path!r} contains no data")
-    return y, intens, normalized
+    table = _frame_table(rows)
+    if table is None:
+        # the table fails only where one of its rows fails on its own
+        bad = next(line for line in rows if _frame_table([line]) is None)
+        raise InvalidArgument(f"frame CSV row {bad!r} is not three finite numbers")
+    return table[:, 1] * 1e-3, table[:, 2], normalized

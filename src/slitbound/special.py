@@ -79,18 +79,17 @@ def sine_integral(x):
     """Si(x) = int_0^x sin(t)/t dt; odd in x, absolute accuracy < 1e-12."""
     xa = np.asarray(x, dtype=float)
     ax = np.abs(xa)
-    x2 = ax * ax
-    small = x2 <= 16.0
-    # small branch
-    xs = np.where(small, ax, 1.0)
-    si_small = xs * _poly(_SI_NUM, xs * xs) / _poly(_SI_DEN, xs * xs)
-    # large branch via auxiliary functions of y = 1/x^2
-    xl = np.where(small, 5.0, ax)
+    small = ax * ax <= 16.0
+    out = np.empty_like(ax)
+    # each point takes one branch: the Pade form, or f and g of y = 1/x^2
+    xs = ax[small]
+    out[small] = xs * _poly(_SI_NUM, xs * xs) / _poly(_SI_DEN, xs * xs)
+    xl = ax[~small]
     y = 1.0 / (xl * xl)
     f = _poly(_F_NUM, y) / (xl * _poly(_F_DEN, y))
     g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
-    si_large = np.pi / 2.0 - f * np.cos(xl) - g * np.sin(xl)
-    out = np.sign(xa) * np.where(small, si_small, si_large)
+    out[~small] = np.pi / 2.0 - f * np.cos(xl) - g * np.sin(xl)
+    out *= np.sign(xa)
     return float(out) if np.isscalar(x) else out
 
 

@@ -47,6 +47,20 @@ def load_report(tmp_path, name):
     return report
 
 
+def fmt(value) -> str:
+    """One CSV cell the way format_csv must encode it: floats at 9
+    significant digits, booleans as true/false, anything else as str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "{:.9g}".format(value)
+    return str(value)
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def refuse_allocation(*args, **kwargs):
     raise AssertionError("size cap not checked before allocation")
 
@@ -84,9 +98,24 @@ class TestStrictReports:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_csv_cell_is_numeric_failure(self, bad):
-        rows = [(1, 0.5, True), (2, bad, False)]
+        columns = [np.array([1, 2]), np.array([0.5, bad]), np.array([True, False])]
         with pytest.raises(NumericFailure, match="table.csv holds a non-finite value"):
-            format_csv("table.csv", ["n", "value", "flag"], rows)
+            format_csv("table.csv", ["n", "value", "flag"], columns)
+
+    def test_csv_columns_match_cell_oracle(self):
+        rng = np.random.default_rng(2024)
+        doubles = np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64)
+        edge = np.array([-0.0, 5e-324, 1e-320, 1e16, 99999999.95, 999999999.5])
+        values = np.concatenate([doubles[np.isfinite(doubles)], edge, -edge])
+        ints = rng.integers(-2**62, 2**62, size=values.size)
+        flags = rng.random(values.size) < 0.5
+        text = format_csv("table.csv", ["n", "value", "flag"], [ints, values, flags], ["c=1"])
+        rows = zip(ints.tolist(), values.tolist(), flags.tolist())
+        expected = ["# c=1", "n,value,flag", *(",".join(map(fmt, row)) for row in rows), ""]
+        lines = text.split("\n")
+        assert len(lines) == len(expected)
+        # the first few mismatched lines, not a diff of the whole table
+        assert [(a, b) for a, b in zip(lines, expected) if a != b][:3] == []
 
     def test_report_written_last_by_main(self, tmp_path, monkeypatch):
         written = []
@@ -352,12 +381,30 @@ class TestSimulateAndEstimate:
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("row", ["2,0.004,nan", "2,0.004,inf", "2,inf,0.2",
-                                     "2,0.004,abc", "2,0.004"])
-    def test_estimate_bad_frame_row(self, tmp_path, row):
+                                     "2,0.004,abc", "2,0.004", "2,0.004,0.2,9",
+                                     "\n2,0.004,abc"])
+    def test_estimate_bad_frame_row(self, tmp_path, capsys, row):
         bad = tmp_path / "frame.csv"
         bad.write_text(f"pixel,y_mm,intensity\n1,-0.004,0.2\n{row}\n")
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "trace.csv").exists()
+        assert repr(row.strip()) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["1,-0.004,0.2,9\n2,0.004,0.2,9\n",
+                                      "-0.004,0.2\n0.004,0.2\n"])
+    def test_estimate_frame_of_wrong_width(self, tmp_path, rows):
+        bad = tmp_path / "frame.csv"
+        bad.write_text(f"pixel,y_mm,intensity\n{rows}")
+        assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_read_frame_matches_per_line_float_parse(self, tmp_path):
+        assert run(tmp_path, "simulate", "--noise-sigma", "1e-3", "--seed", "7") == 0
+        path = tmp_path / "frame.csv"
+        y, intens, _ = read_frame_csv(str(path))
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert np.array_equal(float_bits(y), float_bits([float(r[1]) * 1e-3 for r in rows]))
+        assert np.array_equal(float_bits(intens), float_bits([float(r[2]) for r in rows]))
 
     def test_estimate_single_pixel_frame(self, tmp_path):
         bad = tmp_path / "frame.csv"
@@ -370,3 +417,20 @@ class TestSimulateAndEstimate:
             "pixel,y_mm,intensity\n1,-0.012,0.1\n2,-0.004,0.2\n3,0.004,0.2\n4,0.013,0.1\n"
         )
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+
+
+class TestReentrantMain:
+    def test_second_command_matches_fresh_process(self, tmp_path):
+        # main shares one parser across calls; a quantized run first must
+        # leave nothing behind for the plain run after it
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["simulate", "--seed", "3", "--pixels", "1024", "--noise-sigma", "1e-3"]
+        assert run(tmp_path / "quantized", *argv, "--quantize") == 0
+        assert run(tmp_path / "plain", *argv) == 0
+        proc = run_python("-m", "slitbound.cli", *argv, "--out", str(tmp_path / "fresh"))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("frame.csv", "simulate_report.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / "quantized" / "frame.csv").read_bytes() != \
+            (tmp_path / "plain" / "frame.csv").read_bytes()

@@ -70,6 +70,17 @@ class TestSineIntegral:
             assert sine_integral(x) == pytest.approx(expected, abs=1e-6)
             assert abs(sine_integral(x) - np.pi / 2) < 2.1 / x
 
+    def test_array_call_matches_scalar_calls_bitwise(self):
+        # each point takes one branch, so an array mixing both branches gives
+        # every point the bits of its own scalar call, across the x^2 <= 16 edge
+        edge = [4.0, np.nextafter(4.0, 5.0), np.nextafter(4.0, 3.0), 0.0]
+        xs = np.concatenate([edge, np.logspace(-8, 6, 2000)])
+        xs = np.concatenate([xs, -xs])
+        array = sine_integral(xs)
+        scalars = np.array([sine_integral(float(x)) for x in xs])
+        assert np.array_equal(array.view(np.int64), scalars.view(np.int64))
+        assert sine_integral(np.array([])).shape == (0,)
+
 
 class TestLanczosPosition:
     def test_center_value(self):
