@@ -2,27 +2,17 @@
 sigma_p * delta_x >= pi * hbar, concentration-bound reanalysis of measured
 uncertainty products, and an end-to-end 4f diffraction simulation."""
 
-from .concentration import (
-    LpBoundResult,
-    concentration_probability,
-    lp_lambda0,
-    well_defined_verdict,
-)
+from .concentration import LpBoundResult, lp_lambda0, well_defined_verdict
 from .core import (
     FourierState,
-    SampledDensity,
     SlitGeometry,
     UncertaintyReport,
-    UnitsConvention,
     build_report,
-    eval_momentum_density,
     eval_momentum_wavefunction,
     eval_position_wavefunction,
     min_uncertainty_coefficients,
     momentum_moments,
-    popoviciu_sigma_x,
     verify_constraints,
-    verify_stationarity,
 )
 from .diffraction import (
     CcdFrame,
@@ -36,7 +26,7 @@ from .diffraction import (
     theory_trace,
 )
 from .errors import InvalidArgument, NumericFailure
-from .reanalysis import FringeSlopes, ReanalysisRow, fringe_delta_p, reanalyze_products
+from .reanalysis import ReanalysisRow, reanalyze_products
 from .special import (
     LanczosState,
     eval_lanczos_momentum_density,

@@ -16,6 +16,7 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -23,9 +24,10 @@ import sys
 import numpy as np
 
 from . import core, diffraction, reanalysis, special
-from .concentration import lp_lambda0
+from .concentration import WELL_DEFINED_THRESHOLD, lp_lambda0
 from .errors import InvalidArgument, NumericFailure
-from .reports import atomic_write_text, format_csv, format_report, parse_length, read_frame_csv
+from .reports import (MAX_PIXELS, atomic_write_text, format_csv, format_report,
+                      parse_length, read_frame_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,9 +40,8 @@ DEFAULT_FOCAL_LENGTH = "150mm"
 DEFAULT_PIXELS = 3648
 DEFAULT_PIXEL_SIZE = "8um"
 
-# upper bounds checked before allocating: 2*nmax+1 modes, one frame of pixels
+# upper bound checked before allocating 2*nmax+1 modes; MAX_PIXELS caps a frame
 MAX_NMAX = 1_000_000
-MAX_PIXELS = 65_536
 
 
 def _flag(flag: str, fn, *args, **kwargs):
@@ -69,13 +70,12 @@ def cmd_minstate(args):
     if args.nmax < 1:
         raise InvalidArgument(f"--nmax must be >= 1, got {args.nmax}")
     _check_cap("--nmax", args.nmax, MAX_NMAX)
-    units = core.UnitsConvention()
     state = core.min_uncertainty_coefficients(args.nmax, delta_x)
-    _, sigma_p = core.momentum_moments(state, units)
+    _, sigma_p = core.momentum_moments(state)
     residuals = core.verify_constraints(state)
     # cosine-state position spread: delta_x * sqrt(1/12 - 1/(2 pi^2))
     sigma_x = delta_x * np.sqrt(1.0 / 12.0 - 1.0 / (2.0 * np.pi**2))
-    report = core.build_report(sigma_x, sigma_p, delta_x, units)
+    report = core.build_report(sigma_x, sigma_p, delta_x)
 
     x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
     psi = core.eval_position_wavefunction(x, delta_x)
@@ -89,7 +89,7 @@ def cmd_minstate(args):
     return tables, (
         "minstate_report.json",
         "minstate",
-        {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": units.hbar},
+        {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": 1.0},
         {
             "sigma_x_m": sigma_x,
             "sigma_p": sigma_p,
@@ -106,11 +106,10 @@ def cmd_minstate(args):
 
 def cmd_lanczos(args):
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
-    units = core.UnitsConvention()
     state = special.LanczosState(delta_x)
     gamma = special.lanczos_gamma()
-    sigma_p = gamma * np.pi * units.hbar / delta_x
-    report = core.build_report(None, sigma_p, delta_x, units)
+    sigma_p = gamma * np.pi / delta_x
+    report = core.build_report(None, sigma_p, delta_x)
 
     x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
     phi = special.eval_lanczos_position(x, state)
@@ -123,7 +122,7 @@ def cmd_lanczos(args):
     return tables, (
         "lanczos_report.json",
         "lanczos",
-        {"slit_width_m": delta_x, "hbar": units.hbar},
+        {"slit_width_m": delta_x, "hbar": 1.0},
         {
             "gamma": gamma,
             "sigma_p": sigma_p,
@@ -163,7 +162,7 @@ def cmd_reanalyze(args):
     return tables, (
         "reanalysis_report.json",
         "reanalyze",
-        {"a": list(args.a), "threshold": 0.70},
+        {"a": list(args.a), "threshold": WELL_DEFINED_THRESHOLD},
         {
             "rows": [
                 {"a": r.a, "xi": r.xi, "lambda0": r.lambda0, "well_defined": r.well_defined}
@@ -188,7 +187,9 @@ def cmd_simulate(args):
         pixel_size=_flag("--pixel-size", parse_length, args.pixel_size),
     )
     noise = _flag("--noise-sigma", diffraction.NoiseSpec,
-                  additive_sigma=args.noise_sigma, seed=args.seed, quantize=args.quantize)
+                  additive_sigma=args.noise_sigma, quantize=args.quantize)
+    # replace runs NoiseSpec's checks again, now naming --seed
+    noise = _flag("--seed", dataclasses.replace, noise, seed=args.seed)
     frame = diffraction.synthesize_frame(geometry, detector, noise)
     y = detector.pixel_positions()
     tables = [("frame.csv", ["pixel", "y_mm", "intensity"],
@@ -218,7 +219,7 @@ def cmd_simulate(args):
 
 def cmd_estimate(args):
     geometry = _geometry(args)
-    y, intens, _ = read_frame_csv(args.frame)
+    y, intens = read_frame_csv(args.frame)
     if len(y) < 2:
         raise InvalidArgument("frame must have at least two pixels")
     # y_mm keeps 9 significant digits, so each y is within 5e-9*max|y| of its

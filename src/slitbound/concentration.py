@@ -15,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledDensity
 from .errors import InvalidArgument, NumericFailure
+
+# a momentum uncertainty is well defined when its window can hold at least
+# this probability weight
+WELL_DEFINED_THRESHOLD = 0.70
 
 # psi0 is expanded on the even normalized Legendre polynomials P_0, P_2, ...,
 # P_94; at c = pi*_XI_SATURATED/2 the last four coefficients are ~5e-27
@@ -88,31 +91,9 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=lam, tail=tail)
 
 
-def concentration_probability(density: SampledDensity, delta_p: float) -> float:
-    """Probability mass of a sampled momentum density inside |p| <= delta_p/2.
-
-    The density must be normalized to 1.
-    """
-    if not isinstance(density, SampledDensity):
-        raise InvalidArgument("density must be a SampledDensity")
-    if delta_p < 0:
-        raise InvalidArgument(f"delta_p must be nonnegative, got {delta_p}")
-    if delta_p == 0:
-        return 0.0
-    if abs(density.integral() - 1.0) > 1e-8:
-        raise InvalidArgument(f"density not normalized: integral = {density.integral()!r}")
-    g, v = density.grid, density.values
-    lo = max(-delta_p / 2.0, g[0])
-    hi = min(delta_p / 2.0, g[-1])
-    if hi <= lo:
-        return 0.0
-    pts = np.unique(np.concatenate([[lo], g[(g > lo) & (g < hi)], [hi]]))
-    return float(np.trapezoid(np.interp(pts, g, v), pts))
-
-
-def well_defined_verdict(probability: float, threshold: float = 0.70) -> bool:
-    """True iff the captured probability weight reaches the threshold
-    (closed comparison, default 70%)."""
+def well_defined_verdict(probability: float) -> bool:
+    """True iff the captured probability weight reaches
+    WELL_DEFINED_THRESHOLD (closed comparison)."""
     if not 0.0 <= probability <= 1.0:
         raise InvalidArgument(f"probability must be in [0, 1], got {probability}")
-    return probability >= threshold
+    return probability >= WELL_DEFINED_THRESHOLD

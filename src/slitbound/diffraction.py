@@ -22,22 +22,22 @@ from .core import SlitGeometry
 from .errors import InvalidArgument
 from .special import LanczosState, eval_lanczos_momentum_density, lanczos_band_moments
 
+# resolution of the line CCD's A/D converter, which quantizes a frame
+ADC_BITS = 16
+
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Line-CCD geometry; the default bit depth matches a 16-bit A/D."""
+    """Line-CCD geometry."""
 
     num_pixels: int
     pixel_size: float
-    bit_depth: int = 16
 
     def __post_init__(self):
         if self.num_pixels < 2 or self.num_pixels % 2 != 0:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {self.num_pixels}")
         if not self.pixel_size > 0:
             raise InvalidArgument(f"pixel_size must be positive, got {self.pixel_size}")
-        if self.bit_depth < 1:
-            raise InvalidArgument(f"bit_depth must be >= 1, got {self.bit_depth}")
 
     @property
     def span(self) -> float:
@@ -53,7 +53,7 @@ class DetectorSpec:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian noise (sigma as a fraction of the frame peak) and
-    optional A/D quantization."""
+    optional quantization by the ADC_BITS A/D converter."""
 
     additive_sigma: float = 0.0
     seed: int = 42
@@ -64,6 +64,8 @@ class NoiseSpec:
             raise InvalidArgument(
                 f"additive_sigma must be finite and nonnegative, got {self.additive_sigma}"
             )
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def synthesize_frame(
         rng = np.random.default_rng(noise.seed)
         intens = intens + rng.normal(0.0, noise.additive_sigma * peak, size=intens.shape)
     if noise.quantize:
-        levels = (1 << detector.bit_depth) - 1
+        levels = (1 << ADC_BITS) - 1
         dn = np.rint(np.clip(intens / peak, 0.0, 1.0) * levels)
         intens = dn * (peak / levels)
     intens = np.clip(intens, 0.0, None)

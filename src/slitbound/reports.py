@@ -13,6 +13,8 @@ import numpy as np
 from .errors import InvalidArgument, NumericFailure
 
 CSV_FLOAT_FORMAT = "%.9g"
+# the most pixels a frame may hold, checked before a frame is allocated or read
+MAX_PIXELS = 65_536
 
 LENGTH_SUFFIXES = {
     "nm": 1e-9,
@@ -108,23 +110,21 @@ def _frame_table(lines: list[str]):
 
 
 def read_frame_csv(path: str):
-    """Read a CCD frame CSV (`pixel,y_mm,intensity` plus a
-    `# normalized=<bool>` comment).  Every data row must hold exactly three
-    finite numbers.  Returns (y_meters, intensities, normalized), the first
-    two as float arrays."""
+    """Read a CCD frame CSV (`pixel,y_mm,intensity`, `#` lines skipped).
+    Every data row must hold exactly three finite numbers, and a frame holds
+    at most MAX_PIXELS rows.  Returns (y_meters, intensities) as float
+    arrays."""
     rows = []
-    normalized = False
     with open(path) as fh:
         header_seen = False
         for line in fh:
             line = line.strip()
-            if not line:
+            if not line or line.startswith("#"):
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("normalized="):
-                    normalized = body.split("=", 1)[1].strip().lower() == "true"
-            elif header_seen:
+            if header_seen:
+                if len(rows) == MAX_PIXELS:
+                    raise InvalidArgument(
+                        f"frame CSV {path!r} holds more than {MAX_PIXELS} rows")
                 rows.append(line)
             elif line != "pixel,y_mm,intensity":
                 raise InvalidArgument(
@@ -139,4 +139,4 @@ def read_frame_csv(path: str):
         # the table fails only where one of its rows fails on its own
         bad = next(line for line in rows if _frame_table([line]) is None)
         raise InvalidArgument(f"frame CSV row {bad!r} is not three finite numbers")
-    return table[:, 1] * 1e-3, table[:, 2], normalized
+    return table[:, 1] * 1e-3, table[:, 2]

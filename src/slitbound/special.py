@@ -93,13 +93,7 @@ def sine_integral(x):
     return float(out) if np.isscalar(x) else out
 
 
-SI_PI = float(sine_integral(np.pi))
 SI_2PI = float(sine_integral(2.0 * np.pi))
-
-
-def sinc(x):
-    """sin(x)/x with the removable singularity at 0 evaluated as 1."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,8 @@ def eval_lanczos_position(x, state: LanczosState):
     """
     dx = state.slit_width
     xa = np.asarray(x, dtype=float)
-    amp = np.sqrt(np.pi / (SI_2PI * dx)) * sinc(2.0 * np.pi * xa / dx)
+    # np.sinc(z) = sin(pi z)/(pi z), here at z = (2 pi x/dx)/pi
+    amp = np.sqrt(np.pi / (SI_2PI * dx)) * np.sinc(2.0 * np.pi * xa / dx / np.pi)
     out = np.where(np.abs(xa) <= dx / 2.0, amp, 0.0)
     return float(out) if np.isscalar(x) else out
 
@@ -174,16 +169,6 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     # one BLAS dot product per panel, summed the way np.dot sums one panel
     panels = np.matmul((half[:, None] * wg[None, :])[:, None, :], vals[:, :, None])
     return np.cumsum(2.0 * np.add.reduceat(panels[:, 0, 0], first))
-
-
-def lanczos_band_weight(state: LanczosState, k_max: float) -> float:
-    """Probability mass of the momentum density inside |k| <= k_max."""
-    return float(lanczos_band_moments(state, [max(k_max, 0.0)], 0)[0])
-
-
-def lanczos_band_second_moment(state: LanczosState, k_max: float) -> float:
-    """int_{|k| <= k_max} k^2 * density(k) dk."""
-    return float(lanczos_band_moments(state, [max(k_max, 0.0)], 2)[0])
 
 
 def _tail_prefactors(state: LanczosState, k_max: float):

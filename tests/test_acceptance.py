@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slitbound import (
+from oracles import (
     SampledDensity,
-    UnitsConvention,
+    eval_momentum_density,
+    popoviciu_sigma_x,
+    random_symmetric_state,
+)
+from slitbound import (
     cli,
     eval_lanczos_momentum_density,
     eval_lanczos_position,
-    eval_momentum_density,
     lanczos_gamma,
     lp_lambda0,
     min_uncertainty_coefficients,
     momentum_moments,
-    popoviciu_sigma_x,
     reanalyze_products,
     verify_constraints,
 )
@@ -33,7 +35,6 @@ from slitbound.diffraction import (
     synthesize_frame,
     theory_trace,
 )
-from slitbound.core import random_symmetric_state
 from slitbound.special import LanczosState
 
 GEOMETRY = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=0.150)
@@ -59,7 +60,7 @@ def test_criterion_2_sharp_bound_equality():
     t0 = time.perf_counter()
     dx = 1.0
     state = min_uncertainty_coefficients(10_000, dx)
-    _, sigma_p = momentum_moments(state, UnitsConvention())
+    _, sigma_p = momentum_moments(state)
     elapsed = time.perf_counter() - t0
     product = sigma_p * dx
     rel = abs(product - np.pi) / np.pi
@@ -156,7 +157,7 @@ def test_criterion_6_property_suites():
     minimality_ok = True
     for _ in range(200):
         state = random_symmetric_state(24, dx, rng, project_boundary=True)
-        _, sigma_p = momentum_moments(state, UnitsConvention())
+        _, sigma_p = momentum_moments(state)
         if not sigma_p * dx >= np.pi * (1 - 1e-6):
             minimality_ok = False
             break

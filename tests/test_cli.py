@@ -167,6 +167,18 @@ class TestSizeCaps:
         monkeypatch.setattr(diffraction, "DetectorSpec", refuse_allocation)
         assert run(tmp_path, "simulate", "--pixels", str(cli.MAX_PIXELS + 2)) == 2
 
+    def test_frame_rows_cap(self, tmp_path, monkeypatch, capsys):
+        # a uniform frame two pixels larger than simulate may write
+        n = cli.MAX_PIXELS + 2
+        y_mm = (np.arange(1, n + 1) - (n + 1) / 2) * 0.008
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n" + "".join(
+            f"{i},{y:.9g},0.2\n" for i, y in enumerate(y_mm.tolist(), 1)))
+        monkeypatch.setattr(np, "loadtxt", refuse_allocation)
+        assert cli.main(["estimate", str(frame), "--out", str(tmp_path)]) == 2
+        assert f"more than {cli.MAX_PIXELS} rows" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestParseLength:
     def test_suffixes(self):
@@ -319,8 +331,7 @@ class TestSimulateAndEstimate:
         report = load_report(tmp_path, "simulate_report.json")
         assert report["parameters"]["detector_span_m"] == pytest.approx(29.184e-3)
         assert report["parameters"]["seed"] == 42
-        y, intens, normalized = read_frame_csv(str(tmp_path / "frame.csv"))
-        assert not normalized
+        y, intens = read_frame_csv(str(tmp_path / "frame.csv"))
         assert len(y) == 3648
         assert y[0] == pytest.approx(-29.184e-3 / 2 + 4e-6, rel=1e-6)
         lines = (tmp_path / "frame.csv").read_text().splitlines()
@@ -336,6 +347,11 @@ class TestSimulateAndEstimate:
 
     def test_simulate_bad_pixels(self, tmp_path):
         assert run(tmp_path, "simulate", "--pixels", "3647") == 2
+
+    def test_simulate_negative_seed(self, tmp_path, capsys):
+        assert run(tmp_path, "simulate", "--seed", "-1", "--noise-sigma", "1e-3") == 2
+        assert "configuration error: --seed: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,bad", [("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
                                           ("--wavelength", "inf")])
@@ -401,7 +417,7 @@ class TestSimulateAndEstimate:
     def test_read_frame_matches_per_line_float_parse(self, tmp_path):
         assert run(tmp_path, "simulate", "--noise-sigma", "1e-3", "--seed", "7") == 0
         path = tmp_path / "frame.csv"
-        y, intens, _ = read_frame_csv(str(path))
+        y, intens = read_frame_csv(str(path))
         rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
         assert np.array_equal(float_bits(y), float_bits([float(r[1]) * 1e-3 for r in rows]))
         assert np.array_equal(float_bits(intens), float_bits([float(r[2]) for r in rows]))

@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slitbound import (
-    FourierState,
-    InvalidArgument,
-    LanczosState,
+from oracles import (
     SampledDensity,
     concentration_probability,
-    eval_lanczos_momentum_density,
     eval_momentum_density,
+    random_symmetric_state,
+)
+from slitbound import (
+    InvalidArgument,
+    LanczosState,
+    eval_lanczos_momentum_density,
     eval_momentum_wavefunction,
     lp_lambda0,
     min_uncertainty_coefficients,
     well_defined_verdict,
 )
-from slitbound.core import random_symmetric_state
+from slitbound.concentration import WELL_DEFINED_THRESHOLD
 
 # mass of the minimum-uncertainty momentum density inside |k| <= 2 pi / dx,
 # frozen from an adaptive-quadrature oracle (epsabs 1e-13)
@@ -164,8 +166,10 @@ class TestWellDefinedVerdict:
         assert not well_defined_verdict(0.178)
         assert well_defined_verdict(0.70)  # closed threshold
 
-    def test_custom_threshold(self):
-        assert well_defined_verdict(0.5, threshold=0.5)
+    def test_threshold_constant(self):
+        assert WELL_DEFINED_THRESHOLD == 0.70
+        assert well_defined_verdict(WELL_DEFINED_THRESHOLD)
+        assert not well_defined_verdict(np.nextafter(WELL_DEFINED_THRESHOLD, 0.0))
 
     def test_out_of_range(self):
         with pytest.raises(InvalidArgument):

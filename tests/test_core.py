@@ -3,22 +3,23 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from oracles import (
+    SampledDensity,
+    eval_momentum_density,
+    popoviciu_sigma_x,
+    random_symmetric_state,
+    verify_stationarity,
+)
 from slitbound import (
     FourierState,
     InvalidArgument,
-    SampledDensity,
-    UnitsConvention,
     build_report,
-    eval_momentum_density,
     eval_momentum_wavefunction,
     eval_position_wavefunction,
     min_uncertainty_coefficients,
     momentum_moments,
-    popoviciu_sigma_x,
     verify_constraints,
-    verify_stationarity,
 )
-from slitbound.core import random_symmetric_state
 
 C0_RAW = np.sqrt(8.0) / np.pi          # 0.9003163...
 C1_RAW = np.sqrt(8.0) / (3.0 * np.pi)  # 0.3001054...
@@ -108,7 +109,7 @@ class TestMomentumMoments:
         state = min_uncertainty_coefficients(256, 1.0)
         _, sigma_1 = momentum_moments(state)
         for s in (0.25, 3.0, 477e-6):
-            _, sigma_s = momentum_moments(state.with_slit_width(s))
+            _, sigma_s = momentum_moments(FourierState(s, state.coefficients))
             assert sigma_s == pytest.approx(sigma_1 / s, rel=1e-14)
 
 
@@ -292,8 +293,7 @@ class TestPopoviciu:
 class TestBuildReport:
     def test_min_state_equality(self):
         dx = 1.0
-        units = UnitsConvention()
-        report = build_report(None, np.pi / dx, dx, units)
+        report = build_report(None, np.pi / dx, dx)
         assert report.product_over_hbar == pytest.approx(np.pi, rel=1e-15)
         assert report.delta_p == 2 * np.pi / dx
         assert report.verdicts["sigma_p_delta_x_ge_pi_hbar"]

@@ -64,9 +64,9 @@ class TestDetectorSpec:
         with pytest.raises(InvalidArgument):
             DetectorSpec(num_pixels=100, pixel_size=0.0)
         with pytest.raises(InvalidArgument):
-            DetectorSpec(num_pixels=100, pixel_size=8e-6, bit_depth=0)
-        with pytest.raises(InvalidArgument):
             NoiseSpec(additive_sigma=-0.1)
+        with pytest.raises(InvalidArgument):
+            NoiseSpec(seed=-1)
 
 
 class TestSynthesizeFrame:

@@ -1,45 +1,11 @@
 import numpy as np
 import pytest
 
-from slitbound import (
-    FringeSlopes,
-    InvalidArgument,
-    UnitsConvention,
-    fringe_delta_p,
-    reanalyze_products,
-)
+from slitbound import InvalidArgument, reanalyze_products
 
 PUBLISHED_PRODUCTS = [1.128, 2.464, 2.723]
 PUBLISHED_XI = [0.179, 0.392, 0.433]
 PUBLISHED_LAMBDA0 = [0.178, 0.376, 0.412]
-
-
-class TestFringeDeltaP:
-    def test_equal_slopes_give_zero(self):
-        s = FringeSlopes(delta_omega=3.0, xdot_max=2.0, xdot_min=2.0)
-        assert fringe_delta_p(s) == 0.0
-
-    def test_zero_frequency_shift(self):
-        s = FringeSlopes(delta_omega=0.0, xdot_max=2.0, xdot_min=1.0)
-        assert fringe_delta_p(s) == 0.0
-
-    def test_direct_arithmetic(self):
-        # hbar=1: 1 * (2/2) * (2-1)/(2*1) = 0.5
-        s = FringeSlopes(delta_omega=2.0, xdot_max=2.0, xdot_min=1.0)
-        assert fringe_delta_p(s, UnitsConvention()) == pytest.approx(0.5, rel=1e-15)
-
-    def test_hbar_scaling(self):
-        s = FringeSlopes(delta_omega=2.0, xdot_max=2.0, xdot_min=1.0)
-        assert fringe_delta_p(s, UnitsConvention(hbar=3.0)) == pytest.approx(1.5)
-
-    def test_pi_correction_flag(self):
-        s = FringeSlopes(delta_omega=2.0, xdot_max=2.0, xdot_min=1.0)
-        assert fringe_delta_p(s, pi_correction=True) == pytest.approx(0.5 * np.pi)
-
-    def test_zero_slope_rejected(self):
-        s = FringeSlopes(delta_omega=1.0, xdot_max=1.0, xdot_min=0.0)
-        with pytest.raises(InvalidArgument):
-            fringe_delta_p(s)
 
 
 class TestReanalyzeProducts:

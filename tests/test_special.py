@@ -12,10 +12,7 @@ from slitbound import (
 )
 from slitbound.special import (
     SI_2PI,
-    SI_PI,
     lanczos_band_moments,
-    lanczos_band_second_moment,
-    lanczos_band_weight,
     lanczos_second_moment_tail_bound,
     lanczos_weight_tail_bound,
 )
@@ -24,6 +21,11 @@ from slitbound.special import (
 SI_2PI_ORACLE = 1.4181515761326284
 # Si(pi)^2 / (2 pi^2 Si(2pi)), from the same quadrature oracle
 LANCZOS_DENSITY_AT_ZERO = 0.12251804225912144
+
+
+def band_moment(state, k_max, power):
+    """int_{|k| <= k_max} |k|^power * density(k) dk at a single edge."""
+    return lanczos_band_moments(state, [k_max], power)[0]
 
 
 def averaged_tail_integrand(u):
@@ -38,7 +40,7 @@ def sigma_k_by_quadrature(dx: float) -> float:
     quadrature to U plus the analytic oscillation-averaged tail."""
     state = LanczosState(dx)
     U = 2000.0
-    m2 = lanczos_band_second_moment(state, 2 * U / dx)
+    m2 = band_moment(state, 2 * U / dx, 2)
     tail_u, _ = quad(averaged_tail_integrand, U, np.inf)
     m2 += 2.0 / (np.pi**2 * SI_2PI * dx**2) * tail_u
     return np.sqrt(m2)
@@ -129,7 +131,7 @@ class TestLanczosMomentumDensity:
             )
             # closed form of the same value
             assert eval_lanczos_momentum_density(0.0, state) == pytest.approx(
-                dx * SI_PI**2 / (2 * np.pi**2 * SI_2PI), rel=1e-14
+                dx * sine_integral(np.pi) ** 2 / (2 * np.pi**2 * SI_2PI), rel=1e-14
             )
 
     def test_even_and_nonnegative(self):
@@ -145,7 +147,7 @@ class TestLanczosMomentumDensity:
         dx = 1.0
         state = LanczosState(dx)
         k_max = 600.0
-        weight = lanczos_band_weight(state, k_max)
+        weight = band_moment(state, k_max, 0)
         tail = lanczos_weight_tail_bound(state, k_max)
         assert tail < 1e-7
         # true mass beyond k_max lies in [0, tail], so the full integral is 1
@@ -159,11 +161,11 @@ class TestLanczosMomentumDensity:
     def test_tail_bounds_certify(self):
         # bounds must dominate the numerically integrated remainder
         state = LanczosState(1.0)
-        w_inner = lanczos_band_weight(state, 200.0)
-        w_outer = lanczos_band_weight(state, 2000.0)
+        w_inner = band_moment(state, 200.0, 0)
+        w_outer = band_moment(state, 2000.0, 0)
         assert w_outer - w_inner <= lanczos_weight_tail_bound(state, 200.0)
-        m_inner = lanczos_band_second_moment(state, 200.0)
-        m_outer = lanczos_band_second_moment(state, 2000.0)
+        m_inner = band_moment(state, 200.0, 2)
+        m_outer = band_moment(state, 2000.0, 2)
         assert m_outer - m_inner <= lanczos_second_moment_tail_bound(state, 200.0)
 
 
@@ -184,10 +186,9 @@ class TestBandMoments:
     def test_single_edge_helpers_agree(self):
         state = LanczosState(0.7)
         edges = np.linspace(5.0, 300.0, 40)
-        assert lanczos_band_moments(state, edges, 0)[-1] == pytest.approx(
-            lanczos_band_weight(state, 300.0), rel=1e-13)
-        assert lanczos_band_moments(state, edges, 2)[-1] == pytest.approx(
-            lanczos_band_second_moment(state, 300.0), rel=1e-13)
+        for power in (0, 2):
+            assert lanczos_band_moments(state, edges, power)[-1] == pytest.approx(
+                band_moment(state, 300.0, power), rel=1e-13)
 
     def test_invalid_arguments(self):
         state = LanczosState(1.0)
