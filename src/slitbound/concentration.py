@@ -11,6 +11,7 @@ c = delta_x*delta_p/(4 hbar)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,10 @@ from .errors import InvalidArgument, NumericFailure
 # this probability weight
 WELL_DEFINED_THRESHOLD = 0.70
 
-# psi0 is expanded on the even normalized Legendre polynomials P_0, P_2, ...,
-# P_94; at c = pi*_XI_SATURATED/2 the last four coefficients are ~5e-27
-_N_TERMS = 48
+# psi0 is expanded on n = 16 + ceil(c/2) even normalized Legendre polynomials
+# P_0, ..., P_2n-2, which keeps the last four coefficients below 3e-18 for every
+# c; the largest n, at c = pi*_XI_SATURATED/2, is 42 (tail ~2.4e-23 there)
+_N_TERMS = 42
 # lambda0 is nondecreasing and at most 1, and Slepian's asymptotic
 # 1 - lambda0 ~ 4 sqrt(pi c) exp(-2c) is ~1e-42 at xi = 32, so lambda0 of every
 # larger xi is that of xi = 32 to double precision
@@ -70,9 +72,10 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     if not (np.isfinite(xi) and xi >= 0):
         raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
     c = np.pi * min(xi, _XI_SATURATED) / 2.0
-    prolate = np.diag(_N * (_N + 1) + c * c * _U2_DIAG)
-    i = np.arange(_N_TERMS - 1)
-    prolate[i + 1, i] = prolate[i, i + 1] = c * c * _U2_OFF
+    n = 16 + math.ceil(c / 2.0)
+    prolate = np.diag(_N[:n] * (_N[:n] + 1) + c * c * _U2_DIAG[:n])
+    i = np.arange(n - 1)
+    prolate[i + 1, i] = prolate[i, i + 1] = c * c * _U2_OFF[: n - 1]
     try:
         _, vecs = np.linalg.eigh(prolate)
     except np.linalg.LinAlgError as exc:
@@ -83,7 +86,7 @@ def lp_lambda0(xi: float) -> LpBoundResult:
         raise NumericFailure(
             f"Legendre expansion tail {tail:.3e} exceeds {_TAIL_TOL} at xi={xi}"
         )
-    lam = float(c / np.pi * beta[0] ** 2 / (beta @ _P_AT_ZERO) ** 2)
+    lam = float(c / np.pi * beta[0] ** 2 / (beta @ _P_AT_ZERO[:n]) ** 2)
     if lam - 1.0 > _LAMBDA_EXCESS_TOL:
         raise NumericFailure(f"lambda0 = {lam!r} exceeds 1 at xi={xi}")
     if lam > 1.0 - _LAMBDA_ROUNDING:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -47,12 +46,14 @@ def parse_length(text) -> float:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.  The temp
+    file is created the way open() creates a file, so the umask sets the
+    mode of the result."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -71,7 +71,8 @@ _SI_DEN = (
 def _poly(coeffs, y):
     acc = np.full_like(y, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * y + c
+        acc *= y
+        acc += c
     return acc
 
 
@@ -146,7 +147,7 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
 
     Each interval [k_{j-1}, k_j] (with k_{-1} = 0) is tiled by equal panels
     of at most pi/dx, a quarter of the period 4*pi/dx in k of the amplitude
-    Si(u + pi) - Si(u - pi), u = dx*k/2, with 16-point Gauss-Legendre on
+    Si(u + pi) - Si(u - pi), u = dx*k/2, with 8-point Gauss-Legendre on
     every panel; all panels are evaluated in one pass.
     """
     hi = np.asarray(k_edges, dtype=float)
@@ -162,7 +163,7 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     step = ((hi - lo) / npanel)[j]
     left = i * step + lo[j]
     right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
-    xg, wg = np.polynomial.legendre.leggauss(16)
+    xg, wg = np.polynomial.legendre.leggauss(8)
     half = (right - left) / 2.0
     nodes = ((left + right) / 2.0)[:, None] + half[:, None] * xg[None, :]
     vals = nodes**power * eval_lanczos_momentum_density(nodes, state)

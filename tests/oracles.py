@@ -1,6 +1,7 @@
 """Independent oracles shared by the tests: sampled densities and their
-moments, generic truncated slit states and the Euler-Lagrange check of the
-variational problem.  None of this runs on the command line's path."""
+moments, generic truncated slit states, the Euler-Lagrange check of the
+variational problem and a fixed-size lambda0 solve.  None of this runs on
+the command line's path."""
 
 from __future__ import annotations
 
@@ -149,3 +150,20 @@ def verify_stationarity(state: FourierState) -> StationarityReport:
         symmetric=True, alpha=complex(alpha), beta=complex(beta),
         max_residual=resid, mean_momentum=mean,
     )
+
+
+def prolate_lambda0_48(xi: float) -> float:
+    """lambda0(xi) from the prolate eigenproblem on the first 48 even
+    normalized Legendre polynomials, not rounded to 1: the fixed-size solve
+    that the size rule of `lp_lambda0` replaced."""
+    c = np.pi * xi / 2.0
+    n = 2.0 * np.arange(48)
+    diag = n * (n + 1) + c * c * (2 * n * (n + 1) - 1) / ((2 * n + 3) * (2 * n - 1))
+    m = n[:-1]
+    off = c * c * (m + 1) * (m + 2) / ((2 * m + 3) * np.sqrt((2 * m + 1) * (2 * m + 5)))
+    _, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    beta = vecs[:, 0]
+    # P_2k(0) = sqrt((4k+1)/2) (-1)^k (2k-1)!!/(2k)!!
+    k = np.arange(1, 48)
+    p_at_zero = np.sqrt((2 * n + 1) / 2.0) * np.cumprod(np.r_[1.0, (1 - 2 * k) / (2 * k)])
+    return float(c / np.pi * beta[0] ** 2 / (beta @ p_at_zero) ** 2)

@@ -155,6 +155,18 @@ class TestOutputFiles:
             # no extra file and no .tmp-* leftover
             assert {p.name for p in tmp_path.iterdir()} == expected, argv[0]
 
+    def test_files_take_the_umask_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run(tmp_path, "lanczos") == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        # the mode a plain open() gives, and no .tmp-* leftover
+        assert modes == {"lanczos_position_density.csv": 0o644,
+                         "lanczos_momentum_density.csv": 0o644,
+                         "lanczos_report.json": 0o644}
+
 
 class TestSizeCaps:
     # each allocator is replaced, so a missing cap fails the test instead of

@@ -6,6 +6,7 @@ from oracles import (
     SampledDensity,
     concentration_probability,
     eval_momentum_density,
+    prolate_lambda0_48,
     random_symmetric_state,
 )
 from slitbound import (
@@ -69,6 +70,21 @@ class TestLambda0:
     def test_tail_small(self):
         for xi in (0.0, 0.2, 1.0, 2.5, 32.0, 1e4):
             assert lp_lambda0(xi).tail <= 1e-15
+
+    def test_size_rule_edges(self):
+        # the prolate matrix has 16 + ceil(c/2) terms, so its expansion is
+        # shortest for its c just below each step of ceil(c/2); c = 16 pi
+        # (xi = 32) takes the largest matrix
+        xis = [32.0]
+        for step in range(1, 26):
+            xi = 4.0 * step / np.pi
+            while np.pi * xi / 2.0 >= 2.0 * step:
+                xi = np.nextafter(xi, 0.0)
+            xis.append(float(xi))
+        for xi in xis:
+            res = lp_lambda0(xi)
+            assert res.tail <= 1e-17, xi
+            assert abs(res.lambda0 - prolate_lambda0_48(xi)) <= 1e-14, xi
 
     def test_monotone_in_xi(self):
         xis = np.concatenate([[0.0], np.logspace(-3, 4, 500)])

@@ -28,6 +28,22 @@ def band_moment(state, k_max, power):
     return lanczos_band_moments(state, [k_max], power)[0]
 
 
+def band_moments_reference(state, k_edges, power, nodes=32):
+    """Independent oracle for lanczos_band_moments: edge by edge, equal
+    panels of at most pi/dx with `nodes`-point Gauss-Legendre on each."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    out, total, lo = [], 0.0, 0.0
+    for hi in k_edges:
+        npanel = max(1, int(np.ceil((hi - lo) / (np.pi / state.slit_width))))
+        cuts = np.linspace(lo, hi, npanel + 1)
+        half = np.diff(cuts)[:, None] / 2.0
+        k = (cuts[:-1, None] + cuts[1:, None]) / 2.0 + half * xg
+        total += 2.0 * np.sum(half * wg * k**power * eval_lanczos_momentum_density(k, state))
+        out.append(total)
+        lo = hi
+    return np.array(out)
+
+
 def averaged_tail_integrand(u):
     # oscillation average of u^2 * [Si(u+pi) - Si(u-pi)]^2 from the two-term
     # Si asymptotics; error O(1/u^2) relative
@@ -189,6 +205,23 @@ class TestBandMoments:
         for power in (0, 2):
             assert lanczos_band_moments(state, edges, power)[-1] == pytest.approx(
                 band_moment(state, 300.0, power), rel=1e-13)
+
+    @pytest.mark.parametrize("dx", [1.0, 477e-6])
+    def test_matches_32_node_reference(self, dx):
+        state = LanczosState(dx)
+        cap = np.pi / dx
+        rng = np.random.default_rng(9)
+        edge_sets = {
+            # every panel exactly the cap width, out to u = dx*k/2 = 2000
+            "cap-width": cap * np.arange(1.0, 1274.0),
+            "irregular": np.sort(rng.uniform(0.0, 900.0 * cap, 60)),
+            "tiny first": np.array([1e-6, 1e-3, 0.5, 3.0, 40.0, 700.0]) * cap,
+        }
+        for name, edges in edge_sets.items():
+            for power in (0, 2):
+                got = lanczos_band_moments(state, edges, power)
+                want = band_moments_reference(state, edges, power)
+                assert np.max(np.abs(got / want - 1.0)) <= 4e-15, (name, power)
 
     def test_invalid_arguments(self):
         state = LanczosState(1.0)
