@@ -28,10 +28,10 @@ def band_moment(state, k_max, power):
     return lanczos_band_moments(state, [k_max], power)[0]
 
 
-def band_moments_reference(state, k_edges, power, nodes=32):
+def band_moments_reference(state, k_edges, power):
     """Independent oracle for lanczos_band_moments: edge by edge, equal
-    panels of at most pi/dx with `nodes`-point Gauss-Legendre on each."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    panels of at most pi/dx with 32-point Gauss-Legendre on each."""
+    xg, wg = np.polynomial.legendre.leggauss(32)
     out, total, lo = [], 0.0, 0.0
     for hi in k_edges:
         npanel = max(1, int(np.ceil((hi - lo) / (np.pi / state.slit_width))))
