@@ -58,7 +58,8 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 
 
 def _geometry(args) -> core.SlitGeometry:
-    return core.SlitGeometry(
+    return _flag(
+        "--slit-width, --wavelength, --focal-length", core.SlitGeometry,
         slit_width=_flag("--slit-width", parse_length, args.slit_width),
         wavelength=_flag("--wavelength", parse_length, args.wavelength),
         focal_length=_flag("--focal-length", parse_length, args.focal_length),

@@ -11,6 +11,7 @@ c = delta_x*delta_p/(4 hbar)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ WELL_DEFINED_THRESHOLD = 0.70
 _N_TERMS = 42
 # lambda0 is nondecreasing and at most 1, and Slepian's asymptotic
 # 1 - lambda0 ~ 4 sqrt(pi c) exp(-2c) is ~1e-42 at xi = 32, so lambda0 of every
-# larger xi is that of xi = 32 to double precision
+# larger xi is that of xi = 32 to double precision: one solve serves them all
 _XI_SATURATED = 32.0
 _TAIL_TOL = 1e-15
 # the computed lambda0 carries a rounding error of about 1e-15 (it reads
@@ -43,6 +44,9 @@ _N = 2.0 * np.arange(_N_TERMS)
 _U2_DIAG = (2 * _N * (_N + 1) - 1) / ((2 * _N + 3) * (2 * _N - 1))
 _U2_OFF = ((_N[:-1] + 1) * (_N[:-1] + 2)
            / ((2 * _N[:-1] + 3) * np.sqrt((2 * _N[:-1] + 1) * (2 * _N[:-1] + 5))))
+# the prolate matrix at c is _PROLATE_0 + c^2 _U2, both cut to the solve's size
+_PROLATE_0 = np.diag(_N * (_N + 1))
+_U2 = np.diag(_U2_DIAG) + np.diag(_U2_OFF, 1) + np.diag(_U2_OFF, -1)
 # P_2k(0) = sqrt((4k+1)/2) (-1)^k (2k)!/(4^k k!^2), the ratio as a running product
 _P_AT_ZERO = np.sqrt((2 * _N + 1) / 2.0) * np.cumprod(
     np.concatenate([[1.0], (1.0 - _N[1:]) / _N[1:]]))
@@ -69,29 +73,39 @@ def lp_lambda0(xi: float) -> LpBoundResult:
 
     Monotone nondecreasing in xi, lambda0(0) = 0, -> 1 as xi -> infinity.
     """
-    if not (np.isfinite(xi) and xi >= 0):
+    if not (math.isfinite(xi) and xi >= 0):
         raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
-    c = np.pi * min(xi, _XI_SATURATED) / 2.0
+    lam, tail = _solve(xi) if xi < _XI_SATURATED else _saturated()
+    return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=lam, tail=tail)
+
+
+@functools.cache
+def _saturated() -> tuple[float, float]:
+    """(lambda0, tail) of every xi >= _XI_SATURATED, solved on first use."""
+    return _solve(_XI_SATURATED)
+
+
+def _solve(xi: float) -> tuple[float, float]:
+    """(lambda0, tail) from the prolate eigenproblem at xi <= _XI_SATURATED."""
+    c = np.pi * xi / 2.0
     n = 16 + math.ceil(c / 2.0)
-    prolate = np.diag(_N[:n] * (_N[:n] + 1) + c * c * _U2_DIAG[:n])
-    i = np.arange(n - 1)
-    prolate[i + 1, i] = prolate[i, i + 1] = c * c * _U2_OFF[: n - 1]
     try:
-        _, vecs = np.linalg.eigh(prolate)
+        _, vecs = np.linalg.eigh(_PROLATE_0[:n, :n] + (c * c) * _U2[:n, :n])
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"prolate eigensolve failed at xi={xi}: {exc}") from exc
     beta = vecs[:, 0]
-    tail = float(np.max(np.abs(beta[-4:])))
+    coeffs = beta.tolist()
+    tail = max(map(abs, coeffs[-4:]))
     if tail > _TAIL_TOL:
         raise NumericFailure(
             f"Legendre expansion tail {tail:.3e} exceeds {_TAIL_TOL} at xi={xi}"
         )
-    lam = float(c / np.pi * beta[0] ** 2 / (beta @ _P_AT_ZERO[:n]) ** 2)
+    lam = float(c / np.pi * coeffs[0] ** 2 / (beta @ _P_AT_ZERO[:n]) ** 2)
     if lam - 1.0 > _LAMBDA_EXCESS_TOL:
         raise NumericFailure(f"lambda0 = {lam!r} exceeds 1 at xi={xi}")
     if lam > 1.0 - _LAMBDA_ROUNDING:
         lam = 1.0
-    return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=lam, tail=tail)
+    return lam, tail
 
 
 def well_defined_verdict(probability: float) -> bool:

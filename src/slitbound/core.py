@@ -14,6 +14,7 @@ hbar = 1, so a momentum is a wavenumber.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ class SlitGeometry:
         for name in ("slit_width", "wavelength", "focal_length"):
             if not getattr(self, name) > 0:
                 raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
+        # the scales the detector maps through: lambda*f can underflow to 0
+        lf = self.wavelength * self.focal_length
+        fringe = 2.0 * self.slit_width / lf if lf > 0 else math.inf
+        for name, value in (("k0 = 2*pi/wavelength", self.k0),
+                            ("2*slit_width/(wavelength*focal_length)", fringe)):
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgument(f"{name} must be finite and positive, got {value}")
 
     @property
     def k0(self) -> float:

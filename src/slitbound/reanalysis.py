@@ -8,9 +8,8 @@ uncertainty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .concentration import lp_lambda0, well_defined_verdict
 from .errors import InvalidArgument
@@ -28,11 +27,11 @@ def reanalyze_products(a_values) -> list[ReanalysisRow]:
     """One ReanalysisRow per product a (in units of hbar): xi = a/(2*pi),
     the concentration bound at that xi, and the well-definedness verdict."""
     a_arr = [float(a) for a in a_values]
-    if not all(np.isfinite(a) and a > 0 for a in a_arr):
+    if not all(math.isfinite(a) and a > 0 for a in a_arr):
         raise InvalidArgument("all products a must be finite and positive")
     rows = []
     for a in a_arr:
-        xi = a / (2.0 * np.pi)
+        xi = a / (2.0 * math.pi)
         lam = lp_lambda0(xi).lambda0
         rows.append(ReanalysisRow(a=a, xi=xi, lambda0=lam, well_defined=well_defined_verdict(lam)))
     return rows

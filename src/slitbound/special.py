@@ -18,6 +18,7 @@ below 1e-16 on their range).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,9 @@ def sine_integral(x):
 
 SI_2PI = float(sine_integral(2.0 * np.pi))
 
+# at most this many band-quadrature panels (8 nodes each) in one call
+MAX_PANELS = 1 << 20
+
 
 @dataclass(frozen=True)
 class LanczosState:
@@ -152,9 +156,16 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     """
     hi = np.asarray(k_edges, dtype=float)
     lo = np.concatenate([[0.0], hi.ravel()[:-1]])
-    if hi.ndim != 1 or np.any(hi < lo):
-        raise InvalidArgument("k_edges must be 1-d, nonnegative and nondecreasing")
-    npanel = np.maximum(1, np.ceil((hi - lo) / (np.pi / state.slit_width))).astype(int)
+    if hi.ndim != 1 or not np.all(np.isfinite(hi)) or np.any(hi < lo):
+        raise InvalidArgument("k_edges must be 1-d, finite, nonnegative and nondecreasing")
+    npanel = np.maximum(1.0, np.ceil((hi - lo) / (np.pi / state.slit_width)))
+    # counted as floats, so that a count past the integers is caught too
+    total = float(np.sum(npanel))
+    if not total <= MAX_PANELS:
+        raise InvalidArgument(
+            f"the band quadrature needs {total:.3g} panels of pi/slit_width, "
+            f"more than {MAX_PANELS}")
+    npanel = npanel.astype(int)
     # panel i of interval j spans lo_j + [i, i+1]*step_j, the last one ending
     # exactly at hi_j (the edges np.linspace would give)
     j = np.repeat(np.arange(hi.size), npanel)
@@ -163,13 +174,22 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     step = ((hi - lo) / npanel)[j]
     left = i * step + lo[j]
     right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
-    xg, wg = np.polynomial.legendre.leggauss(8)
+    xg, wg = _gauss_legendre_8()
     half = (right - left) / 2.0
     nodes = ((left + right) / 2.0)[:, None] + half[:, None] * xg[None, :]
     vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
     # one BLAS dot product per panel, summed the way np.dot sums one panel
     panels = np.matmul((half[:, None] * wg[None, :])[:, None, :], vals[:, :, None])
     return np.cumsum(2.0 * np.add.reduceat(panels[:, 0, 0], first))
+
+
+@functools.cache
+def _gauss_legendre_8():
+    """8-point Gauss-Legendre nodes and weights on [-1, 1], computed once per
+    process on first use; read-only, as every call shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _tail_prefactors(state: LanczosState, k_max: float):

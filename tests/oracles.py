@@ -1,10 +1,11 @@
 """Independent oracles shared by the tests: sampled densities and their
 moments, generic truncated slit states, the Euler-Lagrange check of the
-variational problem and a fixed-size lambda0 solve.  None of this runs on
-the command line's path."""
+variational problem, a fixed-size lambda0 solve and one built by index
+writes.  None of this runs on the command line's path."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,3 +168,25 @@ def prolate_lambda0_48(xi: float) -> float:
     k = np.arange(1, 48)
     p_at_zero = np.sqrt((2 * n + 1) / 2.0) * np.cumprod(np.r_[1.0, (1 - 2 * k) / (2 * k)])
     return float(c / np.pi * beta[0] ** 2 / (beta @ p_at_zero) ** 2)
+
+
+def prolate_lambda0_indexed(xi: float) -> tuple[float, float]:
+    """(lambda0, tail) of `lp_lambda0` below its saturation, with the prolate
+    matrix built from np.diag and two index writes on every call, the way
+    `lp_lambda0` built it before it summed two precomputed matrices."""
+    nn = 2.0 * np.arange(42)
+    u2_diag = (2 * nn * (nn + 1) - 1) / ((2 * nn + 3) * (2 * nn - 1))
+    u2_off = ((nn[:-1] + 1) * (nn[:-1] + 2)
+              / ((2 * nn[:-1] + 3) * np.sqrt((2 * nn[:-1] + 1) * (2 * nn[:-1] + 5))))
+    p_at_zero = np.sqrt((2 * nn + 1) / 2.0) * np.cumprod(
+        np.concatenate([[1.0], (1.0 - nn[1:]) / nn[1:]]))
+    c = np.pi * min(xi, 32.0) / 2.0
+    n = 16 + math.ceil(c / 2.0)
+    prolate = np.diag(nn[:n] * (nn[:n] + 1) + c * c * u2_diag[:n])
+    i = np.arange(n - 1)
+    prolate[i + 1, i] = prolate[i, i + 1] = c * c * u2_off[: n - 1]
+    _, vecs = np.linalg.eigh(prolate)
+    beta = vecs[:, 0]
+    tail = float(np.max(np.abs(beta[-4:])))
+    lam = float(c / np.pi * beta[0] ** 2 / (beta @ p_at_zero[:n]) ** 2)
+    return (1.0 if lam > 1.0 - 1e-14 else lam), tail

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import slitbound
-from slitbound import NumericFailure, cli, core, diffraction
+from slitbound import NumericFailure, cli, core, diffraction, special
 from slitbound.reports import format_csv, parse_length, read_frame_csv
 
 # the shape every report must have, checked independently of the writer
@@ -190,6 +190,37 @@ class TestSizeCaps:
         assert cli.main(["estimate", str(frame), "--out", str(tmp_path)]) == 2
         assert f"more than {cli.MAX_PIXELS} rows" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+
+
+    def test_band_panels_of_overflowing_extent(self, tmp_path):
+        # y = +-1e300 mm puts the panel count past every integer.  A fresh
+        # interpreter: y^2 overflows in gamma_trace first, and pytest turns
+        # that RuntimeWarning into an error
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-1e300,0.2\n2,1e300,0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = run_python("-m", "slitbound.cli", "estimate", str(frame), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert f"more than {special.MAX_PANELS}" in proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_band_panels_cap(self, tmp_path):
+        # a 1e9 mm slit over two pixels asks for 1.7e8 panels, 1.26 GiB in the
+        # first array alone.  The child caps its own address space at 1 GiB,
+        # so a missing cap fails there and leaves the machine's memory alone
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-0.004,0.2\n2,0.004,0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from slitbound import cli; sys.exit(cli.main(sys.argv[1:]))")
+        proc = run_python("-c", code, "estimate", str(frame), "--slit-width", "1e9mm",
+                          "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert f"more than {special.MAX_PANELS}" in proc.stderr
+        assert list(out.iterdir()) == []
 
 
 class TestParseLength:
@@ -398,6 +429,18 @@ class TestSimulateAndEstimate:
         assert len(lines) == 1 + 1024
         # the pitch is read back from the span over N-1 pixels
         assert float(lines[-1].split(",")[1]) == pytest.approx(1024 * 7.123456e-3, rel=1e-8)
+
+    def test_estimate_underflowing_focal_length(self, tmp_path, capsys):
+        # lambda*f underflows to 0, so 2*delta_x/(lambda*f) is not finite
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-0.004,0.2\n2,0.004,0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["estimate", str(frame), "--focal-length", "1e-310nm",
+                         "--out", str(out)]) == 2
+        assert "configuration error: --slit-width, --wavelength, --focal-length: " \
+            in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_estimate_missing_frame(self, tmp_path):
         assert cli.main(["estimate", str(tmp_path / "nope.csv"),

@@ -7,6 +7,7 @@ from oracles import (
     concentration_probability,
     eval_momentum_density,
     prolate_lambda0_48,
+    prolate_lambda0_indexed,
     random_symmetric_state,
 )
 from slitbound import (
@@ -18,6 +19,7 @@ from slitbound import (
     min_uncertainty_coefficients,
     well_defined_verdict,
 )
+from slitbound import concentration
 from slitbound.concentration import WELL_DEFINED_THRESHOLD
 
 # mass of the minimum-uncertainty momentum density inside |k| <= 2 pi / dx,
@@ -37,6 +39,22 @@ def nystrom_eigenvalues(xi: float, grid_size: int) -> np.ndarray:
     kernel[off] = np.sin(c * du[off]) / (np.pi * du[off])
     sw = np.sqrt(w)
     return np.linalg.eigvalsh(sw[:, None] * kernel * sw[None, :])
+
+
+def size_rule_edges() -> list[float]:
+    """The largest xi whose c = pi*xi/2 lies below each step 2, 4, ..., 50 of
+    ceil(c/2), where the prolate matrix of `lp_lambda0` gains a term."""
+    xis = []
+    for step in range(1, 26):
+        xi = 4.0 * step / np.pi
+        while np.pi * xi / 2.0 >= 2.0 * step:
+            xi = np.nextafter(xi, 0.0)
+        xis.append(float(xi))
+    return xis
+
+
+def float_bits(*values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def window_mass(density, delta_p: float) -> float:
@@ -134,6 +152,41 @@ class TestLambda0:
             res = lp_lambda0(xi)
             assert res.lambda0 == 1.0
             assert res.kernel_c == np.pi * xi / 2.0
+
+
+class TestLambda0Solve:
+    @pytest.mark.parametrize("xi", [32.0, 32.000001, 300.0, 1e3, 1e300])
+    def test_saturated_xi_take_the_saturation_solve(self, xi):
+        at_saturation = lp_lambda0(32.0)
+        res = lp_lambda0(xi)
+        assert float_bits(res.lambda0, res.tail) == \
+            float_bits(at_saturation.lambda0, at_saturation.tail) == \
+            float_bits(*prolate_lambda0_indexed(xi))
+        assert res.xi == xi
+        assert res.kernel_c == np.pi * xi / 2.0
+
+    def test_saturated_xi_solve_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        concentration._saturated.cache_clear()
+        results = [lp_lambda0(xi) for xi in np.linspace(32.0, 1e4, 10).tolist()]
+        assert len(calls) <= 1
+        assert {r.lambda0 for r in results} == {1.0}
+
+    def test_matches_indexed_build(self):
+        # bit for bit the matrix built by np.diag and index writes, on every
+        # matrix size below saturation
+        xis = np.logspace(-3, np.log10(32.0), 2001, endpoint=False).tolist()
+        for xi in xis + size_rule_edges():
+            res = lp_lambda0(xi)
+            assert float_bits(res.lambda0, res.tail) == \
+                float_bits(*prolate_lambda0_indexed(xi)), xi
 
 
 class TestConcentrationProbability:
