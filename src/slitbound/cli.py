@@ -10,21 +10,19 @@ encodes every file in memory, each table a column at a time, checking that
 every value is finite, and only then writes them, the report last.  So
 exit 2 or 3 leaves no new file, and a report on disk means its CSVs were
 written with it.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure, 4 I/O error.
+failure, 4 I/O error.  Each command imports the compute modules it runs
+when it runs, so a cold process loads, compiles and builds no other.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
 
 import numpy as np
 
-from . import core, diffraction, reanalysis, special
-from .concentration import WELL_DEFINED_THRESHOLD, lp_lambda0
 from .errors import InvalidArgument, NumericFailure
 from .reports import (MAX_PIXELS, atomic_write_text, format_csv, format_report,
                       parse_length, read_frame_csv)
@@ -57,7 +55,9 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise InvalidArgument(f"{flag} must be <= {cap}, got {value}")
 
 
-def _geometry(args) -> core.SlitGeometry:
+def _geometry(args):
+    from . import core
+
     return _flag(
         "--slit-width, --wavelength, --focal-length", core.SlitGeometry,
         slit_width=_flag("--slit-width", parse_length, args.slit_width),
@@ -67,6 +67,8 @@ def _geometry(args) -> core.SlitGeometry:
 
 
 def cmd_minstate(args):
+    from . import core
+
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
     if args.nmax < 1:
         raise InvalidArgument(f"--nmax must be >= 1, got {args.nmax}")
@@ -106,6 +108,8 @@ def cmd_minstate(args):
 
 
 def cmd_lanczos(args):
+    from . import core, special
+
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
     state = special.LanczosState(delta_x)
     gamma = special.lanczos_gamma()
@@ -139,6 +143,8 @@ def cmd_lanczos(args):
 
 
 def cmd_lpbound(args):
+    from .concentration import lp_lambda0
+
     results = [lp_lambda0(xi) for xi in args.xi]
     header = ["xi", "lambda0"]
     tables = [("lpbound.csv", header, [[getattr(r, f) for r in results] for f in header])]
@@ -157,6 +163,9 @@ def cmd_lpbound(args):
 
 
 def cmd_reanalyze(args):
+    from . import reanalysis
+    from .concentration import WELL_DEFINED_THRESHOLD
+
     rows = reanalysis.reanalyze_products(args.a)
     header = ["a", "xi", "lambda0", "well_defined"]
     tables = [("reanalysis.csv", header, [[getattr(r, f) for r in rows] for f in header])]
@@ -181,6 +190,8 @@ def cmd_reanalyze(args):
 
 
 def cmd_simulate(args):
+    from . import diffraction
+
     geometry = _geometry(args)
     _check_cap("--pixels", args.pixels, MAX_PIXELS)
     detector = diffraction.DetectorSpec(
@@ -189,8 +200,8 @@ def cmd_simulate(args):
     )
     noise = _flag("--noise-sigma", diffraction.NoiseSpec,
                   additive_sigma=args.noise_sigma, quantize=args.quantize)
-    # replace runs NoiseSpec's checks again, now naming --seed
-    noise = _flag("--seed", dataclasses.replace, noise, seed=args.seed)
+    # NoiseSpec's checks again, now naming --seed
+    noise = _flag("--seed", diffraction.NoiseSpec, noise.additive_sigma, args.seed, noise.quantize)
     frame = diffraction.synthesize_frame(geometry, detector, noise)
     y = detector.pixel_positions()
     tables = [("frame.csv", ["pixel", "y_mm", "intensity"],
@@ -219,6 +230,8 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
+    from . import diffraction, special
+
     geometry = _geometry(args)
     y, intens = read_frame_csv(args.frame)
     if len(y) < 2:
@@ -230,6 +243,10 @@ def cmd_estimate(args):
     if pixel_size <= 0 or np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = diffraction.DetectorSpec(num_pixels=len(y), pixel_size=pixel_size)
+    # the band quadrature bounded on its last edge, a Python float, before any
+    # array arithmetic on the frame's extent can overflow
+    special.check_band_edge(special.LanczosState(geometry.slit_width),
+                            geometry.k0 * (len(y) // 2 * pixel_size) / geometry.focal_length)
     frame = diffraction.normalize_frame(
         diffraction.CcdFrame(detector=detector, intensities=np.clip(intens, 0.0, None))
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ _P_AT_ZERO = np.sqrt((2 * _N + 1) / 2.0) * np.cumprod(
     np.concatenate([[1.0], (1.0 - _N[1:]) / _N[1:]]))
 
 
-@dataclass(frozen=True)
-class LpBoundResult:
+class LpBoundResult(NamedTuple):
     xi: float
     kernel_c: float
     lambda0: float

@@ -15,23 +15,21 @@ hbar = 1, so a momentum is a wavenumber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument
 
 
-@dataclass(frozen=True)
 class SlitGeometry:
     """Slit width, laser wavelength and focal length of the imaging lens."""
 
-    slit_width: float
-    wavelength: float
-    focal_length: float
+    __slots__ = ("slit_width", "wavelength", "focal_length")
 
-    def __post_init__(self):
-        for name in ("slit_width", "wavelength", "focal_length"):
+    def __init__(self, slit_width: float, wavelength: float, focal_length: float):
+        self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
+        for name in self.__slots__:
             if not getattr(self, name) > 0:
                 raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
         # the scales the detector maps through: lambda*f can underflow to 0
@@ -81,8 +79,7 @@ class FourierState:
         return np.arange(-self.n_max, self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     """Uncertainty measures and inequality verdicts, products in units of hbar."""
 
     sigma_p: float
@@ -160,8 +157,7 @@ def eval_momentum_wavefunction(k, delta_x: float):
     return float(out) if np.isscalar(k) else out
 
 
-@dataclass(frozen=True)
-class ConstraintResiduals:
+class ConstraintResiduals(NamedTuple):
     parseval: float
     boundary: float
 

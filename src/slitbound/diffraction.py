@@ -14,7 +14,7 @@ gamma (minus the off-detector tail) as n -> N/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,18 +26,17 @@ from .special import LanczosState, eval_lanczos_momentum_density, lanczos_band_m
 ADC_BITS = 16
 
 
-@dataclass(frozen=True)
 class DetectorSpec:
     """Line-CCD geometry."""
 
-    num_pixels: int
-    pixel_size: float
+    __slots__ = ("num_pixels", "pixel_size")
 
-    def __post_init__(self):
-        if self.num_pixels < 2 or self.num_pixels % 2 != 0:
-            raise InvalidArgument(f"num_pixels must be even and >= 2, got {self.num_pixels}")
-        if not self.pixel_size > 0:
-            raise InvalidArgument(f"pixel_size must be positive, got {self.pixel_size}")
+    def __init__(self, num_pixels: int, pixel_size: float):
+        if num_pixels < 2 or num_pixels % 2 != 0:
+            raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
+        if not pixel_size > 0:
+            raise InvalidArgument(f"pixel_size must be positive, got {pixel_size}")
+        self.num_pixels, self.pixel_size = num_pixels, pixel_size
 
     @property
     def span(self) -> float:
@@ -50,41 +49,35 @@ class DetectorSpec:
         return (i - (self.num_pixels + 1) / 2.0) * self.pixel_size
 
 
-@dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian noise (sigma as a fraction of the frame peak) and
     optional quantization by the ADC_BITS A/D converter."""
 
-    additive_sigma: float = 0.0
-    seed: int = 42
-    quantize: bool = False
+    __slots__ = ("additive_sigma", "seed", "quantize")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.additive_sigma) and self.additive_sigma >= 0):
+    def __init__(self, additive_sigma: float = 0.0, seed: int = 42, quantize: bool = False):
+        if not (np.isfinite(additive_sigma) and additive_sigma >= 0):
             raise InvalidArgument(
-                f"additive_sigma must be finite and nonnegative, got {self.additive_sigma}"
+                f"additive_sigma must be finite and nonnegative, got {additive_sigma}"
             )
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
+        if seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {seed}")
+        self.additive_sigma, self.seed, self.quantize = additive_sigma, seed, quantize
 
 
-@dataclass(frozen=True)
 class CcdFrame:
-    detector: DetectorSpec
-    intensities: np.ndarray
-    normalized: bool = False
+    __slots__ = ("detector", "intensities", "normalized")
 
-    def __post_init__(self):
-        v = np.asarray(self.intensities, dtype=float)
-        if v.shape != (self.detector.num_pixels,):
+    def __init__(self, detector: DetectorSpec, intensities, normalized: bool = False):
+        v = np.asarray(intensities, dtype=float)
+        if v.shape != (detector.num_pixels,):
             raise InvalidArgument("intensities length must equal num_pixels")
         if np.any(v < 0):
             raise InvalidArgument("intensities must be nonnegative")
-        object.__setattr__(self, "intensities", v)
+        self.detector, self.intensities, self.normalized = detector, v, normalized
 
 
-@dataclass(frozen=True)
-class EstimatorTrace:
+class EstimatorTrace(NamedTuple):
     n: np.ndarray
     y_extent: np.ndarray
     gamma_hat: np.ndarray
@@ -125,7 +118,7 @@ def normalize_frame(frame: CcdFrame) -> CcdFrame:
     total = float(np.sum(frame.intensities)) * frame.detector.pixel_size
     if total <= 0:
         raise InvalidArgument("cannot normalize an all-zero frame")
-    return replace(frame, intensities=frame.intensities / total, normalized=True)
+    return CcdFrame(frame.detector, frame.intensities / total, normalized=True)
 
 
 def gamma_trace(frame: CcdFrame, geometry: SlitGeometry) -> EstimatorTrace:

@@ -9,14 +9,13 @@ uncertainty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .concentration import lp_lambda0, well_defined_verdict
 from .errors import InvalidArgument
 
 
-@dataclass(frozen=True)
-class ReanalysisRow:
+class ReanalysisRow(NamedTuple):
     a: float
     xi: float
     lambda0: float

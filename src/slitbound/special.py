@@ -18,9 +18,6 @@ below 1e-16 on their range).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgument
@@ -101,16 +98,27 @@ SI_2PI = float(sine_integral(2.0 * np.pi))
 MAX_PANELS = 1 << 20
 
 
-@dataclass(frozen=True)
+# 8-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
+# np.polynomial.legendre.leggauss(8), read-only as every call shares them
+_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                       -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                       0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                         0.22238103445337443, 0.10122853629037706])
+_GL8_NODES.flags.writeable = _GL8_WEIGHTS.flags.writeable = False
+
+
 class LanczosState:
     """Truncated-sinc slit state of width delta_x (amplitude zero at the
     slit edges, which sit at the first zeros of the sinc)."""
 
-    slit_width: float
+    __slots__ = ("slit_width",)
 
-    def __post_init__(self):
-        if not self.slit_width > 0:
-            raise InvalidArgument(f"slit_width must be positive, got {self.slit_width}")
+    def __init__(self, slit_width: float):
+        if not slit_width > 0:
+            raise InvalidArgument(f"slit_width must be positive, got {slit_width}")
+        self.slit_width = slit_width
 
 
 def eval_lanczos_position(x, state: LanczosState):
@@ -160,11 +168,7 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
         raise InvalidArgument("k_edges must be 1-d, finite, nonnegative and nondecreasing")
     npanel = np.maximum(1.0, np.ceil((hi - lo) / (np.pi / state.slit_width)))
     # counted as floats, so that a count past the integers is caught too
-    total = float(np.sum(npanel))
-    if not total <= MAX_PANELS:
-        raise InvalidArgument(
-            f"the band quadrature needs {total:.3g} panels of pi/slit_width, "
-            f"more than {MAX_PANELS}")
+    _check_panels(float(np.sum(npanel)))
     npanel = npanel.astype(int)
     # panel i of interval j spans lo_j + [i, i+1]*step_j, the last one ending
     # exactly at hi_j (the edges np.linspace would give)
@@ -174,22 +178,28 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     step = ((hi - lo) / npanel)[j]
     left = i * step + lo[j]
     right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
-    xg, wg = _gauss_legendre_8()
     half = (right - left) / 2.0
-    nodes = ((left + right) / 2.0)[:, None] + half[:, None] * xg[None, :]
+    nodes = ((left + right) / 2.0)[:, None] + half[:, None] * _GL8_NODES[None, :]
     vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
     # one BLAS dot product per panel, summed the way np.dot sums one panel
-    panels = np.matmul((half[:, None] * wg[None, :])[:, None, :], vals[:, :, None])
+    panels = np.matmul((half[:, None] * _GL8_WEIGHTS[None, :])[:, None, :], vals[:, :, None])
     return np.cumsum(2.0 * np.add.reduceat(panels[:, 0, 0], first))
 
 
-@functools.cache
-def _gauss_legendre_8():
-    """8-point Gauss-Legendre nodes and weights on [-1, 1], computed once per
-    process on first use; read-only, as every call shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def check_band_edge(state: LanczosState, k_max: float) -> None:
+    """Refuse a band [0, k_max] of more than MAX_PANELS panels of
+    pi/slit_width.  Given k_max as a Python float, an edge that overflowed
+    to infinity is refused without a numpy warning and before any array
+    holds it."""
+    _check_panels(k_max / (np.pi / state.slit_width))
+
+
+def _check_panels(total: float) -> None:
+    # a NaN or infinite count fails the comparison as well
+    if not total <= MAX_PANELS:
+        raise InvalidArgument(
+            f"the band quadrature needs {total:.3g} panels of pi/slit_width, "
+            f"more than {MAX_PANELS}")
 
 
 def _tail_prefactors(state: LanczosState, k_max: float):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -73,6 +74,33 @@ def run_python(*argv):
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
+# the compute modules each command loads, beyond slitbound, errors, reports and cli
+COMMAND_MODULES = {
+    "minstate": ["core"],
+    "lanczos": ["core", "special"],
+    "lpbound": ["concentration"],
+    "reanalyze": ["concentration", "reanalysis"],
+    "simulate": ["core", "diffraction", "special"],
+    "estimate": ["core", "diffraction", "special"],
+}
+# the package's public names by defining module, each loaded on first use
+EXPORTS = {
+    "concentration": ["LpBoundResult", "lp_lambda0", "well_defined_verdict"],
+    "core": ["FourierState", "SlitGeometry", "UncertaintyReport", "build_report",
+             "eval_momentum_wavefunction", "eval_position_wavefunction",
+             "min_uncertainty_coefficients", "momentum_moments", "verify_constraints"],
+    "diffraction": ["CcdFrame", "DetectorSpec", "EstimatorTrace", "NoiseSpec", "gamma_trace",
+                    "intensity_profile", "normalize_frame", "synthesize_frame", "theory_trace"],
+    "reanalysis": ["ReanalysisRow", "reanalyze_products"],
+    "special": ["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
+                "lanczos_gamma", "sine_integral"],
+}
+# runs {run} in a fresh interpreter, then prints the slitbound and
+# numpy.polynomial modules loaded
+LOADED_CODE = ("import sys; {run}; print(sorted(m for m in sys.modules "
+               "if m.split('.')[0] == 'slitbound' or m.startswith('numpy.polynomial')))")
+
+
 class TestImportPath:
     def test_cli_import_loads_no_scipy_or_jsonschema(self):
         code = ("import sys, slitbound, slitbound.cli; "
@@ -81,6 +109,54 @@ class TestImportPath:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_package_import_loads_only_errors(self):
+        proc = run_python("-c", LOADED_CODE.format(run="import slitbound"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(["slitbound", "slitbound.errors"])
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        # a fresh interpreter per command, as a user runs it; no command loads
+        # numpy.polynomial either
+        readme = {argv[0]: argv for argv, _ in README_OUTPUTS}
+        if command == "estimate":
+            assert run(tmp_path, *readme["simulate"]) == 0
+        argv = [a.format(out=tmp_path) for a in readme[command]] + ["--out", str(tmp_path)]
+        run_main = "from slitbound import cli; assert cli.main(sys.argv[1:]) == 0"
+        proc = run_python("-c", LOADED_CODE.format(run=run_main), *argv)
+        assert proc.returncode == 0, proc.stderr
+        base = ["slitbound", "slitbound.cli", "slitbound.errors", "slitbound.reports"]
+        loaded = base + [f"slitbound.{m}" for m in COMMAND_MODULES[command]]
+        assert proc.stdout.strip() == str(sorted(loaded))
+
+    def test_exports_resolve_on_first_use(self, monkeypatch):
+        assert sorted(slitbound.__all__) == sorted(
+            ["InvalidArgument", "NumericFailure", *(n for ns in EXPORTS.values() for n in ns)])
+        for module, names in EXPORTS.items():
+            home = importlib.import_module(f"slitbound.{module}")
+            for name in names:
+                # as on first use: the name is not yet in the package namespace
+                monkeypatch.delitem(vars(slitbound), name, raising=False)
+                assert getattr(slitbound, name) is getattr(home, name)
+                # written back, so the next lookup takes no detour
+                assert vars(slitbound)[name] is getattr(home, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            slitbound.no_such_name
+
+    def test_help_texts(self, monkeypatch, capsys):
+        # the text a user reads at 80 columns, for the parser and each command
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for command in ["", *COMMAND_MODULES]:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([command, "--help"] if command else ["--help"])
+            assert exit_info.value.code == 0
+            texts.append(f"==> slitbound{' ' if command else ''}{command} --help <==\n"
+                         + capsys.readouterr().out)
+        expected = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help.txt")
+        with open(expected) as fh:
+            assert "".join(texts) == fh.read()
 
 
 class TestStrictReports:
@@ -193,17 +269,21 @@ class TestSizeCaps:
 
 
     def test_band_panels_of_overflowing_extent(self, tmp_path):
-        # y = +-1e300 mm puts the panel count past every integer.  A fresh
-        # interpreter: y^2 overflows in gamma_trace first, and pytest turns
-        # that RuntimeWarning into an error
-        frame = tmp_path / "frame.csv"
-        frame.write_text("pixel,y_mm,intensity\n1,-1e300,0.2\n2,1e300,0.2\n")
+        # y = +-1e300 mm puts the panel count past every integer, and at
+        # +-1e306 mm k0*y overflows as well.  A fresh interpreter, outside
+        # pytest's filters, shows any numpy warning the arithmetic on y prints
         out = tmp_path / "out"
         out.mkdir()
-        proc = run_python("-m", "slitbound.cli", "estimate", str(frame), "--out", str(out))
-        assert proc.returncode == 2, proc.stderr
-        assert f"more than {special.MAX_PANELS}" in proc.stderr
-        assert list(out.iterdir()) == []
+        for y_mm in ("1e300", "1e306"):
+            frame = tmp_path / f"frame-{y_mm}.csv"
+            frame.write_text(f"pixel,y_mm,intensity\n1,-{y_mm},0.2\n2,{y_mm},0.2\n")
+            proc = run_python("-m", "slitbound.cli", "estimate", str(frame), "--out", str(out))
+            assert proc.returncode == 2, proc.stderr
+            # the refusal and nothing before it
+            assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+            assert proc.stderr.startswith("slitbound: configuration error:")
+            assert f"more than {special.MAX_PANELS}" in proc.stderr
+            assert list(out.iterdir()) == []
 
     def test_band_panels_cap(self, tmp_path):
         # a 1e9 mm slit over two pixels asks for 1.7e8 panels, 1.26 GiB in the

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from slitbound import special
 from slitbound import (
     InvalidArgument,
     LanczosState,
@@ -222,6 +223,13 @@ class TestBandMoments:
                 got = lanczos_band_moments(state, edges, power)
                 want = band_moments_reference(state, edges, power)
                 assert np.max(np.abs(got / want - 1.0)) <= 4e-15, (name, power)
+
+    def test_gauss_legendre_constants(self):
+        # the 8-point rule is written out; it must stay numpy's, to 1 ulp
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        for const, ref in ((special._GL8_NODES, nodes), (special._GL8_WEIGHTS, weights)):
+            assert np.all(np.abs(const - ref) <= np.spacing(np.abs(ref)))
+            assert not const.flags.writeable
 
     def test_invalid_arguments(self):
         state = LanczosState(1.0)
