@@ -11,17 +11,18 @@ every value is finite, and only then writes them, the report last.  So
 exit 2 or 3 leaves no new file, and a report on disk means its CSVs were
 written with it.  Exit codes: 0 success, 2 configuration error, 3 numeric
 failure, 4 I/O error.  Each command imports the compute modules it runs
-when it runs, so a cold process loads, compiles and builds no other.
+when it runs, so a cold process loads, compiles and builds no other; numpy
+too is imported only by the commands that use it, so ``lpbound`` and
+``reanalyze`` run without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
 from .reports import (MAX_PIXELS, atomic_write_text, format_csv, format_report,
@@ -67,6 +68,8 @@ def _geometry(args):
 
 
 def cmd_minstate(args):
+    import numpy as np
+
     from . import core
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
@@ -108,6 +111,8 @@ def cmd_minstate(args):
 
 
 def cmd_lanczos(args):
+    import numpy as np
+
     from . import core, special
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
@@ -164,7 +169,7 @@ def cmd_lpbound(args):
 
 def cmd_reanalyze(args):
     from . import reanalysis
-    from .concentration import WELL_DEFINED_THRESHOLD
+    from .concentration import WELL_DEFINED_THRESHOLD, WELL_DEFINED_XI
 
     rows = reanalysis.reanalyze_products(args.a)
     header = ["a", "xi", "lambda0", "well_defined"]
@@ -172,7 +177,9 @@ def cmd_reanalyze(args):
     return tables, (
         "reanalysis_report.json",
         "reanalyze",
-        {"a": list(args.a), "threshold": WELL_DEFINED_THRESHOLD},
+        {"a": list(args.a), "threshold": WELL_DEFINED_THRESHOLD,
+         "a_definition": "delta_x*delta_p/hbar, delta_p = 2*sigma_p",
+         "a_threshold": 2.0 * math.pi * WELL_DEFINED_XI},
         {
             "rows": [
                 {"a": r.a, "xi": r.xi, "lambda0": r.lambda0, "well_defined": r.well_defined}
@@ -190,6 +197,8 @@ def cmd_reanalyze(args):
 
 
 def cmd_simulate(args):
+    import numpy as np
+
     from . import diffraction
 
     geometry = _geometry(args)
@@ -230,6 +239,8 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
+    import numpy as np
+
     from . import diffraction, special
 
     geometry = _geometry(args)
@@ -243,10 +254,15 @@ def cmd_estimate(args):
     if pixel_size <= 0 or np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = diffraction.DetectorSpec(num_pixels=len(y), pixel_size=pixel_size)
-    # the band quadrature bounded on its last edge, a Python float, before any
-    # array arithmetic on the frame's extent can overflow
+    # the band quadrature bounded on its last edge, and the estimator's
+    # largest term pixel_size*y^2 checked finite, both as Python floats,
+    # before any array arithmetic on the frame's extent can overflow
     special.check_band_edge(special.LanczosState(geometry.slit_width),
                             geometry.k0 * (len(y) // 2 * pixel_size) / geometry.focal_length)
+    extent = (len(y) - 1) / 2.0 * pixel_size
+    if not math.isfinite(pixel_size * (extent * extent)):
+        raise InvalidArgument(f"frame extent +-{extent:.3g} m is too large: "
+                              "pixel_size*y^2 overflows")
     frame = diffraction.normalize_frame(
         diffraction.CcdFrame(detector=detector, intensities=np.clip(intens, 0.0, None))
     )

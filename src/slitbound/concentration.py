@@ -7,21 +7,30 @@ concentration operator.  On the normalized interval [-1, 1] the operator
 kernel is sin(c(u-v))/(pi(u-v)) with bandwidth parameter c = pi*xi/2
 (band |k| <= delta_p/(2 hbar) against half-width delta_x/2 gives
 c = delta_x*delta_p/(4 hbar)).
+
+lambda0 comes from the ground state of the prolate matrix, a symmetric
+tridiagonal eigenproblem of at most 42 terms solved in pure Python: Newton's
+iteration on det(T - mu) from mu = 0, whose bottom-up LDL^T pivots are all
+positive below the smallest eigenvalue (a Sturm certificate), and the
+eigenvector from the ratios of those pivots.  No numpy is loaded.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
 
 # a momentum uncertainty is well defined when its window can hold at least
 # this probability weight
 WELL_DEFINED_THRESHOLD = 0.70
+# lambda0 reaches WELL_DEFINED_THRESHOLD at this xi (bisection on lp_lambda0;
+# a 40-digit solve of the same expansion gives 0.834937951317756172)
+WELL_DEFINED_XI = 0.8349379513177562
 
 # psi0 is expanded on n = 16 + ceil(c/2) even normalized Legendre polynomials
 # P_0, ..., P_2n-2, which keeps the last four coefficients below 3e-18 for every
@@ -38,18 +47,15 @@ _TAIL_TOL = 1e-15
 _LAMBDA_ROUNDING = 1e-14
 _LAMBDA_EXCESS_TOL = 1e-12
 
-_N = 2.0 * np.arange(_N_TERMS)
-# matrix of u^2 between normalized Legendre polynomials: diagonal <P_n, u^2 P_n>
-# and off-diagonal <P_n+2, u^2 P_n>
-_U2_DIAG = (2 * _N * (_N + 1) - 1) / ((2 * _N + 3) * (2 * _N - 1))
-_U2_OFF = ((_N[:-1] + 1) * (_N[:-1] + 2)
-           / ((2 * _N[:-1] + 3) * np.sqrt((2 * _N[:-1] + 1) * (2 * _N[:-1] + 5))))
-# the prolate matrix at c is _PROLATE_0 + c^2 _U2, both cut to the solve's size
-_PROLATE_0 = np.diag(_N * (_N + 1))
-_U2 = np.diag(_U2_DIAG) + np.diag(_U2_OFF, 1) + np.diag(_U2_OFF, -1)
+_N = [2.0 * k for k in range(_N_TERMS)]
+# the prolate matrix at c: diagonal N(N+1) + c^2 <P_N, u^2 P_N> and
+# off-diagonal c^2 <P_N+2, u^2 P_N>, cut to the solve's size
+_U2_DIAG = [(2 * n * (n + 1) - 1) / ((2 * n + 3) * (2 * n - 1)) for n in _N]
+_U2_OFF = [(n + 1) * (n + 2) / ((2 * n + 3) * math.sqrt((2 * n + 1) * (2 * n + 5)))
+           for n in _N[:-1]]
 # P_2k(0) = sqrt((4k+1)/2) (-1)^k (2k)!/(4^k k!^2), the ratio as a running product
-_P_AT_ZERO = np.sqrt((2 * _N + 1) / 2.0) * np.cumprod(
-    np.concatenate([[1.0], (1.0 - _N[1:]) / _N[1:]]))
+_P_AT_ZERO = [math.sqrt((2 * n + 1) / 2.0) * r for n, r in zip(
+    _N, itertools.accumulate([(1.0 - n) / n for n in _N[1:]], operator.mul, initial=1.0))]
 
 
 class LpBoundResult(NamedTuple):
@@ -75,7 +81,7 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     if not (math.isfinite(xi) and xi >= 0):
         raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
     lam, tail = _solve(xi) if xi < _XI_SATURATED else _saturated()
-    return LpBoundResult(xi=float(xi), kernel_c=np.pi * xi / 2.0, lambda0=lam, tail=tail)
+    return LpBoundResult(xi=float(xi), kernel_c=math.pi * xi / 2.0, lambda0=lam, tail=tail)
 
 
 @functools.cache
@@ -85,21 +91,51 @@ def _saturated() -> tuple[float, float]:
 
 
 def _solve(xi: float) -> tuple[float, float]:
-    """(lambda0, tail) from the prolate eigenproblem at xi <= _XI_SATURATED."""
-    c = np.pi * xi / 2.0
+    """(lambda0, tail) from the prolate eigenproblem at xi <= _XI_SATURATED.
+
+    The matrix T is positive definite for c > 0, so Newton's iteration on
+    det(T - mu) rises monotonically from mu = 0 to its smallest eigenvalue:
+    each step is 1/trace((T - mu)^-1), summed from the bottom-up LDL^T pivots
+    p_k of T - mu and their mu-derivatives.  Below that eigenvalue every
+    pivot is positive (Sturm).  The iteration ends when a step no longer
+    moves mu, or when p_0 reaches 0 (at once for c = 0), which puts mu on
+    the eigenvalue to rounding.  The eigenvector follows from the last
+    pivots, x_k/x_{k-1} = -b_{k-1}/p_k with x_0 = 1, where b is the
+    off-diagonal: its decaying tail keeps its relative accuracy, and its
+    small components underflow rather than overflow."""
+    c = math.pi * xi / 2.0
     n = 16 + math.ceil(c / 2.0)
-    try:
-        _, vecs = np.linalg.eigh(_PROLATE_0[:n, :n] + (c * c) * _U2[:n, :n])
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"prolate eigensolve failed at xi={xi}: {exc}") from exc
-    beta = vecs[:, 0]
-    coeffs = beta.tolist()
-    tail = max(map(abs, coeffs[-4:]))
+    c2 = c * c
+    diag = [m * (m + 1) + c2 * u for m, u in zip(_N[:n], _U2_DIAG)]
+    off = [c2 * u for u in _U2_OFF[:n - 1]]
+    off2 = [b * b for b in off]
+    mu = 0.0
+    while True:
+        # pivots p_n-1, ..., p_1, and s = sum r_k/p_k with r_k = -dp_k/dmu
+        p = diag[-1] - mu
+        r = 1.0
+        pivots, s = [p], r / p
+        for d, b2 in zip(diag[-2:0:-1], off2[:0:-1]):
+            r = 1.0 + b2 * r / (p * p)
+            p = d - mu - b2 / p
+            pivots.append(p)
+            s += r / p
+        p0 = diag[0] - mu - off2[0] / p
+        if p0 <= 0.0:
+            break
+        step = 1.0 / (s + (1.0 + off2[0] * r / (p * p)) / p0)
+        if mu + step == mu:
+            break
+        mu += step
+    x = [1.0]
+    for b, p in zip(off, reversed(pivots)):
+        x.append(-b * x[-1] / p)
+    tail = max(map(abs, x[-4:])) / math.hypot(*x)
     if tail > _TAIL_TOL:
         raise NumericFailure(
             f"Legendre expansion tail {tail:.3e} exceeds {_TAIL_TOL} at xi={xi}"
         )
-    lam = float(c / np.pi * coeffs[0] ** 2 / (beta @ _P_AT_ZERO[:n]) ** 2)
+    lam = c / math.pi / sum(map(operator.mul, x, _P_AT_ZERO)) ** 2
     if lam - 1.0 > _LAMBDA_EXCESS_TOL:
         raise NumericFailure(f"lambda0 = {lam!r} exceeds 1 at xi={xi}")
     if lam > 1.0 - _LAMBDA_ROUNDING:

@@ -7,8 +7,6 @@ import json
 import math
 import os
 
-import numpy as np
-
 from .errors import InvalidArgument, NumericFailure
 
 CSV_FLOAT_FORMAT = "%.9g"
@@ -64,26 +62,30 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def format_csv(name: str, header: list[str], columns,
                comments: list[str] | None = None) -> str:
-    """Encode the CSV table `name` from one array per column: booleans as
-    true/false, floats at 9 significant digits, integers in full.  A NaN or
-    infinity in a float column raises NumericFailure naming the file."""
+    """Encode the CSV table `name` from one array or list per column:
+    booleans as true/false, floats at 9 significant digits, integers in
+    full.  A NaN or infinity in a float column raises NumericFailure naming
+    the file."""
     codes, cells = [], []
-    for column in map(np.asarray, columns):
-        if column.dtype == bool:
-            codes.append("%s")
-            column = np.where(column, "true", "false")
-        elif column.dtype.kind == "f":
-            if not np.isfinite(column).all():
-                raise NumericFailure(f"{name} holds a non-finite value")
-            codes.append(CSV_FLOAT_FORMAT)
+    for column in columns:
+        if hasattr(column, "dtype"):
+            kind, column = column.dtype.kind, column.tolist()
         else:
-            codes.append("%d")
-        cells.append(column.tolist())
-    template = ",".join(codes)
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(header))
-    lines.extend([template % row for row in zip(*cells)])
-    return "\n".join(lines) + "\n"
+            kinds = set(map(type, column))
+            kind = "b" if kinds <= {bool} else "i" if kinds <= {int} else "f"
+        if kind == "b":
+            codes.append("%s")
+            column = ["true" if v else "false" for v in column]
+        else:
+            codes.append(CSV_FLOAT_FORMAT if kind == "f" else "%d")
+        cells.append(column)
+    template = ",".join(codes) + "\n"
+    body = "".join([template % row for row in zip(*cells)])
+    # only a non-finite float cell (nan, inf) holds an n: no finite %.9g
+    # float, %d integer or true/false does
+    if "n" in body:
+        raise NumericFailure(f"{name} holds a non-finite value")
+    return "".join(f"# {c}\n" for c in comments or []) + ",".join(header) + "\n" + body
 
 
 def format_report(command: str, parameters: dict, results: dict,
@@ -103,6 +105,8 @@ def format_report(command: str, parameters: dict, results: dict,
 def _frame_table(lines: list[str]):
     """The rows as an (n, 3) float array, or None unless every row holds
     exactly three finite numbers."""
+    import numpy as np
+
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:

@@ -171,9 +171,9 @@ def prolate_lambda0_48(xi: float) -> float:
 
 
 def prolate_lambda0_indexed(xi: float) -> tuple[float, float]:
-    """(lambda0, tail) of `lp_lambda0` below its saturation, with the prolate
-    matrix built from np.diag and two index writes on every call, the way
-    `lp_lambda0` built it before it summed two precomputed matrices."""
+    """(lambda0, tail) of `lp_lambda0`'s expansion from LAPACK: `eigh` of the
+    prolate matrix built from np.diag and two index writes, on the same
+    16 + ceil(c/2) terms, the dense solve that `lp_lambda0` replaced."""
     nn = 2.0 * np.arange(42)
     u2_diag = (2 * nn * (nn + 1) - 1) / ((2 * nn + 3) * (2 * nn - 1))
     u2_off = ((nn[:-1] + 1) * (nn[:-1] + 2)

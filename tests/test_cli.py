@@ -31,6 +31,15 @@ REPORT_SCHEMA = {
         },
     },
     "additionalProperties": False,
+    # a reanalysis states its convention for a and the a of the 70 % line
+    "if": {"properties": {"command": {"const": "reanalyze"}}},
+    "then": {"properties": {"parameters": {
+        "required": ["a", "a_definition", "a_threshold", "threshold"],
+        "properties": {
+            "a_definition": {"const": "delta_x*delta_p/hbar, delta_p = 2*sigma_p"},
+            "a_threshold": {"type": "number", "exclusiveMinimum": 0},
+        },
+    }}},
 }
 
 
@@ -74,7 +83,9 @@ def run_python(*argv):
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
-# the compute modules each command loads, beyond slitbound, errors, reports and cli
+# the compute modules each command loads, beyond slitbound, errors, reports and
+# cli; the commands not in NUMPY_COMMANDS load no numpy module
+NUMPY_COMMANDS = {"minstate", "lanczos", "simulate", "estimate"}
 COMMAND_MODULES = {
     "minstate": ["core"],
     "lanczos": ["core", "special"],
@@ -95,10 +106,11 @@ EXPORTS = {
     "special": ["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
                 "lanczos_gamma", "sine_integral"],
 }
-# runs {run} in a fresh interpreter, then prints the slitbound and
-# numpy.polynomial modules loaded
+# runs {run} in a fresh interpreter, then prints the slitbound modules loaded,
+# and numpy and numpy.polynomial where they are
 LOADED_CODE = ("import sys; {run}; print(sorted(m for m in sys.modules "
-               "if m.split('.')[0] == 'slitbound' or m.startswith('numpy.polynomial')))")
+               "if m.split('.')[0] == 'slitbound' or m == 'numpy' "
+               "or m.startswith('numpy.polynomial')))")
 
 
 class TestImportPath:
@@ -115,10 +127,16 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str(["slitbound", "slitbound.errors"])
 
+    def test_cli_import_loads_no_numpy(self):
+        proc = run_python("-c", LOADED_CODE.format(run="import slitbound.cli"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(
+            ["slitbound", "slitbound.cli", "slitbound.errors", "slitbound.reports"])
+
     @pytest.mark.parametrize("command", list(COMMAND_MODULES))
     def test_command_loads_only_its_modules(self, tmp_path, command):
-        # a fresh interpreter per command, as a user runs it; no command loads
-        # numpy.polynomial either
+        # a fresh interpreter per command, as a user runs it; lpbound and
+        # reanalyze load no numpy, and no command loads numpy.polynomial
         readme = {argv[0]: argv for argv, _ in README_OUTPUTS}
         if command == "estimate":
             assert run(tmp_path, *readme["simulate"]) == 0
@@ -128,6 +146,7 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         base = ["slitbound", "slitbound.cli", "slitbound.errors", "slitbound.reports"]
         loaded = base + [f"slitbound.{m}" for m in COMMAND_MODULES[command]]
+        loaded += ["numpy"] if command in NUMPY_COMMANDS else []
         assert proc.stdout.strip() == str(sorted(loaded))
 
     def test_exports_resolve_on_first_use(self, monkeypatch):
@@ -285,6 +304,22 @@ class TestSizeCaps:
             assert f"more than {special.MAX_PANELS}" in proc.stderr
             assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("y_mm,focal_length", [("1e158", "1e153m"), ("1e106", "1e103m")])
+    def test_estimator_terms_of_overflowing_extent(self, tmp_path, y_mm, focal_length):
+        # a huge focal length keeps the band under MAX_PANELS, but
+        # pixel_size*y^2 overflows: at 1e158 mm y^2 itself, at 1e106 mm the
+        # product.  A fresh interpreter shows any numpy warning printed
+        frame = tmp_path / "frame.csv"
+        frame.write_text(f"pixel,y_mm,intensity\n1,-{y_mm},0.2\n2,{y_mm},0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = run_python("-m", "slitbound.cli", "estimate", str(frame),
+                          "--focal-length", focal_length, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+        assert proc.stderr.startswith("slitbound: configuration error: frame extent")
+        assert list(out.iterdir()) == []
+
     def test_band_panels_cap(self, tmp_path):
         # a 1e9 mm slit over two pixels asks for 1.7e8 panels, 1.26 GiB in the
         # first array alone.  The child caps its own address space at 1 GiB,
@@ -429,6 +464,15 @@ class TestReanalyze:
         lines = (tmp_path / "reanalysis.csv").read_text().splitlines()
         assert lines[0] == "a,xi,lambda0,well_defined"
         assert all(line.endswith(",false") for line in lines[1:])
+
+    def test_threshold_product(self, tmp_path):
+        # the verdict turns at the report's a_threshold
+        a_star = 2.0 * np.pi * 0.8349379513177562
+        below, above = f"{a_star * (1 - 1e-6)!r}", f"{a_star * (1 + 1e-6)!r}"
+        assert run(tmp_path, "reanalyze", "--a", below, above) == 0
+        report = load_report(tmp_path, "reanalysis_report.json")
+        assert report["parameters"]["a_threshold"] == pytest.approx(5.24606986812635, rel=1e-14)
+        assert [r["well_defined"] for r in report["results"]["rows"]] == [False, True]
 
     def test_far_saturated_product(self, tmp_path):
         assert run(tmp_path, "reanalyze", "--a", "2513.3") == 0

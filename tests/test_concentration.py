@@ -20,7 +20,7 @@ from slitbound import (
     well_defined_verdict,
 )
 from slitbound import concentration
-from slitbound.concentration import WELL_DEFINED_THRESHOLD
+from slitbound.concentration import WELL_DEFINED_THRESHOLD, WELL_DEFINED_XI
 
 # mass of the minimum-uncertainty momentum density inside |k| <= 2 pi / dx,
 # frozen from an adaptive-quadrature oracle (epsabs 1e-13)
@@ -154,39 +154,77 @@ class TestLambda0:
             assert res.kernel_c == np.pi * xi / 2.0
 
 
+def assert_agrees_with_lapack(res, xi):
+    """lp_lambda0 at xi against the LAPACK eigensolve of the same matrix.
+    lambda0 agrees to a few ulps, or to 1.2e-14 where one side is rounded
+    to 1.  The tail agrees to 1e-12 relative or 2e-23 absolute: LAPACK's
+    components near 1e-23 are off by up to 1.7e-23, a third of their value
+    near xi = 30.7 (see test_extended_precision_reference)."""
+    lam, tail = prolate_lambda0_indexed(xi)
+    tol = 1.2e-14 if 1.0 in (lam, res.lambda0) else 4e-15
+    assert abs(res.lambda0 - lam) <= tol, xi
+    assert abs(res.tail - tail) <= max(2e-23, 1e-12 * tail), xi
+
+
 class TestLambda0Solve:
     @pytest.mark.parametrize("xi", [32.0, 32.000001, 300.0, 1e3, 1e300])
     def test_saturated_xi_take_the_saturation_solve(self, xi):
         at_saturation = lp_lambda0(32.0)
         res = lp_lambda0(xi)
         assert float_bits(res.lambda0, res.tail) == \
-            float_bits(at_saturation.lambda0, at_saturation.tail) == \
-            float_bits(*prolate_lambda0_indexed(xi))
+            float_bits(at_saturation.lambda0, at_saturation.tail)
+        assert_agrees_with_lapack(res, xi)
         assert res.xi == xi
         assert res.kernel_c == np.pi * xi / 2.0
 
     def test_saturated_xi_solve_once(self, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        solve = concentration._solve
 
-        def counting_eigh(a):
-            calls.append(a.shape)
-            return eigh(a)
+        def counting_solve(xi):
+            calls.append(xi)
+            return solve(xi)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(concentration, "_solve", counting_solve)
         concentration._saturated.cache_clear()
         results = [lp_lambda0(xi) for xi in np.linspace(32.0, 1e4, 10).tolist()]
-        assert len(calls) <= 1
+        assert calls == [32.0]
         assert {r.lambda0 for r in results} == {1.0}
+        # below saturation every xi takes its own solve
+        lp_lambda0(31.0)
+        assert calls == [32.0, 31.0]
 
     def test_matches_indexed_build(self):
-        # bit for bit the matrix built by np.diag and index writes, on every
-        # matrix size below saturation
+        # the LAPACK solve of the matrix built by np.diag and index writes,
+        # on every matrix size below saturation
         xis = np.logspace(-3, np.log10(32.0), 2001, endpoint=False).tolist()
         for xi in xis + size_rule_edges():
-            res = lp_lambda0(xi)
-            assert float_bits(res.lambda0, res.tail) == \
-                float_bits(*prolate_lambda0_indexed(xi)), xi
+            assert_agrees_with_lapack(lp_lambda0(xi), xi)
+
+    @pytest.mark.parametrize("xi", [0.0, 5e-324, 1e-300, 1e-160, 1e-150, 1e-20, 1e-10, 1e-5])
+    def test_tiny_xi(self, xi):
+        # c^2 underflows from xi ~ 1e-150 down, and c = 0 makes T singular
+        res = lp_lambda0(xi)
+        lam, _ = prolate_lambda0_indexed(xi)
+        assert np.isfinite(res.lambda0) and np.isfinite(res.tail)
+        assert abs(res.lambda0 - lam) <= 1e-15 * lam
+        assert res.tail <= 1e-15
+
+    @pytest.mark.parametrize("xi,lambda0,tail", [
+        (0.5, 0.46779105921070603325, 3.0890965186430092e-39),
+        (1.0, 0.7833687892100002236, 1.8427336645964269e-31),
+        (5.0, 0.99999718392179270524, 3.0554329349971904e-20),
+        (11.3, 0.99999999999998886572, 1.4087476725448224e-18),
+        (30.7, 1.0, 4.8876047783727208e-23),
+        (32.0, 1.0, 2.3517542528459881e-23),
+    ])
+    def test_extended_precision_reference(self, xi, lambda0, tail):
+        # lambda0 (unrounded) and tail of the same truncated expansion from a
+        # 60-digit eigensolve (mpmath.eigsy), frozen; lambda0 rounds to 1 at
+        # 30.7 and 32, where LAPACK's tail reads 6.53e-23 and 2.35178e-23
+        res = lp_lambda0(xi)
+        assert abs(res.lambda0 - lambda0) <= 1e-15
+        assert abs(res.tail - tail) <= 1e-13 * tail
 
 
 class TestConcentrationProbability:
@@ -239,6 +277,13 @@ class TestWellDefinedVerdict:
         assert WELL_DEFINED_THRESHOLD == 0.70
         assert well_defined_verdict(WELL_DEFINED_THRESHOLD)
         assert not well_defined_verdict(np.nextafter(WELL_DEFINED_THRESHOLD, 0.0))
+
+    def test_threshold_xi(self):
+        # lambda0 crosses the 70 % line at xi* = 0.8349379513...
+        assert lp_lambda0(0.834937).lambda0 < WELL_DEFINED_THRESHOLD
+        assert lp_lambda0(0.834939).lambda0 >= WELL_DEFINED_THRESHOLD
+        assert lp_lambda0(WELL_DEFINED_XI).lambda0 == pytest.approx(WELL_DEFINED_THRESHOLD,
+                                                                     abs=1e-14)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidArgument):
