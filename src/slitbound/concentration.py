@@ -41,9 +41,10 @@ _N_TERMS = 42
 # larger xi is that of xi = 32 to double precision: one solve serves them all
 _XI_SATURATED = 32.0
 _TAIL_TOL = 1e-15
-# the computed lambda0 carries a rounding error of about 1e-15 (it reads
-# 1 +- 1.3e-15 from xi = 12 up), so a value within _LAMBDA_ROUNDING of 1 is
-# reported as 1; an excess over 1 beyond _LAMBDA_EXCESS_TOL is a fault
+# the computed lambda0 carries a rounding error of a few 1e-15 (it reads
+# 1 - 3.3e-15 to 1 + 2.5e-15 from xi = 14 up), so a value within
+# _LAMBDA_ROUNDING of 1 is reported as 1; an excess over 1 beyond
+# _LAMBDA_EXCESS_TOL is a fault
 _LAMBDA_ROUNDING = 1e-14
 _LAMBDA_EXCESS_TOL = 1e-12
 

@@ -142,7 +142,7 @@ class TestLambda0:
         assert res.kernel_c == np.pi * 0.1000001 / 2.0
 
     def test_rounding_excess_clipped_to_one(self):
-        # the expansion reads 1 +- ~1.3e-15 here
+        # the expansion reads 1 +- a few 1e-15 here
         for xi in (15.0, 100.0, 200.0):
             assert lp_lambda0(xi).lambda0 == 1.0
 
