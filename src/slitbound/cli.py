@@ -12,8 +12,10 @@ exit 2 or 3 leaves no new file, and a report on disk means its CSVs were
 written with it.  Exit codes: 0 success, 2 configuration error, 3 numeric
 failure, 4 I/O error.  Each command imports the compute modules it runs
 when it runs, so a cold process loads, compiles and builds no other; numpy
-too is imported only by the commands that use it, so ``lpbound`` and
-``reanalyze`` run without it.
+too is imported only by the commands that use it, so ``minstate``,
+``lpbound`` and ``reanalyze`` run without it.  A command runs with
+RuntimeWarning ignored, so a failure prints one line: a non-finite value
+numpy would warn of is refused on encoding.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 from .errors import InvalidArgument, NumericFailure
 from .reports import (MAX_PIXELS, atomic_write_text, format_csv, format_report,
@@ -67,9 +70,14 @@ def _geometry(args):
     )
 
 
-def cmd_minstate(args):
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list:
+    """np.linspace(start, stop, num) by its own arithmetic, as floats:
+    start + i*step, the last point set to stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
+
+def cmd_minstate(args):
     from . import core
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
@@ -80,17 +88,18 @@ def cmd_minstate(args):
     _, sigma_p = core.momentum_moments(state)
     residuals = core.verify_constraints(state)
     # cosine-state position spread: delta_x * sqrt(1/12 - 1/(2 pi^2))
-    sigma_x = delta_x * np.sqrt(1.0 / 12.0 - 1.0 / (2.0 * np.pi**2))
+    sigma_x = delta_x * math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi**2))
     report = core.build_report(sigma_x, sigma_p, delta_x)
 
-    x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
+    x = _linspace(-delta_x / 2, delta_x / 2, 1001)
     psi = core.eval_position_wavefunction(x, delta_x)
-    k = np.linspace(-8 * np.pi / delta_x, 8 * np.pi / delta_x, 2001)
+    k = _linspace(-8 * math.pi / delta_x, 8 * math.pi / delta_x, 2001)
     psik = core.eval_momentum_wavefunction(k, delta_x)
     tables = [
-        ("minstate_coefficients.csv", ["n", "c_n"], [state.n_values, state.coefficients.real]),
-        ("minstate_position_density.csv", ["x_m", "density_per_m"], [x, psi**2]),
-        ("minstate_momentum_density.csv", ["k_per_m", "density_m"], [k, psik**2]),
+        ("minstate_coefficients.csv", ["n", "c_n"],
+         [state.n_values, [c.real for c in state.coefficients]]),
+        ("minstate_position_density.csv", ["x_m", "density_per_m"], [x, [v * v for v in psi]]),
+        ("minstate_momentum_density.csv", ["k_per_m", "density_m"], [k, [v * v for v in psik]]),
     ]
     return tables, (
         "minstate_report.json",
@@ -355,7 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tables, (report_name, *report) = args.func(args)
+        # a non-finite value is refused by the encoding checks below with one
+        # message, so numpy's RuntimeWarnings about it would only add lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tables, (report_name, *report) = args.func(args)
         # encoding checks every value, so nothing is written unless all of it
         # passes; the report goes last, so on disk it vouches for its CSVs
         texts = [(table[0], format_csv(*table)) for table in tables]

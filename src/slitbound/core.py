@@ -10,14 +10,16 @@ state; its coefficients and moments are provided here together with the
 inequality verdicts (Kennard, delta_x * delta_p against 2 hbar and h, and
 the sharp bound sigma_p * delta_x >= pi * hbar).  Units are natural,
 hbar = 1, so a momentum is a wavenumber.
+
+The module is pure Python on floats and loads no numpy, so ``minstate``,
+like ``lpbound`` and ``reanalyze``, starts without it.  Every sum is a
+math.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InvalidArgument
 
@@ -43,40 +45,43 @@ class SlitGeometry:
     @property
     def k0(self) -> float:
         """Vacuum wavenumber 2*pi/wavelength."""
-        return 2.0 * np.pi / self.wavelength
+        return 2.0 * math.pi / self.wavelength
 
 
 class FourierState:
     """Slit state as a truncated coefficient vector c_n, n = -n_max..n_max.
 
     Coefficients are renormalized at construction so that sum |c_n|^2 = 1
-    holds to machine precision (Parseval).
+    holds to machine precision (Parseval).  ``coefficients`` is a tuple of
+    complex and ``n_values`` the matching range of n.
     """
 
     def __init__(self, slit_width: float, coefficients):
         if not slit_width > 0:
             raise InvalidArgument(f"slit_width must be positive, got {slit_width}")
-        c = np.asarray(coefficients, dtype=complex).copy()
-        if c.ndim != 1 or c.size % 2 == 0 or c.size < 3:
+        try:
+            c = tuple(map(complex, coefficients))
+        except (TypeError, ValueError):
+            c = ()
+        if len(c) % 2 == 0 or len(c) < 3:
             raise InvalidArgument(
                 "coefficients must be a 1-d odd-length vector covering n=-n_max..n_max "
                 "with n_max >= 1"
             )
-        norm2 = float(np.sum(np.abs(c) ** 2))
+        norm2 = math.fsum([v * v for v in map(abs, c)])
         if norm2 == 0.0:
             raise InvalidArgument("cannot normalize a zero coefficient vector")
-        c /= np.sqrt(norm2)
+        norm = math.sqrt(norm2)
         self.slit_width = float(slit_width)
-        self.coefficients = c
-        self.coefficients.setflags(write=False)
+        self.coefficients = tuple([z / norm for z in c])
 
     @property
     def n_max(self) -> int:
-        return (self.coefficients.size - 1) // 2
+        return (len(self.coefficients) - 1) // 2
 
     @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(-self.n_max, self.n_max + 1)
+    def n_values(self) -> range:
+        return range(-self.n_max, self.n_max + 1)
 
 
 class UncertaintyReport(NamedTuple):
@@ -96,11 +101,11 @@ def min_uncertainty_coefficients(n_max: int, delta_x: float) -> FourierState:
     c_n is proportional to (-1)^n / (1 - 4 n^2), renormalized after
     truncation at |n| <= n_max.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+    if not hasattr(type(n_max), "__index__") or n_max < 1:
         raise InvalidArgument(f"n_max must be an integer >= 1, got {n_max!r}")
-    n = np.arange(-n_max, n_max + 1)
-    c = (np.sqrt(8.0) / np.pi) * (-1.0) ** n / (1.0 - 4.0 * n.astype(float) ** 2)
-    return FourierState(delta_x, c)
+    a = math.sqrt(8.0) / math.pi
+    half = [(-a if n % 2 else a) / (1.0 - 4.0 * n * n) for n in range(n_max + 1)]
+    return FourierState(delta_x, half[:0:-1] + half)
 
 
 def momentum_moments(state: FourierState):
@@ -108,31 +113,56 @@ def momentum_moments(state: FourierState):
 
     Returns (mean, sigma_p) with mean = (2*pi/delta_x) * sum n |c_n|^2.
     """
-    w = np.abs(state.coefficients) ** 2
-    if abs(np.sum(w) - 1.0) > 1e-8:
+    w = [v * v for v in map(abs, state.coefficients)]
+    if abs(math.fsum(w) - 1.0) > 1e-8:
         raise InvalidArgument("state does not satisfy Parseval within tolerance")
-    n = state.n_values.astype(float)
-    scale = 2.0 * np.pi / state.slit_width
-    m1 = float(np.dot(n, w))
-    m2 = float(np.dot(n * n, w))
+    n = state.n_values
+    scale = 2.0 * math.pi / state.slit_width
+    m1 = math.fsum([k * x for k, x in zip(n, w)])
+    m2 = math.fsum([k * k * x for k, x in zip(n, w)])
     var = m2 - m1 * m1
     mean = scale * m1
-    sigma_p = scale * np.sqrt(max(var, 0.0))
+    sigma_p = scale * math.sqrt(max(var, 0.0))
     return mean, sigma_p
+
+
+def _over(f, x):
+    """f at a number x as a float, or the list of f over a sequence x."""
+    return [f(float(v)) for v in x] if hasattr(x, "__iter__") else f(float(x))
+
+
+def _cos(t: float) -> float:
+    # math.cos raises on an infinite argument; nan, as numpy gives, lets the
+    # output checks refuse the value as non-finite
+    return math.cos(t) if math.isfinite(t) else math.nan
 
 
 def eval_position_wavefunction(x, delta_x: float):
     """Half-period cosine amplitude sqrt(2/delta_x) * cos(pi*x/delta_x).
 
-    Defined only inside the slit; |x| > delta_x/2 is a domain error.
+    Defined only inside the slit; |x| > delta_x/2 is a domain error.  A
+    float for a number x, a list for a sequence.
     """
     if not delta_x > 0:
         raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > delta_x / 2 * (1 + 1e-12)):
-        raise InvalidArgument("x outside the slit: the prepared state vanishes there")
-    out = np.sqrt(2.0 / delta_x) * np.cos(np.pi * xa / delta_x)
-    return float(out) if np.isscalar(x) else out
+    amp = math.sqrt(2.0 / delta_x)
+
+    def psi(v):
+        if abs(v) > delta_x / 2 * (1 + 1e-12):
+            raise InvalidArgument("x outside the slit: the prepared state vanishes there")
+        return amp * _cos(math.pi * v / delta_x)
+
+    return _over(psi, x)
+
+
+def _momentum_shape(u: float) -> float:
+    """cos(u/2)/(pi^2 - u^2), within 1e-4 of u = +/- pi by the form without
+    the removable singularity: with s = |u| - pi it is sin(s/2)/(s*(2*pi+s))."""
+    s = abs(u) - math.pi
+    if abs(s) < 1e-4:
+        y = math.pi * (s / (2.0 * math.pi))
+        return 0.5 * (math.sin(y) / y if y else 1.0) / (2.0 * math.pi + s)
+    return _cos(u / 2.0) / (math.pi**2 - u * u)
 
 
 def eval_momentum_wavefunction(k, delta_x: float):
@@ -140,21 +170,12 @@ def eval_momentum_wavefunction(k, delta_x: float):
 
     2*sqrt(pi*delta_x) * cos(delta_x*k/2) / (pi^2 - delta_x^2 k^2), with the
     removable singularities at delta_x*k = +/- pi evaluated by their finite
-    limit sqrt(delta_x/pi)/2.
+    limit sqrt(delta_x/pi)/2.  A float for a number k, a list for a sequence.
     """
     if not delta_x > 0:
         raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
-    u = np.asarray(k, dtype=float) * delta_x
-    amp = 2.0 * np.sqrt(np.pi * delta_x)
-    near = np.minimum(np.abs(u - np.pi), np.abs(u + np.pi)) < 1e-4
-    safe = np.where(near, 0.0, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.cos(safe / 2.0) / (np.pi**2 - safe**2)
-    # near u = +/- pi: with s = |u| - pi, cos(u/2)/(pi^2-u^2) = sin(s/2)/(s*(2*pi+s))
-    s = np.abs(u) - np.pi
-    limit = 0.5 * np.sinc(s / (2.0 * np.pi)) / (2.0 * np.pi + s)
-    out = amp * np.where(near, limit, direct)
-    return float(out) if np.isscalar(k) else out
+    amp = 2.0 * math.sqrt(math.pi * delta_x)
+    return _over(lambda v: amp * _momentum_shape(v * delta_x), k)
 
 
 class ConstraintResiduals(NamedTuple):
@@ -169,10 +190,12 @@ def verify_constraints(state: FourierState) -> ConstraintResiduals:
     amplitude left at the slit edges.
     """
     c = state.coefficients
-    n = state.n_values
-    parseval = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
-    boundary = abs(np.sum((-1.0) ** n * np.conj(c)))
-    return ConstraintResiduals(parseval=parseval, boundary=float(boundary))
+    parseval = abs(math.fsum([v * v for v in map(abs, c)]) - 1.0)
+    # index i holds n = i - n_max, so the even n start at index n_max % 2
+    even, odd = c[state.n_max % 2::2], c[1 - state.n_max % 2::2]
+    real = math.fsum([z.real for z in even] + [-z.real for z in odd])
+    imag = math.fsum([z.imag for z in even] + [-z.imag for z in odd])
+    return ConstraintResiduals(parseval=parseval, boundary=math.hypot(real, imag))
 
 
 def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> UncertaintyReport:
@@ -189,9 +212,9 @@ def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> Uncer
     product = sigma_p * delta_x
     verdicts = {
         "sigma_p_delta_x_gt_hbar": bool(product > 1.0),
-        "sigma_p_delta_x_ge_pi_hbar": bool(product >= np.pi),
+        "sigma_p_delta_x_ge_pi_hbar": bool(product >= math.pi),
         "delta_x_delta_p_gt_2hbar": bool(delta_x * delta_p > 2.0),
-        "delta_x_delta_p_ge_2pi_hbar": bool(delta_x * delta_p >= 2.0 * np.pi),
+        "delta_x_delta_p_ge_2pi_hbar": bool(delta_x * delta_p >= 2.0 * math.pi),
     }
     if sigma_x is not None:
         verdicts["kennard"] = bool(sigma_x * sigma_p >= 0.5)

@@ -96,6 +96,8 @@ SI_2PI = float(sine_integral(2.0 * np.pi))
 
 # at most this many band-quadrature panels (8 nodes each) in one call
 MAX_PANELS = 1 << 20
+# panels whose nodes are evaluated together: about 7 MB of temporaries
+_BLOCK = 1 << 13
 
 
 # 8-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
@@ -160,7 +162,7 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     Each interval [k_{j-1}, k_j] (with k_{-1} = 0) is tiled by equal panels
     of at most pi/dx, a quarter of the period 4*pi/dx in k of the amplitude
     Si(u + pi) - Si(u - pi), u = dx*k/2, with 8-point Gauss-Legendre on
-    every panel; all panels are evaluated in one pass.
+    every panel.
     """
     hi = np.asarray(k_edges, dtype=float)
     lo = np.concatenate([[0.0], hi.ravel()[:-1]])
@@ -179,11 +181,16 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     left = i * step + lo[j]
     right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
     half = (right - left) / 2.0
-    nodes = ((left + right) / 2.0)[:, None] + half[:, None] * _GL8_NODES[None, :]
-    vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
-    # one BLAS dot product per panel, summed the way np.dot sums one panel
-    panels = np.matmul((half[:, None] * _GL8_WEIGHTS[None, :])[:, None, :], vals[:, :, None])
-    return np.cumsum(2.0 * np.add.reduceat(panels[:, 0, 0], first))
+    mid = (left + right) / 2.0
+    panels = np.empty(j.size)
+    for b in range(0, j.size, _BLOCK):
+        h = half[b:b + _BLOCK, None]
+        nodes = mid[b:b + _BLOCK, None] + h * _GL8_NODES[None, :]
+        vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
+        # one BLAS dot product per panel, summed the way np.dot sums one panel
+        panels[b:b + _BLOCK] = np.matmul((h * _GL8_WEIGHTS[None, :])[:, None, :],
+                                         vals[:, :, None])[:, 0, 0]
+    return np.cumsum(2.0 * np.add.reduceat(panels, first))
 
 
 def check_band_edge(state: LanczosState, k_max: float) -> None:

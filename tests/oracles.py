@@ -1,7 +1,8 @@
 """Independent oracles shared by the tests: sampled densities and their
 moments, generic truncated slit states, the Euler-Lagrange check of the
-variational problem, a fixed-size lambda0 solve and one built by index
-writes.  None of this runs on the command line's path."""
+variational problem, the numpy formulas of the cosine state that the
+pure-Python `core` replaced, a fixed-size lambda0 solve and one built by
+index writes.  None of this runs on the command line's path."""
 
 from __future__ import annotations
 
@@ -88,10 +89,10 @@ def eval_momentum_density(state: FourierState, k):
     """
     dx = state.slit_width
     ka = np.atleast_1d(np.asarray(k, dtype=float))
-    kn = 2.0 * np.pi * state.n_values / dx
+    kn = 2.0 * np.pi * np.asarray(state.n_values) / dx
     # np.sinc(z) = sin(pi z)/(pi z); argument (k - k_n) dx / 2 = pi * z
     z = (ka[:, None] - kn[None, :]) * dx / (2.0 * np.pi)
-    amp = np.sqrt(dx / (2.0 * np.pi)) * (np.sinc(z) @ state.coefficients)
+    amp = np.sqrt(dx / (2.0 * np.pi)) * (np.sinc(z) @ np.asarray(state.coefficients))
     dens = np.abs(amp) ** 2
     return float(dens[0]) if np.isscalar(k) else dens
 
@@ -133,7 +134,7 @@ def verify_stationarity(state: FourierState) -> StationarityReport:
         return StationarityReport(
             symmetric=False, alpha=None, beta=None, max_residual=None, mean_momentum=mean
         )
-    c = state.coefficients
+    c = np.asarray(state.coefficients)
     i0 = state.n_max  # index of n = 0
     c0, c1 = c[i0], c[i0 + 1]
     K2 = scale**2
@@ -143,14 +144,75 @@ def verify_stationarity(state: FourierState) -> StationarityReport:
         beta, alpha = np.linalg.solve(A, np.array([0.0, -K2 * c1], dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"multiplier fit is singular: {exc}") from exc
-    n = state.n_values.astype(float)
+    n = np.asarray(state.n_values, dtype=float)
     lhs = (K2 * n**2 - beta) * c
-    rhs = (-1.0) ** state.n_values * alpha
+    rhs = (-1.0) ** np.asarray(state.n_values) * alpha
     resid = float(np.max(np.abs(lhs - rhs)))
     return StationarityReport(
         symmetric=True, alpha=complex(alpha), beta=complex(beta),
         max_residual=resid, mean_momentum=mean,
     )
+
+
+def np_normalized(c) -> np.ndarray:
+    """c as complex, scaled to sum |c_n|^2 = 1 by numpy's pairwise sum."""
+    c = np.asarray(c, dtype=complex)
+    return c / np.sqrt(float(np.sum(np.abs(c) ** 2)))
+
+
+def np_cosine_coefficients(n_max: int) -> np.ndarray:
+    """Normalized cosine-state coefficients (-1)^n / (1 - 4 n^2), n = -n_max..n_max."""
+    n = np.arange(-n_max, n_max + 1)
+    return np_normalized((np.sqrt(8.0) / np.pi) * (-1.0) ** n / (1.0 - 4.0 * n.astype(float) ** 2))
+
+
+def np_momentum_moments(c: np.ndarray, slit_width: float) -> tuple[float, float]:
+    """(mean, sigma_p) of normalized coefficients c_n, n = -n_max..n_max, by BLAS dots."""
+    w = np.abs(c) ** 2
+    n = np.arange(-(c.size // 2), c.size // 2 + 1).astype(float)
+    scale = 2.0 * np.pi / slit_width
+    m1 = float(np.dot(n, w))
+    var = float(np.dot(n * n, w)) - m1 * m1
+    return scale * m1, scale * float(np.sqrt(max(var, 0.0)))
+
+
+def np_constraint_residuals(c: np.ndarray) -> tuple[float, float]:
+    """(|sum |c_n|^2 - 1|, |sum (-1)^n conj(c_n)|) by numpy's pairwise sums."""
+    n = np.arange(-(c.size // 2), c.size // 2 + 1)
+    return (abs(float(np.sum(np.abs(c) ** 2)) - 1.0),
+            float(abs(np.sum((-1.0) ** n * np.conj(c)))))
+
+
+def np_position_wavefunction(x, delta_x: float) -> np.ndarray:
+    """sqrt(2/delta_x) * cos(pi*x/delta_x) on an array of x."""
+    return np.sqrt(2.0 / delta_x) * np.cos(np.pi * np.asarray(x, dtype=float) / delta_x)
+
+
+def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:
+    """2*sqrt(pi*delta_x) * cos(delta_x*k/2) / (pi^2 - delta_x^2 k^2) on an array
+    of k, within 1e-4 of delta_x*k = +/- pi by the limit form
+    sinc(s/(2 pi))/(2*(2 pi + s)), s = |delta_x*k| - pi."""
+    u = np.asarray(k, dtype=float) * delta_x
+    near = np.minimum(np.abs(u - np.pi), np.abs(u + np.pi)) < 1e-4
+    safe = np.where(near, 0.0, u)
+    direct = np.cos(safe / 2.0) / (np.pi**2 - safe**2)
+    s = np.abs(u) - np.pi
+    limit = 0.5 * np.sinc(s / (2.0 * np.pi)) / (2.0 * np.pi + s)
+    return 2.0 * np.sqrt(np.pi * delta_x) * np.where(near, limit, direct)
+
+
+def np_minstate_tables(delta_x: float, n_max: int) -> list:
+    """The three `minstate` CSV tables from the numpy formulas and np.linspace grids."""
+    x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
+    k = np.linspace(-8 * np.pi / delta_x, 8 * np.pi / delta_x, 2001)
+    return [
+        ("minstate_coefficients.csv", ["n", "c_n"],
+         [np.arange(-n_max, n_max + 1), np_cosine_coefficients(n_max).real]),
+        ("minstate_position_density.csv", ["x_m", "density_per_m"],
+         [x, np_position_wavefunction(x, delta_x) ** 2]),
+        ("minstate_momentum_density.csv", ["k_per_m", "density_m"],
+         [k, np_momentum_wavefunction(k, delta_x) ** 2]),
+    ]
 
 
 def prolate_lambda0_48(xi: float) -> float:

@@ -85,7 +85,7 @@ def run_python(*argv):
 
 # the compute modules each command loads, beyond slitbound, errors, reports and
 # cli; the commands not in NUMPY_COMMANDS load no numpy module
-NUMPY_COMMANDS = {"minstate", "lanczos", "simulate", "estimate"}
+NUMPY_COMMANDS = {"lanczos", "simulate", "estimate"}
 COMMAND_MODULES = {
     "minstate": ["core"],
     "lanczos": ["core", "special"],
@@ -135,8 +135,8 @@ class TestImportPath:
 
     @pytest.mark.parametrize("command", list(COMMAND_MODULES))
     def test_command_loads_only_its_modules(self, tmp_path, command):
-        # a fresh interpreter per command, as a user runs it; lpbound and
-        # reanalyze load no numpy, and no command loads numpy.polynomial
+        # a fresh interpreter per command, as a user runs it; minstate, lpbound
+        # and reanalyze load no numpy, and no command loads numpy.polynomial
         readme = {argv[0]: argv for argv, _ in README_OUTPUTS}
         if command == "estimate":
             assert run(tmp_path, *readme["simulate"]) == 0
@@ -179,15 +179,20 @@ class TestImportPath:
 
 
 class TestStrictReports:
-    @pytest.mark.parametrize("command", ["minstate", "lanczos"])
-    def test_non_finite_result_is_numeric_failure(self, tmp_path, command):
-        # a finite but subnormal width overflows sigma_p; the report is not
-        # written.  Run in a fresh interpreter: pytest turns the overflow
-        # RuntimeWarning into an error before the report writer is reached.
-        proc = run_python("-m", "slitbound.cli", command, "--slit-width", "1e-310",
+    @pytest.mark.parametrize("command,width", [
+        ("minstate", "1e-310"), ("minstate", "5e-324"), ("minstate", "1e-320"),
+        ("minstate", "1.7e308m"), ("lanczos", "1e-310")],
+        ids=["minstate", "minstate-5e-324", "minstate-1e-320", "minstate-1.7e308m", "lanczos"])
+    def test_non_finite_result_is_numeric_failure(self, tmp_path, command, width):
+        # a subnormal width overflows sigma_p and the density grids, and at
+        # 1.7e308 m pi*x overflows; the report is not written.  Run in a fresh
+        # interpreter, outside pytest's filters, so any warning printed shows.
+        proc = run_python("-m", "slitbound.cli", command, "--slit-width", width,
                           "--out", str(tmp_path))
         assert proc.returncode == 3, proc.stderr
         assert "non-finite" in proc.stderr
+        # the failure and nothing before it
+        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
         # the CSVs hold the same non-finite values, and none is written either
         assert list(tmp_path.iterdir()) == []
 
@@ -336,6 +341,26 @@ class TestSizeCaps:
         assert proc.returncode == 2, proc.stderr
         assert f"more than {special.MAX_PANELS}" in proc.stderr
         assert list(out.iterdir()) == []
+
+    def test_band_quadrature_memory(self, tmp_path):
+        # a 1.48e6 mm slit over two pixels takes 2.5e5 panels, under the cap;
+        # evaluated in one pass their nodes peaked at 243 MB.  The child caps
+        # its address space at 1 GiB and prints its peak RSS, VmHWM in KiB:
+        # its ru_maxrss would also count the RSS of this process, which Linux
+        # carries over into a spawned child
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-0.004,0.2\n2,0.004,0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from slitbound import cli; rc = cli.main(sys.argv[1:]); "
+                "print(*[line.split()[1] for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:')]); sys.exit(rc)")
+        proc = run_python("-c", code, "estimate", str(frame), "--slit-width", "1.48e6mm",
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100 * 1024
 
 
 class TestParseLength:

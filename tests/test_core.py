@@ -6,6 +6,13 @@ from scipy.special import zeta
 from oracles import (
     SampledDensity,
     eval_momentum_density,
+    np_constraint_residuals,
+    np_cosine_coefficients,
+    np_minstate_tables,
+    np_momentum_moments,
+    np_momentum_wavefunction,
+    np_normalized,
+    np_position_wavefunction,
     popoviciu_sigma_x,
     random_symmetric_state,
     verify_stationarity,
@@ -14,12 +21,14 @@ from slitbound import (
     FourierState,
     InvalidArgument,
     build_report,
+    cli,
     eval_momentum_wavefunction,
     eval_position_wavefunction,
     min_uncertainty_coefficients,
     momentum_moments,
     verify_constraints,
 )
+from slitbound.reports import format_csv
 
 C0_RAW = np.sqrt(8.0) / np.pi          # 0.9003163...
 C1_RAW = np.sqrt(8.0) / (3.0 * np.pi)  # 0.3001054...
@@ -187,7 +196,7 @@ class TestMomentumWavefunction:
         state = min_uncertainty_coefficients(2000, 1.0)
         ks = np.linspace(-10.0, 10.0, 41)
         dens = eval_momentum_density(state, ks)
-        closed = eval_momentum_wavefunction(ks, 1.0) ** 2
+        closed = np.asarray(eval_momentum_wavefunction(ks, 1.0)) ** 2
         assert np.max(np.abs(dens - closed)) < 1e-6
 
 
@@ -248,6 +257,83 @@ class TestStationarity:
         rep = verify_stationarity(FourierState(1.0, c))
         assert not rep.symmetric
         assert rep.max_residual is None
+
+
+def assert_within_ulps(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), np.max(
+        np.abs(got - want) / np.spacing(np.abs(want)))
+
+
+class TestAgainstNumpyOracle:
+    """The pure-Python core against the numpy formulas it replaced
+    (`oracles.np_*`): sums now taken by math.fsum, so within a few ulp."""
+
+    @pytest.mark.parametrize("n_max", [1, 8, 512, 4096, 10**5])
+    @pytest.mark.parametrize("dx", [1e-6, 477e-6, 1.0])
+    def test_cosine_state(self, n_max, dx):
+        state = min_uncertainty_coefficients(n_max, dx)
+        assert type(state.coefficients) is tuple and state.n_values == range(-n_max, n_max + 1)
+        want = np_cosine_coefficients(n_max)
+        assert_within_ulps(np.asarray(state.coefficients).real, want.real, 4)
+        assert np.all(np.asarray(state.coefficients).imag == 0.0)
+        mean, sigma_p = momentum_moments(state)
+        want_mean, want_sigma = np_momentum_moments(want, dx)
+        assert_within_ulps(sigma_p, want_sigma, 4)
+        assert abs(mean) <= abs(want_mean) + 1e-15 * want_sigma
+        res = verify_constraints(state)
+        want_res = np_constraint_residuals(want)
+        assert abs(res.parseval - want_res[0]) <= 1e-15
+        assert abs(res.boundary - want_res[1]) <= 1e-15
+
+    @pytest.mark.parametrize("n_max", [1, 8, 512])
+    def test_complex_states(self, n_max):
+        rng = np.random.default_rng(n_max)
+        for _ in range(10):
+            raw = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
+            state = FourierState(0.3, raw)
+            want = np_normalized(raw)
+            got = np.asarray(state.coefficients)
+            assert_within_ulps(got.real, want.real, 4)
+            assert_within_ulps(got.imag, want.imag, 4)
+            mean, sigma_p = momentum_moments(state)
+            want_mean, want_sigma = np_momentum_moments(want, 0.3)
+            assert_within_ulps(sigma_p, want_sigma, 4)
+            assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-14 * want_sigma)
+            res = verify_constraints(state)
+            want_res = np_constraint_residuals(want)
+            assert abs(res.parseval - want_res[0]) <= 1e-15
+            assert abs(res.boundary - want_res[1]) <= 1e-15
+
+    @pytest.mark.parametrize("dx", [1e-6, 477e-6, 1.0])
+    def test_wavefunctions(self, dx):
+        x = np.linspace(-dx / 2, dx / 2, 1001)
+        # a wide grid, and points in and around the 1e-4 windows at dx*k = +-pi
+        near = np.pi + np.linspace(-3e-4, 3e-4, 61)
+        u = np.concatenate([np.linspace(-60.0, 60.0, 4001), near, -near])
+        k = u / dx
+        psi, psik = eval_position_wavefunction(x, dx), eval_momentum_wavefunction(k, dx)
+        assert type(psi) is list and type(psik) is list
+        # 4 ulp, and 4 ulp of the peak where cos nears its zeros
+        eps = np.finfo(float).eps
+        for got, want in ((psi, np_position_wavefunction(x, dx)),
+                          (psik, np_momentum_wavefunction(k, dx))):
+            np.testing.assert_allclose(got, want, rtol=4 * eps,
+                                       atol=4 * eps * np.max(np.abs(want)))
+        assert type(eval_momentum_wavefunction(float(k[7]), dx)) is float
+        assert eval_momentum_wavefunction(float(k[7]), dx) == psik[7]
+        assert eval_position_wavefunction(float(x[7]), dx) == psi[7]
+        with pytest.raises(InvalidArgument):
+            eval_position_wavefunction([0.0, 0.51 * dx], dx)
+
+    @pytest.mark.parametrize("argv", [["--slit-width", "477um", "--nmax", "4096"],
+                                      ["--nmax", "512"], ["--nmax", "8"], ["--nmax", "1"]])
+    def test_minstate_csvs_match_oracle_encoding(self, tmp_path, argv):
+        # the README command and the TestMinstate cases, byte for byte
+        assert cli.main(["minstate", *argv, "--out", str(tmp_path)]) == 0
+        n_max = int(argv[argv.index("--nmax") + 1])
+        for table in np_minstate_tables(477e-6, n_max):
+            assert (tmp_path / table[0]).read_text() == format_csv(*table), table[0]
 
 
 class TestPopoviciu:
