@@ -4,18 +4,19 @@ Subcommands: minstate, lanczos, lpbound, reanalyze, simulate, estimate.
 Every command is deterministic given its flags (fixed default seed 42) and
 writes plot-ready CSV plus a strict JSON report.  A ``cmd_*`` function
 computes and returns its files without writing any: a list of CSV tables
-``(file name, header, columns[, comments])``, each column an array, and
-the report ``(file name, command, parameters, results, display)``.  ``main``
-encodes every file in memory, each table a column at a time, checking that
-every value is finite, and only then writes them, the report last.  So
-exit 2 or 3 leaves no new file, and a report on disk means its CSVs were
-written with it.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure, 4 I/O error.  Each command imports the compute modules it runs
-when it runs, so a cold process loads, compiles and builds no other; numpy
-too is imported only by the commands that use it, so ``minstate``,
-``lpbound`` and ``reanalyze`` run without it.  A command runs with
-RuntimeWarning ignored, so a failure prints one line: a non-finite value
-numpy would warn of is refused on encoding.
+``(file name, header, columns[, comments])``, each column a list or an
+array, and the report ``(file name, command, parameters, results,
+display)``.  ``main`` encodes every file in memory, each table a column at
+a time, checking that every value is finite, and only then writes them,
+the report last.  So exit 2 or 3 leaves no new file, and a report on disk
+means its CSVs were written with it.  Exit codes: 0 success, 2
+configuration error, 3 numeric failure, 4 I/O error.  Each command imports
+the compute modules it runs when it runs, so a cold process loads,
+compiles and builds no other; numpy too is imported only by the commands
+that compute on arrays, ``simulate`` and ``estimate``, so ``minstate``,
+``lanczos``, ``lpbound`` and ``reanalyze`` run without it.  A command runs
+with RuntimeWarning ignored, so a failure prints one line: a non-finite
+value numpy would warn of is refused on encoding.
 """
 
 from __future__ import annotations
@@ -120,22 +121,25 @@ def cmd_minstate(args):
 
 
 def cmd_lanczos(args):
-    import numpy as np
-
     from . import core, special
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
     state = special.LanczosState(delta_x)
     gamma = special.lanczos_gamma()
-    sigma_p = gamma * np.pi / delta_x
+    sigma_p = gamma * math.pi / delta_x
     report = core.build_report(None, sigma_p, delta_x)
 
-    x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
+    x = _linspace(-delta_x / 2, delta_x / 2, 1001)
     phi = special.eval_lanczos_position(x, state)
-    k = np.linspace(-16 * np.pi / delta_x, 16 * np.pi / delta_x, 4001)
+    k_max = 16 * math.pi / delta_x
+    k = _linspace(-k_max, k_max, 4001)
     dens = special.eval_lanczos_momentum_density(k, state)
+    # what the momentum CSV leaves out beyond |k| = k_max; the second moment's
+    # bound, about 0.34/delta_x^2, leaves the float range below a width of
+    # about 4e-155 m and above about 4e161 m, and is then reported as null
+    m2_tail = special.lanczos_second_moment_tail_bound(state, k_max)
     tables = [
-        ("lanczos_position_density.csv", ["x_m", "density_per_m"], [x, phi**2]),
+        ("lanczos_position_density.csv", ["x_m", "density_per_m"], [x, [v * v for v in phi]]),
         ("lanczos_momentum_density.csv", ["k_per_m", "density_m"], [k, dens]),
     ]
     return tables, (
@@ -148,6 +152,9 @@ def cmd_lanczos(args):
             "delta_p": report.delta_p,
             "product_over_hbar": report.product_over_hbar,
             "verdicts": report.verdicts,
+            "k_max_per_m": k_max,
+            "weight_tail_bound": special.lanczos_weight_tail_bound(state, k_max),
+            "second_moment_tail_bound": m2_tail if 0.0 < m2_tail < math.inf else None,
         },
         {
             "gamma": f"{gamma:.3f}",

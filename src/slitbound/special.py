@@ -14,12 +14,20 @@ and the auxiliary-function asymptotic form
 
 using the classic rational approximations for f and g (relative error
 below 1e-16 on their range).
+
+The module loads no numpy, so ``lanczos`` starts without it: on a number
+or a sequence every formula is Python float arithmetic.  Si and the two
+evaluators take an array through numpy, imported there, with the same
+coefficient tables and the same order of operations, so an array and a
+list of the same points give the same bits.  ``lanczos_band_moments``,
+which ``diffraction`` runs, is numpy throughout.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+from .core import _over
 from .errors import InvalidArgument
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
@@ -67,15 +75,45 @@ _SI_DEN = (
 
 
 def _poly(coeffs, y):
-    acc = np.full_like(y, coeffs[-1])
+    # Horner's rule as a multiply and an add per step, each rounded as numpy
+    # rounds them, so a float and an array element get the same bits
+    acc = coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc *= y
-        acc += c
+        acc = acc * y + c
     return acc
 
 
+def _si(x: float) -> float:
+    ax = abs(x)
+    if ax * ax <= 16.0:
+        out = ax * _poly(_SI_NUM, ax * ax) / _poly(_SI_DEN, ax * ax)
+    elif not math.isfinite(ax):
+        # math.cos and math.sin raise at infinity, where numpy gives nan
+        return math.nan
+    else:
+        y = 1.0 / (ax * ax)
+        f = _poly(_F_NUM, y) / (ax * _poly(_F_DEN, y))
+        g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
+        out = math.pi / 2.0 - f * math.cos(ax) - g * math.sin(ax)
+    # np.sign's factor: Si(-0.0) is 0.0
+    return out if x >= 0 else -out
+
+
+def _sinc(t: float) -> float:
+    """sin(t)/t as np.sinc forms it: 1 at t = 0, and nan at an infinite t,
+    where math.sin raises and numpy gives nan."""
+    if not t:
+        return 1.0
+    return math.sin(t) / t if math.isfinite(t) else math.nan
+
+
 def sine_integral(x):
-    """Si(x) = int_0^x sin(t)/t dt; odd in x, absolute accuracy < 1e-12."""
+    """Si(x) = int_0^x sin(t)/t dt; odd in x, absolute accuracy < 1e-12.
+    A float for a number, a list for a sequence, an array for an array."""
+    if not hasattr(x, "dtype"):
+        return _over(_si, x)
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ax = np.abs(xa)
     small = ax * ax <= 16.0
@@ -92,7 +130,7 @@ def sine_integral(x):
     return float(out) if np.isscalar(x) else out
 
 
-SI_2PI = float(sine_integral(2.0 * np.pi))
+SI_2PI = _si(2.0 * math.pi)
 
 # at most this many band-quadrature panels (8 nodes each) in one call
 MAX_PANELS = 1 << 20
@@ -101,14 +139,13 @@ _BLOCK = 1 << 13
 
 
 # 8-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
-# np.polynomial.legendre.leggauss(8), read-only as every call shares them
-_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
-                       -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
-                       0.7966664774136267, 0.9602898564975362])
-_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
-                         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
-                         0.22238103445337443, 0.10122853629037706])
-_GL8_NODES.flags.writeable = _GL8_WEIGHTS.flags.writeable = False
+# np.polynomial.legendre.leggauss(8)
+_GL8_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+              -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+              0.7966664774136267, 0.9602898564975362)
+_GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                0.22238103445337443, 0.10122853629037706)
 
 
 class LanczosState:
@@ -126,44 +163,68 @@ class LanczosState:
 def eval_lanczos_position(x, state: LanczosState):
     """Normalized position amplitude sqrt(pi/(Si(2pi)*dx)) * sinc(2pi x/dx).
 
-    Returns 0 outside the slit (the preparation truncates there).
+    Returns 0 outside the slit (the preparation truncates there).  A float
+    for a number, a list for a sequence, an array for an array.
     """
     dx = state.slit_width
+    amp = math.sqrt(math.pi / (SI_2PI * dx))
+    if not hasattr(x, "dtype"):
+        def phi(v):
+            if not abs(v) <= dx / 2.0:
+                return 0.0
+            # np.sinc(z) at z = (2 pi x/dx)/pi is sin(t)/t at t = pi*z
+            t = math.pi * (2.0 * math.pi * v / dx / math.pi)
+            return amp * _sinc(t)
+
+        return _over(phi, x)
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
-    # np.sinc(z) = sin(pi z)/(pi z), here at z = (2 pi x/dx)/pi
-    amp = np.sqrt(np.pi / (SI_2PI * dx)) * np.sinc(2.0 * np.pi * xa / dx / np.pi)
-    out = np.where(np.abs(xa) <= dx / 2.0, amp, 0.0)
+    out = np.where(np.abs(xa) <= dx / 2.0, amp * np.sinc(2.0 * np.pi * xa / dx / np.pi), 0.0)
     return float(out) if np.isscalar(x) else out
 
 
 def lanczos_gamma() -> float:
     """Exact excess factor of the truncated-sinc uncertainty product:
     sigma_p * delta_x = gamma * pi * hbar."""
-    return 2.0 / np.sqrt(3.0) * np.sqrt(1.0 - 1.0 / (np.pi * SI_2PI))
+    return 2.0 / math.sqrt(3.0) * math.sqrt(1.0 - 1.0 / (math.pi * SI_2PI))
 
 
 def eval_lanczos_momentum_density(k, state: LanczosState):
     """Wavenumber density of the truncated-sinc state.
 
     (dx / (8 pi^2 Si(2pi))) * [Si(dx*k/2 + pi) - Si(dx*k/2 - pi)]^2;
-    even in k and normalized over the real line.
+    even in k and normalized over the real line.  A float for a number, a
+    list for a sequence, an array for an array.
     """
     dx = state.slit_width
+    scale = dx / (8.0 * math.pi**2 * SI_2PI)
+    if not hasattr(k, "dtype"):
+        def density(v):
+            u = v * dx / 2.0
+            dsi = _si(u + math.pi) - _si(u - math.pi)
+            return scale * (dsi * dsi)
+
+        return _over(density, k)
+    import numpy as np
+
     u = np.asarray(k, dtype=float) * dx / 2.0
     dsi = sine_integral(u + np.pi) - sine_integral(u - np.pi)
-    out = dx / (8.0 * np.pi**2 * SI_2PI) * dsi**2
+    out = scale * dsi**2
     return float(out) if np.isscalar(k) else out
 
 
-def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray:
+def lanczos_band_moments(state: LanczosState, k_edges, power: int):
     """Cumulative band moments int_{|k| <= k_j} |k|^power * density(k) dk
     for every edge k_j of a nondecreasing array of nonnegative edges.
 
     Each interval [k_{j-1}, k_j] (with k_{-1} = 0) is tiled by equal panels
     of at most pi/dx, a quarter of the period 4*pi/dx in k of the amplitude
     Si(u + pi) - Si(u - pi), u = dx*k/2, with 8-point Gauss-Legendre on
-    every panel.
+    every panel.  Returns an array.
     """
+    import numpy as np
+
     hi = np.asarray(k_edges, dtype=float)
     lo = np.concatenate([[0.0], hi.ravel()[:-1]])
     if hi.ndim != 1 or not np.all(np.isfinite(hi)) or np.any(hi < lo):
@@ -183,12 +244,13 @@ def lanczos_band_moments(state: LanczosState, k_edges, power: int) -> np.ndarray
     half = (right - left) / 2.0
     mid = (left + right) / 2.0
     panels = np.empty(j.size)
+    nodes_gl, weights_gl = np.array([_GL8_NODES]), np.array([_GL8_WEIGHTS])
     for b in range(0, j.size, _BLOCK):
         h = half[b:b + _BLOCK, None]
-        nodes = mid[b:b + _BLOCK, None] + h * _GL8_NODES[None, :]
+        nodes = mid[b:b + _BLOCK, None] + h * nodes_gl
         vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
         # one BLAS dot product per panel, summed the way np.dot sums one panel
-        panels[b:b + _BLOCK] = np.matmul((h * _GL8_WEIGHTS[None, :])[:, None, :],
+        panels[b:b + _BLOCK] = np.matmul((h * weights_gl)[:, None, :],
                                          vals[:, :, None])[:, 0, 0]
     return np.cumsum(2.0 * np.add.reduceat(panels, first))
 
@@ -198,7 +260,7 @@ def check_band_edge(state: LanczosState, k_max: float) -> None:
     pi/slit_width.  Given k_max as a Python float, an edge that overflowed
     to infinity is refused without a numpy warning and before any array
     holds it."""
-    _check_panels(k_max / (np.pi / state.slit_width))
+    _check_panels(k_max / (math.pi / state.slit_width))
 
 
 def _check_panels(total: float) -> None:
@@ -210,15 +272,18 @@ def _check_panels(total: float) -> None:
 
 
 def _tail_prefactors(state: LanczosState, k_max: float):
-    """(U, C, lead) shared by the tail bounds: U = dx*k_max/2, C the density
-    prefactor in the u-measure (both tails), and lead >= 1 the inflation of
-    the bracket's leading term 2pi/(u^2-pi^2) at U."""
+    """(d, C, lead) shared by the tail bounds: d = U - pi at U = dx*k_max/2,
+    C the density prefactor in the u-measure (both tails), and lead >= 1 the
+    inflation of the bracket's leading term 2pi/(u^2-pi^2) at U."""
     U = state.slit_width * k_max / 2.0
-    if U <= 2.0 * np.pi:
+    if U <= 2.0 * math.pi:
         raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
-    lead = ((2*np.pi/(U**2 - np.pi**2) + 4*np.pi*U/(U**2 - np.pi**2)**2
-             + 8/(U - np.pi)**3) / (2*np.pi/(U**2 - np.pi**2)))
-    return U, 1.0 / (4.0 * np.pi**2 * SI_2PI), lead
+    # the bracket over its leading term, as quotients near 1 divided by d: a
+    # huge or infinite U gives 0 or nan, never a ZeroDivisionError or an
+    # OverflowError (Python floats raise both where numpy gives inf)
+    d, s = U - math.pi, U + math.pi
+    lead = 1.0 + 2.0 * (U / s) / d + 4.0 / math.pi * (s / d) / d
+    return d, 1.0 / (4.0 * math.pi**2 * SI_2PI), lead
 
 
 def lanczos_weight_tail_bound(state: LanczosState, k_max: float) -> float:
@@ -229,17 +294,17 @@ def lanczos_weight_tail_bound(state: LanczosState, k_max: float) -> float:
     2pi/(u^2-pi^2) + 4pi*u/(u^2-pi^2)^2 + 8/(u-pi)^3.
     Valid for dx*k_max/2 > 2*pi.
     """
-    U, C, lead = _tail_prefactors(state, k_max)
+    d, C, lead = _tail_prefactors(state, k_max)
     # integrand (in u) is <= C * bracket(u)^2, decreasing; bound the integral
     # by the leading 1/(3 (U-pi)^3) behavior with the bracket inflated at U
-    integral = (2.0 * np.pi) ** 2 * lead**2 / (3.0 * (U - np.pi) ** 3)
+    integral = (2.0 * math.pi) ** 2 * (lead * lead) / (3.0 * d * d * d)
     return 2.0 * C * integral
 
 
 def lanczos_second_moment_tail_bound(state: LanczosState, k_max: float) -> float:
     """Certified upper bound on int_{|k| > k_max} k^2 density dk."""
-    U, C, lead = _tail_prefactors(state, k_max)
+    d, C, lead = _tail_prefactors(state, k_max)
     # u^2 * bracket(u)^2 <= (2pi)^2 * lead^2 * u^2/(u^2-pi^2)^2 <= that /(U-pi)
-    integral_u = (2.0 * np.pi) ** 2 * lead**2 / (U - np.pi)
+    integral_u = (2.0 * math.pi) ** 2 * (lead * lead) / d
     # back to k units: k^2 dk = (2/dx)^3 u^2 du
-    return 2.0 * C * integral_u * (2.0 / state.slit_width) ** 2
+    return 2.0 * C * integral_u * (2.0 / state.slit_width) * (2.0 / state.slit_width)

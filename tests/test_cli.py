@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -85,7 +86,7 @@ def run_python(*argv):
 
 # the compute modules each command loads, beyond slitbound, errors, reports and
 # cli; the commands not in NUMPY_COMMANDS load no numpy module
-NUMPY_COMMANDS = {"lanczos", "simulate", "estimate"}
+NUMPY_COMMANDS = {"simulate", "estimate"}
 COMMAND_MODULES = {
     "minstate": ["core"],
     "lanczos": ["core", "special"],
@@ -133,10 +134,16 @@ class TestImportPath:
         assert proc.stdout.strip() == str(
             ["slitbound", "slitbound.cli", "slitbound.errors", "slitbound.reports"])
 
+    def test_special_import_loads_no_numpy(self):
+        proc = run_python("-c", LOADED_CODE.format(run="import slitbound.special"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(
+            ["slitbound", "slitbound.core", "slitbound.errors", "slitbound.special"])
+
     @pytest.mark.parametrize("command", list(COMMAND_MODULES))
     def test_command_loads_only_its_modules(self, tmp_path, command):
-        # a fresh interpreter per command, as a user runs it; minstate, lpbound
-        # and reanalyze load no numpy, and no command loads numpy.polynomial
+        # a fresh interpreter per command, as a user runs it; only simulate and
+        # estimate load numpy, and no command loads numpy.polynomial
         readme = {argv[0]: argv for argv, _ in README_OUTPUTS}
         if command == "estimate":
             assert run(tmp_path, *readme["simulate"]) == 0
@@ -181,8 +188,10 @@ class TestImportPath:
 class TestStrictReports:
     @pytest.mark.parametrize("command,width", [
         ("minstate", "1e-310"), ("minstate", "5e-324"), ("minstate", "1e-320"),
-        ("minstate", "1.7e308m"), ("lanczos", "1e-310")],
-        ids=["minstate", "minstate-5e-324", "minstate-1e-320", "minstate-1.7e308m", "lanczos"])
+        ("minstate", "1.7e308m"), ("lanczos", "1e-310"), ("lanczos", "5e-324"),
+        ("lanczos", "1e-320"), ("lanczos", "1.7e308m")],
+        ids=["minstate", "minstate-5e-324", "minstate-1e-320", "minstate-1.7e308m", "lanczos",
+             "lanczos-5e-324", "lanczos-1e-320", "lanczos-1.7e308m"])
     def test_non_finite_result_is_numeric_failure(self, tmp_path, command, width):
         # a subnormal width overflows sigma_p and the density grids, and at
         # 1.7e308 m pi*x overflows; the report is not written.  Run in a fresh
@@ -439,6 +448,19 @@ class TestLanczos:
         assert report["display"]["gamma"] == "1.017"
         assert report["display"]["product_over_hbar"] == "3.195"
         assert report["results"]["verdicts"]["sigma_p_delta_x_ge_pi_hbar"]
+        # the truncation certificate at the momentum CSV's edge 16 pi/dx
+        assert report["results"]["k_max_per_m"] == 16 * np.pi / 477e-6
+        assert f"{report['results']['weight_tail_bound']:.2e}" == "5.90e-05"
+        assert f"{report['results']['second_moment_tail_bound']:.2e}" == "1.50e+06"
+
+    @pytest.mark.parametrize("width", ["1e-300", "1e300"])
+    def test_second_moment_bound_past_float_range(self, tmp_path, width):
+        # about 0.34/dx^2 m^-2: past the largest float at 1e-300 m and below
+        # the smallest at 1e300 m, so null, while the files are written
+        assert run(tmp_path, "lanczos", "--slit-width", width) == 0
+        results = load_report(tmp_path, "lanczos_report.json")["results"]
+        assert results["second_moment_tail_bound"] is None
+        assert f"{results['weight_tail_bound']:.2e}" == "5.90e-05"
 
     def test_rerun_byte_identical(self, tmp_path):
         run(tmp_path, "lanczos")
@@ -654,3 +676,124 @@ class TestReentrantMain:
                 (tmp_path / "fresh" / name).read_bytes()
         assert (tmp_path / "quantized" / "frame.csv").read_bytes() != \
             (tmp_path / "plain" / "frame.csv").read_bytes()
+
+
+# Runs the argument lists of the JSON file argv[1] through main, each with a
+# fresh --out under argv[2], in this one process: no process or thread per
+# case.  The address space is capped at 1 GiB beyond what the imports took, so
+# an unbounded allocation fails the case instead of exhausting the machine.
+# Prints per case the exit code, or the exception that escaped main, and the
+# files left in --out.
+FUZZ_CHILD = """
+import json, os, resource, sys
+import numpy
+from slitbound import cli, concentration, core, diffraction, reanalysis, special
+with open('/proc/self/status') as fh:
+    vm = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))
+cap = vm * 1024 + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+with open(sys.argv[1]) as fh:
+    cases = json.load(fh)
+results = []
+for i, argv in enumerate(cases):
+    out = os.path.join(sys.argv[2], str(i))
+    os.mkdir(out)
+    try:
+        code = cli.main(argv + ['--out', out])
+    except BaseException as exc:
+        code = repr(exc)
+    results.append([code, sorted(os.listdir(out))])
+print(json.dumps(results))
+"""
+
+# argument values the fuzz draws from: valid ones, and the extremes and
+# malformed ones each command must refuse with an exit code.  Slit widths for
+# estimate stay at or below a few mm on the sane geometries, or far past the
+# panel cap, so no case spends seconds in a quadrature the cap allows.
+FUZZ_WIDTHS = ["477um", "1um", "80um", "3.3mm", "1e-300", "1e-310", "5e-324", "1e-320",
+               "1e-307", "0", "-1um", "nan", "inf", "1e999", "abc", "", "12xm", "1e9mm"]
+FUZZ_FAR_WIDTHS = ["1m", "1e300", "1e154", "1.7e308m", "1e308"]
+FUZZ_OPTICS = {"--wavelength": ["632.82nm", "1e-310nm", "1e300m", "0", "-5nm", "nan", "2um"],
+               "--focal-length": ["150mm", "1e-310nm", "1e300m", "-1m", "inf", "1e153m"]}
+FUZZ_NUMBERS = ["0", "0.179", "1.0", "31.99", "32", "1e3", "1e300", "-1.5", "-0.0", "nan",
+                "inf", "5e-324", "2.464"]
+
+
+def fuzz_case(rng, frames):
+    """One argument list for a command drawn at random; every value parses
+    with the argument's type, so argparse itself refuses none.  lanczos does
+    the same work at every width, so it is drawn a quarter as often as the
+    others, and minstate takes small --nmax values: the fuzz stays within a
+    few seconds."""
+    weights = {command: 1 if command == "lanczos" else 4 for command in COMMAND_MODULES}
+    command = rng.choices(list(weights), list(weights.values()))[0]
+
+    def width(far=True):
+        pool = FUZZ_WIDTHS + (FUZZ_FAR_WIDTHS if far else [])
+        return rng.choice(pool) if rng.random() < 0.7 else f"{rng.uniform(1, 999):.4g}um"
+
+    def maybe(flag, values):
+        # --flag=value, so a value such as -5nm is not read as a flag
+        return [f"{flag}={rng.choice(values)}"] if rng.random() < 0.5 else []
+
+    if command == "minstate":
+        nmax = rng.choice(["1", "2", "64", "512", "0", "-3", "1000001", str(10**18)])
+        argv = [f"--slit-width={width()}", f"--nmax={nmax}"]
+    elif command == "lanczos":
+        argv = [f"--slit-width={width()}"]
+    elif command in ("lpbound", "reanalyze"):
+        flag = "--xi" if command == "lpbound" else "--a"
+        argv = [flag, *rng.choices(FUZZ_NUMBERS, k=rng.randint(1, 4))]
+    elif command == "simulate":
+        argv = [f"--slit-width={width(far=False)}",
+                *maybe("--pixels", ["2", "64", "1536", "3648", "0", "1", "3", "-2", "65536",
+                                    "65538", str(10**12)]),
+                *maybe("--pixel-size", ["8um", "1nm", "1e-320", "0", "1e300", "-8um"]),
+                *maybe("--noise-sigma", ["0", "1e-3", "0.5", "nan", "inf", "-0.5", "1e308"]),
+                *maybe("--seed", ["0", "7", "-1", str(2**70)]),
+                *(["--quantize"] if rng.random() < 0.3 else [])]
+    else:
+        argv = [rng.choice(frames), f"--slit-width={width(far=False)}"]
+    if command in ("simulate", "estimate"):
+        for flag, values in FUZZ_OPTICS.items():
+            argv += maybe(flag, values)
+    return [command, *argv]
+
+
+class TestArgumentFuzz:
+    def test_seeded_argument_fuzz(self, tmp_path):
+        # every exit is 0, 2, 3 or 4, no exception escapes main, a failure
+        # leaves --out empty and a success writes exactly its README files
+        frames = tmp_path / "frames"
+        assert run(frames / "readme", "simulate", "--noise-sigma", "1e-3", "--seed", "7") == 0
+        assert run(frames / "quantized", "simulate", "--pixels", "2048", "--noise-sigma",
+                   "1e-3", "--quantize") == 0
+        handmade = {"two.csv": "1,-0.004,0.2\n2,0.004,0.2\n",
+                    "far.csv": "1,-1e300,0.2\n2,1e300,0.2\n",
+                    "wide.csv": "1,-1e158,0.2\n2,1e158,0.2\n",
+                    "badrow.csv": "1,-0.004,0.2\n2,0.004,nan\n",
+                    "single.csv": "1,0.004,0.2\n"}
+        for name, rows in handmade.items():
+            (frames / name).write_text("pixel,y_mm,intensity\n" + rows)
+        (frames / "header.csv").write_text("a,b,c\n1,2,3\n")
+        paths = [str(frames / "readme" / "frame.csv"), str(frames / "quantized" / "frame.csv"),
+                 *(str(frames / name) for name in [*handmade, "header.csv", "missing.csv"])]
+
+        rng = random.Random(1515)
+        cases = [fuzz_case(rng, paths) for _ in range(500)]
+        (tmp_path / "cases.json").write_text(json.dumps(cases))
+        (tmp_path / "out").mkdir()
+        proc = run_python("-c", FUZZ_CHILD, str(tmp_path / "cases.json"), str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        results = json.loads(proc.stdout)
+        assert len(results) == len(cases)
+
+        outputs = {argv[0]: files for argv, files in README_OUTPUTS}
+        bad = [(argv, code, files) for argv, (code, files) in zip(cases, results)
+               if code not in (0, 2, 3, 4)
+               or files != (sorted(outputs[argv[0]]) if code == 0 else [])]
+        assert bad[:5] == []
+        # the fuzz reached every exit code and every command's success
+        assert {code for code, _ in results} == {0, 2, 3, 4}
+        assert {argv[0] for argv, (code, _) in zip(cases, results) if code == 0} \
+            == set(COMMAND_MODULES)
