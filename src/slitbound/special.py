@@ -75,11 +75,13 @@ _SI_DEN = (
 
 
 def _poly(coeffs, y):
-    # Horner's rule as a multiply and an add per step, each rounded as numpy
-    # rounds them, so a float and an array element get the same bits
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * y + c
+    # Horner's rule as a multiply and an add per step, each rounded, so a
+    # float and an array element get the same bits.  The first step makes
+    # acc a new float or array; an array is then updated in place
+    acc = coeffs[-1] * y + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= y
+        acc += c
     return acc
 
 
