@@ -722,10 +722,10 @@ FUZZ_NUMBERS = ["0", "0.179", "1.0", "31.99", "32", "1e3", "1e300", "-1.5", "-0.
 
 def fuzz_case(rng, frames):
     """One argument list for a command drawn at random; every value parses
-    with the argument's type, so argparse itself refuses none.  lanczos does
-    the same work at every width, so it is drawn a quarter as often as the
-    others, and minstate takes small --nmax values: the fuzz stays within a
-    few seconds."""
+    with the argument's type, so argparse itself refuses none.  lanczos
+    computes its full density at nearly every width, so it is drawn a
+    quarter as often as the others, and minstate takes small --nmax values:
+    the fuzz stays within a few seconds."""
     weights = {command: 1 if command == "lanczos" else 4 for command in COMMAND_MODULES}
     command = rng.choices(list(weights), list(weights.values()))[0]
 
