@@ -16,7 +16,14 @@ compiles and builds no other; numpy too is imported only by the commands
 that compute on arrays, ``simulate`` and ``estimate``, so ``minstate``,
 ``lanczos``, ``lpbound`` and ``reanalyze`` run without it.  A command runs
 with RuntimeWarning ignored, so a failure prints one line: a non-finite
-value numpy would warn of is refused on encoding.
+value numpy would warn of is refused on encoding.  From the command line
+(``python -m slitbound.cli`` or the ``slitbound`` script) a command runs
+through ``run``, which flushes stdout and stderr after ``main`` returns and
+ends the process with ``os._exit``, skipping the interpreter's teardown, so
+atexit handlers that other code registers in that process do not run.
+Every file is closed and renamed inside ``main``, so none is lost.  argparse's
+exits (``--help``, a usage error) and an uncaught exception leave as usual,
+and ``main`` called from Python returns its exit code.
 """
 
 from __future__ import annotations
@@ -394,5 +401,15 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The command line: main on sys.argv, then the process ends without the
+    interpreter's teardown, which collects and frees every loaded module and
+    costs a cold command more than some of them spend computing."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
