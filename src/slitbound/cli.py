@@ -16,14 +16,12 @@ compiles and builds no other; numpy too is imported only by the commands
 that compute on arrays, ``simulate`` and ``estimate``, so ``minstate``,
 ``lanczos``, ``lpbound`` and ``reanalyze`` run without it.  A command runs
 with RuntimeWarning ignored, so a failure prints one line: a non-finite
-value numpy would warn of is refused on encoding.  From the command line
-(``python -m slitbound.cli`` or the ``slitbound`` script) a command runs
-through ``run``, which flushes stdout and stderr after ``main`` returns and
-ends the process with ``os._exit``, skipping the interpreter's teardown, so
-atexit handlers that other code registers in that process do not run.
-Every file is closed and renamed inside ``main``, so none is lost.  argparse's
-exits (``--help``, a usage error) and an uncaught exception leave as usual,
-and ``main`` called from Python returns its exit code.
+value numpy would warn of is refused on encoding.  From the command line a
+command runs through ``run``: once ``main`` has written its files, it
+flushes stdout and stderr and ends the process with ``os._exit``, without
+the interpreter's teardown, so atexit handlers that other code registers
+(coverage.py's subprocess measurement, say) do not run.  ``main`` called
+from Python returns its exit code as before.
 """
 
 from __future__ import annotations
@@ -402,12 +400,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The command line: main on sys.argv, then the process ends without the
-    interpreter's teardown, which collects and frees every loaded module and
+    """main on sys.argv, then os._exit: the teardown of every loaded module
     costs a cold command more than some of them spend computing."""
     code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the descriptor was closed at start
+            stream.flush()
     os._exit(code)
 
 

@@ -13,6 +13,8 @@ import slitbound
 from slitbound import NumericFailure, cli, core, diffraction, special
 from slitbound.reports import format_csv, parse_length, read_frame_csv
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
 # the shape every report must have, checked independently of the writer
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -76,11 +78,13 @@ def refuse_allocation(*args, **kwargs):
     raise AssertionError("size cap not checked before allocation")
 
 
-def run_python(*argv):
-    """A fresh interpreter on this package, outside pytest's warning filters."""
+def run_python(*argv, **environ):
+    """A fresh interpreter on this package, outside pytest's warning filters,
+    with the variables of ``environ`` set, or dropped where given None."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(slitbound.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]), **environ)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
@@ -180,8 +184,7 @@ class TestImportPath:
             assert exit_info.value.code == 0
             texts.append(f"==> slitbound{' ' if command else ''}{command} --help <==\n"
                          + capsys.readouterr().out)
-        expected = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help.txt")
-        with open(expected) as fh:
+        with open(os.path.join(HERE, "cli_help.txt")) as fh:
             assert "".join(texts) == fh.read()
 
 
@@ -678,14 +681,101 @@ class TestReentrantMain:
             (tmp_path / "plain" / "frame.csv").read_bytes()
 
 
+class TestHardExit:
+    """``python -m slitbound.cli`` ends through cli.run: main, then os._exit."""
+
+    def test_success_writes_readme_files(self, tmp_path):
+        # the README commands as a user runs them, each in a fresh interpreter
+        # that skips the teardown: every file is on disk, byte for byte what
+        # main writes when called in-process
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        for argv, _ in README_OUTPUTS:
+            proc = run_python("-m", "slitbound.cli", *(a.format(out=cold) for a in argv),
+                              "--out", str(cold))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), argv[0]
+            assert run(warm, *(a.format(out=warm) for a in argv)) == 0
+        names = set().union(*(files for _, files in README_OUTPUTS))
+        assert {p.name for p in cold.iterdir()} == names
+        for name in names:
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
+
+    @pytest.mark.parametrize("code,argv,kind", [
+        (2, ["lanczos", "--slit-width", "abc"], "configuration error"),
+        (3, ["lanczos", "--slit-width", "1e-310"], "numeric failure"),
+        (4, ["lpbound", "--xi", "1.0"], "I/O error"),
+    ], ids=["config", "numeric", "io"])
+    def test_failure_exit(self, tmp_path, code, argv, kind):
+        # one stderr line and nothing written; for exit 4 --out is a regular
+        # file, which must stay empty
+        out = tmp_path / "out"
+        if code == cli.EXIT_IO:
+            out.write_text("")
+        else:
+            out.mkdir()
+        proc = run_python("-m", "slitbound.cli", *argv, "--out", str(out))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+        assert proc.stderr.startswith(f"slitbound: {kind}: ")
+        assert list(tmp_path.iterdir()) == [out]
+        assert (out.read_text() if code == cli.EXIT_IO else list(out.iterdir())) in ("", [])
+
+    def test_buffered_stdout_survives(self, tmp_path):
+        # what the process printed before the command is flushed before
+        # os._exit; PYTHONUNBUFFERED would write it at once and hide a
+        # missing flush, so the child runs without it
+        code = ("import runpy; print('x', end=''); "
+                "runpy.run_module('slitbound.cli', run_name='__main__')")
+        proc = run_python("-c", code, "lpbound", "--xi", "1.0", "--out", str(tmp_path),
+                          PYTHONUNBUFFERED=None)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lpbound.csv",
+                                                               "lpbound_report.json"]
+
+    def test_closed_stdout(self, tmp_path):
+        # started with descriptor 1 closed, Python sets sys.stdout to None;
+        # the command still writes its files and exits 0
+        code = ("import runpy, sys; sys.stdout = None; "
+                "runpy.run_module('slitbound.cli', run_name='__main__')")
+        proc = run_python("-c", code, "lpbound", "--xi", "1.0", "--out", str(tmp_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lpbound.csv",
+                                                               "lpbound_report.json"]
+
+    def test_help_and_usage_error(self):
+        # argparse's own exits leave the usual way: the help texts exit 0, as
+        # in TestImportPath::test_help_texts, and a usage error exits 2
+        texts = []
+        for command in ["", *COMMAND_MODULES]:
+            proc = run_python("-m", "slitbound.cli", *filter(None, [command]), "--help",
+                              COLUMNS="80")
+            assert (proc.returncode, proc.stderr) == (0, ""), command
+            texts.append(f"==> slitbound{' ' if command else ''}{command} --help <==\n"
+                         + proc.stdout)
+        with open(os.path.join(HERE, "cli_help.txt")) as fh:
+            assert "".join(texts) == fh.read()
+        proc = run_python("-m", "slitbound.cli", "lanczos", "--slit-width", COLUMNS="80")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: slitbound lanczos [-h]")
+        assert proc.stderr.endswith(
+            "slitbound lanczos: error: argument --slit-width: expected one argument\n")
+
+    def test_console_script_runs_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(HERE), "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["slitbound"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+
 # Runs the argument lists of the JSON file argv[1] through main, each with a
 # fresh --out under argv[2], in this one process: no process or thread per
 # case.  The address space is capped at 1 GiB beyond what the imports took, so
 # an unbounded allocation fails the case instead of exhausting the machine.
-# Prints per case the exit code, or the exception that escaped main, and the
-# files left in --out.
+# Prints per case the exit code, or the exception that escaped main, the
+# files left in --out and what the case printed to stderr.
 FUZZ_CHILD = """
-import json, os, resource, sys
+import contextlib, io, json, os, resource, sys
 import numpy
 from slitbound import cli, concentration, core, diffraction, reanalysis, special
 with open('/proc/self/status') as fh:
@@ -698,11 +788,13 @@ results = []
 for i, argv in enumerate(cases):
     out = os.path.join(sys.argv[2], str(i))
     os.mkdir(out)
+    err = io.StringIO()
     try:
-        code = cli.main(argv + ['--out', out])
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv + ['--out', out])
     except BaseException as exc:
         code = repr(exc)
-    results.append([code, sorted(os.listdir(out))])
+    results.append([code, sorted(os.listdir(out)), err.getvalue()])
 print(json.dumps(results))
 """
 
@@ -764,7 +856,8 @@ def fuzz_case(rng, frames):
 class TestArgumentFuzz:
     def test_seeded_argument_fuzz(self, tmp_path):
         # every exit is 0, 2, 3 or 4, no exception escapes main, a failure
-        # leaves --out empty and a success writes exactly its README files
+        # leaves --out empty and prints exactly one slitbound: line, and a
+        # success writes exactly its README files and prints nothing
         frames = tmp_path / "frames"
         assert run(frames / "readme", "simulate", "--noise-sigma", "1e-3", "--seed", "7") == 0
         assert run(frames / "quantized", "simulate", "--pixels", "2048", "--noise-sigma",
@@ -790,11 +883,13 @@ class TestArgumentFuzz:
         assert len(results) == len(cases)
 
         outputs = {argv[0]: files for argv, files in README_OUTPUTS}
-        bad = [(argv, code, files) for argv, (code, files) in zip(cases, results)
+        bad = [(argv, code, files, err) for argv, (code, files, err) in zip(cases, results)
                if code not in (0, 2, 3, 4)
-               or files != (sorted(outputs[argv[0]]) if code == 0 else [])]
+               or files != (sorted(outputs[argv[0]]) if code == 0 else [])
+               or (err != "" if code == 0 else
+                   err.splitlines() != [err.strip()] or not err.startswith("slitbound: "))]
         assert bad[:5] == []
         # the fuzz reached every exit code and every command's success
-        assert {code for code, _ in results} == {0, 2, 3, 4}
-        assert {argv[0] for argv, (code, _) in zip(cases, results) if code == 0} \
+        assert {code for code, _, _ in results} == {0, 2, 3, 4}
+        assert {argv[0] for argv, (code, _, _) in zip(cases, results) if code == 0} \
             == set(COMMAND_MODULES)
