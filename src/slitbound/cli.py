@@ -21,7 +21,7 @@ command runs through ``run``: once ``main`` has written its files, it
 flushes stdout and stderr and ends the process with ``os._exit``, without
 the interpreter's teardown, so atexit handlers that other code registers
 (coverage.py's subprocess measurement, say) do not run.  ``main`` called
-from Python returns its exit code as before.
+from Python returns its exit code.
 """
 
 from __future__ import annotations

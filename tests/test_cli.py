@@ -718,7 +718,10 @@ class TestHardExit:
         assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
         assert proc.stderr.startswith(f"slitbound: {kind}: ")
         assert list(tmp_path.iterdir()) == [out]
-        assert (out.read_text() if code == cli.EXIT_IO else list(out.iterdir())) in ("", [])
+        if code == cli.EXIT_IO:
+            assert out.read_text() == ""
+        else:
+            assert list(out.iterdir()) == []
 
     def test_buffered_stdout_survives(self, tmp_path):
         # what the process printed before the command is flushed before
