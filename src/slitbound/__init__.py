@@ -18,9 +18,8 @@ _HOMES = {
                      "eval_momentum_wavefunction", "eval_position_wavefunction",
                      "min_uncertainty_coefficients", "momentum_moments",
                      "verify_constraints"], "core"),
-    **dict.fromkeys(["CcdFrame", "DetectorSpec", "EstimatorTrace", "NoiseSpec", "gamma_trace",
-                     "intensity_profile", "normalize_frame", "synthesize_frame",
-                     "theory_trace"], "diffraction"),
+    **dict.fromkeys(["DetectorSpec", "NoiseSpec", "gamma_trace", "intensity_profile",
+                     "synthesize_frame", "theory_trace"], "diffraction"),
     **dict.fromkeys(["ReanalysisRow", "reanalyze_products"], "reanalysis"),
     **dict.fromkeys(["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
                      "lanczos_gamma", "sine_integral"], "special"),

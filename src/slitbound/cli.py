@@ -224,19 +224,17 @@ def cmd_simulate(args):
 
     geometry = _geometry(args)
     _check_cap("--pixels", args.pixels, MAX_PIXELS)
-    detector = diffraction.DetectorSpec(
-        num_pixels=args.pixels,
-        pixel_size=_flag("--pixel-size", parse_length, args.pixel_size),
-    )
+    detector = _flag("--pixels", diffraction.DetectorSpec, num_pixels=args.pixels,
+                     pixel_size=_flag("--pixel-size", parse_length, args.pixel_size))
     noise = _flag("--noise-sigma", diffraction.NoiseSpec,
                   additive_sigma=args.noise_sigma, quantize=args.quantize)
     # NoiseSpec's checks again, now naming --seed
     noise = _flag("--seed", diffraction.NoiseSpec, noise.additive_sigma, args.seed, noise.quantize)
-    frame = diffraction.synthesize_frame(geometry, detector, noise)
+    intens = diffraction.synthesize_frame(geometry, detector, noise)
     y = detector.pixel_positions()
     tables = [("frame.csv", ["pixel", "y_mm", "intensity"],
-               [np.arange(1, detector.num_pixels + 1), y * 1e3, frame.intensities],
-               [f"normalized={'true' if frame.normalized else 'false'}"])]
+               [np.arange(1, detector.num_pixels + 1), y * 1e3, intens],
+               ["normalized=false"])]
     return tables, (
         "simulate_report.json",
         "simulate",
@@ -252,8 +250,8 @@ def cmd_simulate(args):
             "seed": noise.seed,
         },
         {
-            "peak_intensity": float(np.max(frame.intensities)),
-            "total_weight": float(np.sum(frame.intensities)) * detector.pixel_size,
+            "peak_intensity": float(np.max(intens)),
+            "total_weight": float(np.sum(intens)) * detector.pixel_size,
         },
         None,
     )
@@ -274,7 +272,7 @@ def cmd_estimate(args):
     pixel_size = float((y[-1] - y[0]) / (len(y) - 1))
     if pixel_size <= 0 or np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
-    detector = diffraction.DetectorSpec(num_pixels=len(y), pixel_size=pixel_size)
+    detector = _flag("frame", diffraction.DetectorSpec, num_pixels=len(y), pixel_size=pixel_size)
     # the band quadrature bounded on its last edge, and the estimator's
     # largest term pixel_size*y^2 checked finite, both as Python floats,
     # before any array arithmetic on the frame's extent can overflow
@@ -284,14 +282,12 @@ def cmd_estimate(args):
     if not math.isfinite(pixel_size * (extent * extent)):
         raise InvalidArgument(f"frame extent +-{extent:.3g} m is too large: "
                               "pixel_size*y^2 overflows")
-    frame = diffraction.normalize_frame(
-        diffraction.CcdFrame(detector=detector, intensities=np.clip(intens, 0.0, None))
-    )
-    trace = diffraction.gamma_trace(frame, geometry)
-    theory = diffraction.theory_trace(geometry, trace.y_extent)
+    n, y_extent, gamma_hat = diffraction.gamma_trace(
+        detector, np.clip(intens, 0.0, None), geometry)
+    theory = diffraction.theory_trace(geometry, y_extent)
     gamma = special.lanczos_gamma()
     tables = [("trace.csv", ["n", "y_mm", "gamma_hat", "gamma_theory"],
-               [trace.n, trace.y_extent * 1e3, trace.gamma_hat, theory])]
+               [n, y_extent * 1e3, gamma_hat, theory])]
     return tables, (
         "estimate_report.json",
         "estimate",
@@ -302,13 +298,13 @@ def cmd_estimate(args):
             "focal_length_m": geometry.focal_length,
         },
         {
-            "gamma_hat_final": float(trace.gamma_hat[-1]),
+            "gamma_hat_final": float(gamma_hat[-1]),
             "gamma_theory_edge": float(theory[-1]),
             "gamma_exact": gamma,
-            "exceeds_one": bool(trace.gamma_hat[-1] > 1.0),
+            "exceeds_one": bool(gamma_hat[-1] > 1.0),
         },
         {
-            "gamma_hat_final": f"{trace.gamma_hat[-1]:.3f}",
+            "gamma_hat_final": f"{gamma_hat[-1]:.3f}",
             "gamma_exact": f"{gamma:.3f}",
         },
     )

@@ -8,13 +8,11 @@ estimator expands symmetrically from the detector center,
 
     gamma_hat_n = (2*delta_x/(lambda*f)) * sqrt(sum_i delta_y * y_i^2 * I_i),
 
-over pixels i = N/2-n+1 .. N/2+n of the normalized frame, and converges to
-gamma (minus the off-detector tail) as n -> N/2.
+over pixels i = N/2-n+1 .. N/2+n of the frame, normalized by ``gamma_trace``,
+and converges to gamma (minus the off-detector tail) as n -> N/2.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,24 +63,6 @@ class NoiseSpec:
         self.additive_sigma, self.seed, self.quantize = additive_sigma, seed, quantize
 
 
-class CcdFrame:
-    __slots__ = ("detector", "intensities", "normalized")
-
-    def __init__(self, detector: DetectorSpec, intensities, normalized: bool = False):
-        v = np.asarray(intensities, dtype=float)
-        if v.shape != (detector.num_pixels,):
-            raise InvalidArgument("intensities length must equal num_pixels")
-        if np.any(v < 0):
-            raise InvalidArgument("intensities must be nonnegative")
-        self.detector, self.intensities, self.normalized = detector, v, normalized
-
-
-class EstimatorTrace(NamedTuple):
-    n: np.ndarray
-    y_extent: np.ndarray
-    gamma_hat: np.ndarray
-
-
 def intensity_profile(geometry: SlitGeometry, y):
     """Detector-plane intensity density (k0/f) * |phi~(k0*y/f)|^2; even in y
     and normalized to 1 over the real line."""
@@ -94,11 +74,11 @@ def intensity_profile(geometry: SlitGeometry, y):
 
 def synthesize_frame(
     geometry: SlitGeometry, detector: DetectorSpec, noise: NoiseSpec = NoiseSpec()
-) -> CcdFrame:
-    """Sample the intensity profile at the pixel centers and apply the noise
-    model: additive zero-mean Gaussian (sigma relative to the frame peak),
-    optional quantization saturating at the peak, negatives clipped to 0.
-    Deterministic for a fixed seed."""
+) -> np.ndarray:
+    """The frame's intensities: the intensity profile sampled at the pixel
+    centers with the noise model applied, additive zero-mean Gaussian (sigma
+    relative to the frame peak), optional quantization saturating at the
+    peak, negatives clipped to 0.  Deterministic for a fixed seed."""
     y = detector.pixel_positions()
     intens = intensity_profile(geometry, y)
     peak = float(np.max(intens))
@@ -109,28 +89,26 @@ def synthesize_frame(
         levels = (1 << ADC_BITS) - 1
         dn = np.rint(np.clip(intens / peak, 0.0, 1.0) * levels)
         intens = dn * (peak / levels)
-    intens = np.clip(intens, 0.0, None)
-    return CcdFrame(detector=detector, intensities=intens, normalized=False)
+    return np.clip(intens, 0.0, None)
 
 
-def normalize_frame(frame: CcdFrame) -> CcdFrame:
-    """Rescale so that sum(pixel_size * I_i) = 1."""
-    total = float(np.sum(frame.intensities)) * frame.detector.pixel_size
+def gamma_trace(
+    detector: DetectorSpec, intensities, geometry: SlitGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accumulative estimate of the uncertainty excess factor from a frame,
+    normalized here so that sum(pixel_size * I_i) = 1, expanding pixel pairs
+    symmetrically from the center.  Returns (n, y_extent, gamma_hat)."""
+    v = np.asarray(intensities, dtype=float)
+    if v.shape != (detector.num_pixels,):
+        raise InvalidArgument("intensities length must equal num_pixels")
+    if np.any(v < 0):
+        raise InvalidArgument("intensities must be nonnegative")
+    total = float(np.sum(v)) * detector.pixel_size
     if total <= 0:
         raise InvalidArgument("cannot normalize an all-zero frame")
-    return CcdFrame(frame.detector, frame.intensities / total, normalized=True)
-
-
-def gamma_trace(frame: CcdFrame, geometry: SlitGeometry) -> EstimatorTrace:
-    """Accumulative estimate of the uncertainty excess factor from a
-    normalized frame, expanding pixel pairs symmetrically from the center."""
-    if not frame.normalized:
-        raise InvalidArgument("gamma_trace requires a normalized frame")
-    det = frame.detector
-    N = det.num_pixels
-    y = det.pixel_positions()
-    terms = det.pixel_size * y**2 * frame.intensities
-    half = N // 2
+    y = detector.pixel_positions()
+    terms = detector.pixel_size * y**2 * (v / total)
+    half = detector.num_pixels // 2
     # pair n (1-based) joins pixels N/2-n+1 and N/2+n
     inner = terms[half - 1 :: -1]  # center-left outward
     outer = terms[half:]           # center-right outward
@@ -139,8 +117,8 @@ def gamma_trace(frame: CcdFrame, geometry: SlitGeometry) -> EstimatorTrace:
     gamma_hat = prefactor * np.sqrt(cum)
     n = np.arange(1, half + 1)
     # outer |y| reached after n pairs = outer edge of pixel N/2+n
-    y_extent = n * det.pixel_size
-    return EstimatorTrace(n=n, y_extent=y_extent, gamma_hat=gamma_hat)
+    y_extent = n * detector.pixel_size
+    return n, y_extent, gamma_hat
 
 
 def theory_trace(geometry: SlitGeometry, y_grid) -> np.ndarray:

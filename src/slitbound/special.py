@@ -16,10 +16,10 @@ using the classic rational approximations for f and g (relative error
 below 1e-16 on their range).
 
 The module loads no numpy, so ``lanczos`` starts without it: on a number
-or a sequence every formula is Python float arithmetic.  Si and the two
-evaluators take an array through numpy, imported there, with the same
-coefficient tables and the same order of operations, so an array and a
-list of the same points give the same bits.  ``lanczos_band_moments``,
+or a sequence every formula is Python float arithmetic.  Si and the
+momentum density also take an array through numpy, imported there, with
+the same coefficient tables and the same order of operations, so an array
+and a list of the same points give the same bits.  ``lanczos_band_moments``,
 which ``diffraction`` runs, is numpy throughout.
 """
 
@@ -166,24 +166,19 @@ def eval_lanczos_position(x, state: LanczosState):
     """Normalized position amplitude sqrt(pi/(Si(2pi)*dx)) * sinc(2pi x/dx).
 
     Returns 0 outside the slit (the preparation truncates there).  A float
-    for a number, a list for a sequence, an array for an array.
+    for a number, a list for a sequence.
     """
     dx = state.slit_width
     amp = math.sqrt(math.pi / (SI_2PI * dx))
-    if not hasattr(x, "dtype"):
-        def phi(v):
-            if not abs(v) <= dx / 2.0:
-                return 0.0
-            # np.sinc(z) at z = (2 pi x/dx)/pi is sin(t)/t at t = pi*z
-            t = math.pi * (2.0 * math.pi * v / dx / math.pi)
-            return amp * _sinc(t)
 
-        return _over(phi, x)
-    import numpy as np
+    def phi(v):
+        if not abs(v) <= dx / 2.0:
+            return 0.0
+        # np.sinc(z) at z = (2 pi x/dx)/pi is sin(t)/t at t = pi*z
+        t = math.pi * (2.0 * math.pi * v / dx / math.pi)
+        return amp * _sinc(t)
 
-    xa = np.asarray(x, dtype=float)
-    out = np.where(np.abs(xa) <= dx / 2.0, amp * np.sinc(2.0 * np.pi * xa / dx / np.pi), 0.0)
-    return float(out) if np.isscalar(x) else out
+    return _over(phi, x)
 
 
 def lanczos_gamma() -> float:

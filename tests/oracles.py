@@ -1,8 +1,9 @@
 """Independent oracles shared by the tests: sampled densities and their
 moments, generic truncated slit states, the Euler-Lagrange check of the
 variational problem, the numpy formulas of the cosine state that the
-pure-Python `core` replaced, a fixed-size lambda0 solve and one built by
-index writes.  None of this runs on the command line's path."""
+pure-Python `core` replaced and of the truncated-sinc position amplitude
+that the pure-Python `special` replaced, a fixed-size lambda0 solve and
+one built by index writes.  None of this runs on the command line's path."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slitbound import FourierState, InvalidArgument, NumericFailure, momentum_moments
+from slitbound.special import SI_2PI
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,15 @@ def np_constraint_residuals(c: np.ndarray) -> tuple[float, float]:
 def np_position_wavefunction(x, delta_x: float) -> np.ndarray:
     """sqrt(2/delta_x) * cos(pi*x/delta_x) on an array of x."""
     return np.sqrt(2.0 / delta_x) * np.cos(np.pi * np.asarray(x, dtype=float) / delta_x)
+
+
+def np_lanczos_position(x, slit_width: float) -> np.ndarray:
+    """sqrt(pi/(Si(2pi)*dx)) * sinc(2pi x/dx) on an array of x, 0 outside the
+    slit, by np.sinc."""
+    xa = np.asarray(x, dtype=float)
+    amp = math.sqrt(math.pi / (SI_2PI * slit_width))
+    sinc = np.sinc(2.0 * np.pi * xa / slit_width / np.pi)
+    return np.where(np.abs(xa) <= slit_width / 2.0, amp * sinc, 0.0)
 
 
 def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:

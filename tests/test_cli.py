@@ -105,8 +105,8 @@ EXPORTS = {
     "core": ["FourierState", "SlitGeometry", "UncertaintyReport", "build_report",
              "eval_momentum_wavefunction", "eval_position_wavefunction",
              "min_uncertainty_coefficients", "momentum_moments", "verify_constraints"],
-    "diffraction": ["CcdFrame", "DetectorSpec", "EstimatorTrace", "NoiseSpec", "gamma_trace",
-                    "intensity_profile", "normalize_frame", "synthesize_frame", "theory_trace"],
+    "diffraction": ["DetectorSpec", "NoiseSpec", "gamma_trace", "intensity_profile",
+                    "synthesize_frame", "theory_trace"],
     "reanalysis": ["ReanalysisRow", "reanalyze_products"],
     "special": ["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
                 "lanczos_gamma", "sine_integral"],
@@ -562,8 +562,11 @@ class TestSimulateAndEstimate:
         run(b, "simulate", "--noise-sigma", "1e-3")
         assert (a / "frame.csv").read_bytes() == (b / "frame.csv").read_bytes()
 
-    def test_simulate_bad_pixels(self, tmp_path):
+    def test_simulate_bad_pixels(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--pixels", "3647") == 2
+        assert "configuration error: --pixels: num_pixels must be even and >= 2, got 3647" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_negative_seed(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--seed", "-1", "--noise-sigma", "1e-3") == 2
@@ -655,6 +658,45 @@ class TestSimulateAndEstimate:
         bad = tmp_path / "frame.csv"
         bad.write_text("pixel,y_mm,intensity\n1,0.004,0.2\n")
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_estimate_odd_pixel_frame(self, tmp_path, capsys):
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-0.008,0.2\n2,0,0.2\n3,0.008,0.2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["estimate", str(frame), "--out", str(out)]) == 2
+        assert "configuration error: frame: num_pixels must be even and >= 2, got 3" \
+            in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_estimate_all_zero_frame(self, tmp_path, capsys):
+        # every intensity <= 0 is clipped to zero, which cannot be normalized
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-0.004,0\n2,0.004,-0.1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["estimate", str(frame), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "slitbound: configuration error: cannot normalize an all-zero frame"]
+        assert list(out.iterdir()) == []
+
+    def test_estimate_clips_negative_pixels(self, tmp_path):
+        # a negative intensity counts as 0: the same trace, byte for byte
+        assert run(tmp_path, "simulate", "--pixels", "256") == 0
+        lines = (tmp_path / "frame.csv").read_text().splitlines(keepends=True)
+        traces = {}
+        for name, cell in (("negative", "-0.25"), ("zero", "0")):
+            rows = [line if i < 2 or i % 7 else line.rsplit(",", 1)[0] + f",{cell}\n"
+                    for i, line in enumerate(lines)]
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "frame.csv").write_text("".join(rows))
+            assert cli.main(["estimate", str(tmp_path / name / "frame.csv"),
+                             "--out", str(tmp_path / name)]) == 0
+            traces[name] = (tmp_path / name / "trace.csv").read_bytes()
+        assert traces["negative"] == traces["zero"]
+        # the cells set matter: the untouched frame gives another trace
+        assert run(tmp_path, "estimate", str(tmp_path / "frame.csv")) == 0
+        assert (tmp_path / "trace.csv").read_bytes() != traces["zero"]
 
     def test_estimate_nonuniform_pixels(self, tmp_path):
         bad = tmp_path / "frame.csv"
@@ -869,7 +911,9 @@ class TestArgumentFuzz:
                     "far.csv": "1,-1e300,0.2\n2,1e300,0.2\n",
                     "wide.csv": "1,-1e158,0.2\n2,1e158,0.2\n",
                     "badrow.csv": "1,-0.004,0.2\n2,0.004,nan\n",
-                    "single.csv": "1,0.004,0.2\n"}
+                    "single.csv": "1,0.004,0.2\n",
+                    "odd.csv": "1,-0.008,0.2\n2,0,0.2\n3,0.008,0.2\n",
+                    "zero.csv": "1,-0.004,0\n2,0.004,-0.1\n"}
         for name, rows in handmade.items():
             (frames / name).write_text("pixel,y_mm,intensity\n" + rows)
         (frames / "header.csv").write_text("a,b,c\n1,2,3\n")

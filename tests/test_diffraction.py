@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from slitbound import (
-    CcdFrame,
     DetectorSpec,
     InvalidArgument,
     NoiseSpec,
@@ -11,7 +10,6 @@ from slitbound import (
     gamma_trace,
     intensity_profile,
     lanczos_gamma,
-    normalize_frame,
     synthesize_frame,
     theory_trace,
 )
@@ -21,8 +19,12 @@ DETECTOR = DetectorSpec(num_pixels=3648, pixel_size=8e-6)
 
 
 def noiseless_trace():
-    frame = normalize_frame(synthesize_frame(GEOMETRY, DETECTOR))
-    return gamma_trace(frame, GEOMETRY)
+    return gamma_trace(DETECTOR, synthesize_frame(GEOMETRY, DETECTOR), GEOMETRY)
+
+
+def noisy_final(sigma, seed):
+    frame = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=sigma, seed=seed))
+    return gamma_trace(DETECTOR, frame, GEOMETRY)[2][-1]
 
 
 class TestIntensityProfile:
@@ -73,76 +75,87 @@ class TestSynthesizeFrame:
     def test_noiseless_equals_profile_samples(self):
         frame = synthesize_frame(GEOMETRY, DETECTOR)
         expected = intensity_profile(GEOMETRY, DETECTOR.pixel_positions())
-        assert np.array_equal(frame.intensities, expected)
-        assert not frame.normalized
+        assert np.array_equal(frame, expected)
 
     def test_noiseless_symmetric(self):
-        v = synthesize_frame(GEOMETRY, DETECTOR).intensities
+        v = synthesize_frame(GEOMETRY, DETECTOR)
         assert np.array_equal(v, v[::-1])
 
     def test_deterministic_per_seed(self):
         noise = NoiseSpec(additive_sigma=1e-3, seed=7)
         a = synthesize_frame(GEOMETRY, DETECTOR, noise)
         b = synthesize_frame(GEOMETRY, DETECTOR, noise)
-        assert np.array_equal(a.intensities, b.intensities)
+        assert np.array_equal(a, b)
         c = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=8))
-        assert not np.array_equal(a.intensities, c.intensities)
+        assert not np.array_equal(a, c)
 
     def test_nonnegative_after_noise(self):
         frame = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=0.05, seed=1))
-        assert np.all(frame.intensities >= 0)
+        assert np.all(frame >= 0)
 
     def test_quantization_grid(self):
         frame = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(quantize=True))
-        peak = float(np.max(frame.intensities))
+        peak = float(np.max(frame))
         levels = (1 << 16) - 1
-        dn = frame.intensities / peak * levels
+        dn = frame / peak * levels
         assert np.allclose(dn, np.rint(dn), atol=1e-6)
 
 
 class TestNormalizeFrame:
+    """gamma_trace normalizes the frame it is given to sum(pixel_size * I_i) = 1."""
+
     def test_unit_mass(self):
-        frame = normalize_frame(synthesize_frame(GEOMETRY, DETECTOR))
-        assert frame.normalized
-        assert np.sum(frame.intensities) * DETECTOR.pixel_size == pytest.approx(1.0, rel=1e-14)
+        # a flat frame at any level, normalized to 1/(N*pixel_size) per pixel:
+        # sum(pixel_size * y_i^2)/(N*pixel_size) = pixel_size^2 * (N^2 - 1)/12
+        N, p = DETECTOR.num_pixels, DETECTOR.pixel_size
+        prefactor = 2.0 * GEOMETRY.slit_width / (GEOMETRY.wavelength * GEOMETRY.focal_length)
+        want = prefactor * p * np.sqrt((N * N - 1) / 12.0)
+        for level in (1.0, 5.0e3):
+            _, _, gamma_hat = gamma_trace(DETECTOR, np.full(N, level), GEOMETRY)
+            assert gamma_hat[-1] == pytest.approx(want, rel=1e-14)
 
     def test_scale_invariance(self):
         base = synthesize_frame(GEOMETRY, DETECTOR)
-        scaled = CcdFrame(detector=DETECTOR, intensities=base.intensities * 37.0)
-        assert np.allclose(normalize_frame(base).intensities,
-                           normalize_frame(scaled).intensities, rtol=1e-14)
+        for a, b in zip(gamma_trace(DETECTOR, base, GEOMETRY),
+                        gamma_trace(DETECTOR, base * 37.0, GEOMETRY)):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
 
     def test_all_zero_rejected(self):
-        zero = CcdFrame(detector=DETECTOR, intensities=np.zeros(3648))
-        with pytest.raises(InvalidArgument):
-            normalize_frame(zero)
+        with pytest.raises(InvalidArgument, match="cannot normalize an all-zero frame"):
+            gamma_trace(DETECTOR, np.zeros(3648), GEOMETRY)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(InvalidArgument, match="intensities length must equal num_pixels"):
+            gamma_trace(DETECTOR, np.ones(3646), GEOMETRY)
+
+    def test_negative_rejected(self):
+        frame = synthesize_frame(GEOMETRY, DETECTOR)
+        frame[0] = -1e-12
+        with pytest.raises(InvalidArgument, match="intensities must be nonnegative"):
+            gamma_trace(DETECTOR, frame, GEOMETRY)
 
 
 class TestGammaTrace:
-    def test_requires_normalized(self):
-        with pytest.raises(InvalidArgument):
-            gamma_trace(synthesize_frame(GEOMETRY, DETECTOR), GEOMETRY)
-
     def test_shape_and_extent(self):
-        trace = noiseless_trace()
-        assert trace.n[0] == 1 and trace.n[-1] == 1824
-        assert trace.y_extent[0] == pytest.approx(8e-6)
-        assert trace.y_extent[-1] == pytest.approx(DETECTOR.span / 2)
+        n, y_extent, _ = noiseless_trace()
+        assert n[0] == 1 and n[-1] == 1824
+        assert y_extent[0] == pytest.approx(8e-6)
+        assert y_extent[-1] == pytest.approx(DETECTOR.span / 2)
 
     def test_nondecreasing(self):
-        trace = noiseless_trace()
-        assert np.all(np.diff(trace.gamma_hat) >= 0)
+        _, _, gamma_hat = noiseless_trace()
+        assert np.all(np.diff(gamma_hat) >= 0)
 
     def test_noiseless_final_value(self):
-        trace = noiseless_trace()
-        theory_edge = theory_trace(GEOMETRY, trace.y_extent[-1:])[0]
-        assert abs(trace.gamma_hat[-1] - theory_edge) < 0.005 * lanczos_gamma()
+        _, y_extent, gamma_hat = noiseless_trace()
+        theory_edge = theory_trace(GEOMETRY, y_extent[-1:])[0]
+        assert abs(gamma_hat[-1] - theory_edge) < 0.005 * lanczos_gamma()
 
     def test_noiseless_pointwise_vs_theory(self):
-        trace = noiseless_trace()
-        theory = theory_trace(GEOMETRY, trace.y_extent)
-        sel = trace.y_extent >= 0.2e-3
-        gap = np.abs(trace.gamma_hat[sel] - theory[sel])
+        _, y_extent, gamma_hat = noiseless_trace()
+        theory = theory_trace(GEOMETRY, y_extent)
+        sel = y_extent >= 0.2e-3
+        gap = np.abs(gamma_hat[sel] - theory[sel])
         assert np.max(gap) < 0.01 * lanczos_gamma()
 
 
@@ -170,22 +183,14 @@ class TestNoiseBehavior:
         # rectified additive noise adds spurious y^2-weighted mass; once the
         # extent clears the central lobe (>= 1.5 mm) the noisy trace
         # overshoots the noiseless one and never comes back down
-        clean = noiseless_trace()
-        noisy_frame = normalize_frame(
-            synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=42))
-        )
-        noisy = gamma_trace(noisy_frame, GEOMETRY)
-        sel = clean.y_extent >= 1.5e-3
-        assert np.all(noisy.gamma_hat[sel] > clean.gamma_hat[sel])
+        _, y_extent, clean = noiseless_trace()
+        noisy_frame = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=42))
+        _, _, noisy = gamma_trace(DETECTOR, noisy_frame, GEOMETRY)
+        sel = y_extent >= 1.5e-3
+        assert np.all(noisy[sel] > clean[sel])
 
     def test_final_estimate_exceeds_one_across_seeds(self):
-        count = 0
-        for seed in range(100):
-            frame = normalize_frame(
-                synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=seed))
-            )
-            if gamma_trace(frame, GEOMETRY).gamma_hat[-1] > 1.0:
-                count += 1
+        count = sum(noisy_final(1e-3, seed) > 1.0 for seed in range(100))
         assert count >= 99
 
     @pytest.mark.xfail(
@@ -200,23 +205,13 @@ class TestNoiseBehavior:
         ),
     )
     def test_noisy_mean_matches_noiseless_at_stated_sigma(self):
-        clean = noiseless_trace().gamma_hat[-1]
-        finals = []
-        for seed in range(100):
-            frame = normalize_frame(
-                synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=seed))
-            )
-            finals.append(gamma_trace(frame, GEOMETRY).gamma_hat[-1])
+        clean = noiseless_trace()[2][-1]
+        finals = [noisy_final(1e-3, seed) for seed in range(100)]
         assert abs(np.mean(finals) - clean) < 0.01 * clean
 
     def test_noisy_mean_matches_noiseless_at_small_sigma(self):
         # in the regime where the noise floor is negligible against the signal
         # second moment, the estimator mean does recover the noiseless value
-        clean = noiseless_trace().gamma_hat[-1]
-        finals = []
-        for seed in range(20):
-            frame = normalize_frame(
-                synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-8, seed=seed))
-            )
-            finals.append(gamma_trace(frame, GEOMETRY).gamma_hat[-1])
+        clean = noiseless_trace()[2][-1]
+        finals = [noisy_final(1e-8, seed) for seed in range(20)]
         assert abs(np.mean(finals) - clean) < 0.01 * clean

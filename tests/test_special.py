@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import np_lanczos_position
 from slitbound import cli, special
 from slitbound import (
     InvalidArgument,
@@ -104,14 +105,18 @@ class TestSineIntegral:
 @pytest.mark.parametrize("dx", [1e-6, 477e-6, 1.0])
 def test_list_path_matches_array_path_bitwise(dx):
     # the grids of cmd_lanczos: the float path gives every point the bits
-    # of the array path, and the CSVs a list and an array encode agree
+    # of the numpy formula, and the CSVs a list and an array encode agree;
+    # the position amplitude is checked against its numpy oracle, the
+    # density against its own array path, which lanczos_band_moments runs
     state = LanczosState(dx)
     x = cli._linspace(-dx / 2, dx / 2, 1001)
     k = cli._linspace(-16 * np.pi / dx, 16 * np.pi / dx, 4001)
-    for fn, grid in ((eval_lanczos_position, x), (eval_lanczos_momentum_density, k)):
+    for fn, grid, numpy_path in (
+            (eval_lanczos_position, x, lambda a: np_lanczos_position(a, dx)),
+            (eval_lanczos_momentum_density, k, lambda a: eval_lanczos_momentum_density(a, state))):
         listed = fn(grid, state)
         assert isinstance(listed, list)
-        array = fn(np.array(grid), state)
+        array = numpy_path(np.array(grid))
         assert isinstance(array, np.ndarray)
         assert np.array_equal(np.array(listed).view(np.int64), array.view(np.int64))
         assert all(type(fn(v, state)) is float for v in grid[:3])
