@@ -10,9 +10,9 @@ c = delta_x*delta_p/(4 hbar)).
 
 lambda0 comes from the ground state of the prolate matrix, a symmetric
 tridiagonal eigenproblem of at most 42 terms solved in pure Python: Newton's
-iteration on det(T - mu) from mu = 0, whose bottom-up LDL^T pivots are all
-positive below the smallest eigenvalue (a Sturm certificate), and the
-eigenvector from the ratios of those pivots.  No numpy is loaded.
+iteration on det(T - mu) from an estimate of the smallest eigenvalue that the
+bottom-up LDL^T pivots certify to lie below it (Sturm), else from mu = 0, and
+the eigenvector from the ratios of those pivots.  No numpy is loaded.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ _N_TERMS = 42
 _XI_SATURATED = 32.0
 _TAIL_TOL = 1e-15
 # the computed lambda0 carries a rounding error of a few 1e-15 (it reads
-# 1 - 3.3e-15 to 1 + 2.5e-15 from xi = 14 up), so a value within
-# _LAMBDA_ROUNDING of 1 is reported as 1; an excess over 1 beyond
+# 1 - 3.8e-15 to 1 + 2.4e-15 on a 1e-3 grid from xi = 14 up), so a value
+# within _LAMBDA_ROUNDING of 1 is reported as 1; an excess over 1 beyond
 # _LAMBDA_EXCESS_TOL is a fault
 _LAMBDA_ROUNDING = 1e-14
 _LAMBDA_EXCESS_TOL = 1e-12
@@ -91,40 +91,51 @@ def _saturated() -> tuple[float, float]:
     return _solve(_XI_SATURATED)
 
 
+def _start(c: float) -> float:
+    """Newton's start: chi_0(c)'s small-c series or large-c form, kept below it."""
+    return c * c / 3.0 - 2.0 * c**4 / 135.0 if c < 2.0 else c - 0.75 - 0.35 / c
+
+
 def _solve(xi: float) -> tuple[float, float]:
     """(lambda0, tail) from the prolate eigenproblem at xi <= _XI_SATURATED.
 
-    The matrix T is positive definite for c > 0, so Newton's iteration on
-    det(T - mu) rises monotonically from mu = 0 to its smallest eigenvalue:
-    each step is 1/trace((T - mu)^-1), summed from the bottom-up LDL^T pivots
-    p_k of T - mu and their mu-derivatives.  Below that eigenvalue every
-    pivot is positive (Sturm).  The iteration ends when a step no longer
-    moves mu, or when p_0 reaches 0 (at once for c = 0), which puts mu on
-    the eigenvalue to rounding.  The eigenvector follows from the last
-    pivots, x_k/x_{k-1} = -b_{k-1}/p_k with x_0 = 1, where b is the
-    off-diagonal: its decaying tail keeps its relative accuracy, and its
-    small components underflow rather than overflow."""
+    From any mu below the smallest eigenvalue of T, Newton's iteration on
+    det(T - mu) rises monotonically to it: each step is 1/trace((T - mu)^-1),
+    summed from the bottom-up LDL^T pivots p_k of T - mu and their
+    mu-derivatives.  It starts at _start(c) if every pivot there is positive,
+    which puts the start below that eigenvalue (Sturm), and otherwise restarts
+    from mu = 0, below it as T is positive definite for c > 0.  The iteration
+    ends when a step no longer moves mu, or when p_0 reaches 0 (at once for
+    c = 0), which puts mu on the eigenvalue to rounding.  The eigenvector
+    follows from the last pivots, x_k/x_{k-1} = -b_{k-1}/p_k with x_0 = 1,
+    where b is the off-diagonal: its decaying tail keeps its relative
+    accuracy, and its small components underflow rather than overflow."""
     c = math.pi * xi / 2.0
     n = 16 + math.ceil(c / 2.0)
     c2 = c * c
     diag = [m * (m + 1) + c2 * u for m, u in zip(_N[:n], _U2_DIAG)]
     off = [c2 * u for u in _U2_OFF[:n - 1]]
     off2 = [b * b for b in off]
-    mu = 0.0
+    mu = start = _start(c)
     while True:
-        # pivots p_n-1, ..., p_1, and s = sum r_k/p_k with r_k = -dp_k/dmu
+        # pivots p_n-1, ..., p_1, t = b^2/p_k+1, q = -(dp_k/dmu)/p_k, s = sum q
         p = diag[-1] - mu
-        r = 1.0
-        pivots, s = [p], r / p
+        pivots, q = [p], 1.0 / p
+        s = q
         for d, b2 in zip(diag[-2:0:-1], off2[:0:-1]):
-            r = 1.0 + b2 * r / (p * p)
-            p = d - mu - b2 / p
+            t = b2 / p
+            p = d - mu - t
+            q = (1.0 + t * q) / p
             pivots.append(p)
-            s += r / p
-        p0 = diag[0] - mu - off2[0] / p
+            s += q
+        t = off2[0] / p
+        p0 = diag[0] - mu - t
+        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.0):
+            mu = start = 0.0  # the first pass found the start not below chi_0
+            continue
         if p0 <= 0.0:
             break
-        step = 1.0 / (s + (1.0 + off2[0] * r / (p * p)) / p0)
+        step = 1.0 / (s + (1.0 + t * q) / p0)
         if mu + step == mu:
             break
         mu += step
@@ -142,11 +153,3 @@ def _solve(xi: float) -> tuple[float, float]:
     if lam > 1.0 - _LAMBDA_ROUNDING:
         lam = 1.0
     return lam, tail
-
-
-def well_defined_verdict(probability: float) -> bool:
-    """True iff the captured probability weight reaches
-    WELL_DEFINED_THRESHOLD (closed comparison)."""
-    if not 0.0 <= probability <= 1.0:
-        raise InvalidArgument(f"probability must be in [0, 1], got {probability}")
-    return probability >= WELL_DEFINED_THRESHOLD

@@ -63,24 +63,18 @@ class NoiseSpec:
         self.additive_sigma, self.seed, self.quantize = additive_sigma, seed, quantize
 
 
-def intensity_profile(geometry: SlitGeometry, y):
-    """Detector-plane intensity density (k0/f) * |phi~(k0*y/f)|^2; even in y
-    and normalized to 1 over the real line."""
-    state = LanczosState(geometry.slit_width)
-    k = geometry.k0 * np.asarray(y, dtype=float) / geometry.focal_length
-    out = geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(k, state)
-    return float(out) if np.isscalar(y) else out
-
-
 def synthesize_frame(
     geometry: SlitGeometry, detector: DetectorSpec, noise: NoiseSpec = NoiseSpec()
 ) -> np.ndarray:
-    """The frame's intensities: the intensity profile sampled at the pixel
-    centers with the noise model applied, additive zero-mean Gaussian (sigma
-    relative to the frame peak), optional quantization saturating at the
-    peak, negatives clipped to 0.  Deterministic for a fixed seed."""
-    y = detector.pixel_positions()
-    intens = intensity_profile(geometry, y)
+    """The frame's intensities: the detector-plane intensity density
+    (k0/f) * |phi~(k0*y/f)|^2, normalized to 1 over the real line, sampled at
+    the pixel centers y with the noise model applied, additive zero-mean
+    Gaussian (sigma relative to the frame peak), optional quantization
+    saturating at the peak, negatives clipped to 0.  Deterministic for a
+    fixed seed."""
+    k = geometry.k0 * detector.pixel_positions() / geometry.focal_length
+    intens = geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(
+        k, LanczosState(geometry.slit_width))
     peak = float(np.max(intens))
     if noise.additive_sigma > 0:
         rng = np.random.default_rng(noise.seed)
@@ -101,8 +95,8 @@ def gamma_trace(
     v = np.asarray(intensities, dtype=float)
     if v.shape != (detector.num_pixels,):
         raise InvalidArgument("intensities length must equal num_pixels")
-    if np.any(v < 0):
-        raise InvalidArgument("intensities must be nonnegative")
+    if not np.all((v >= 0) & np.isfinite(v)):
+        raise InvalidArgument("intensities must be nonnegative and finite")
     total = float(np.sum(v)) * detector.pixel_size
     if total <= 0:
         raise InvalidArgument("cannot normalize an all-zero frame")

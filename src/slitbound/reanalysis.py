@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .concentration import lp_lambda0, well_defined_verdict
+from .concentration import WELL_DEFINED_THRESHOLD, lp_lambda0
 from .errors import InvalidArgument
 
 
@@ -32,5 +32,5 @@ def reanalyze_products(a_values) -> list[ReanalysisRow]:
     for a in a_arr:
         xi = a / (2.0 * math.pi)
         lam = lp_lambda0(xi).lambda0
-        rows.append(ReanalysisRow(a=a, xi=xi, lambda0=lam, well_defined=well_defined_verdict(lam)))
+        rows.append(ReanalysisRow(a, xi, lam, lam >= WELL_DEFINED_THRESHOLD))
     return rows

@@ -2,8 +2,9 @@
 moments, generic truncated slit states, the Euler-Lagrange check of the
 variational problem, the numpy formulas of the cosine state that the
 pure-Python `core` replaced and of the truncated-sinc position amplitude
-that the pure-Python `special` replaced, a fixed-size lambda0 solve and
-one built by index writes.  None of this runs on the command line's path."""
+that the pure-Python `special` replaced, the detector-plane intensity
+profile that `synthesize_frame` samples, a fixed-size lambda0 solve and one
+built by index writes, with that matrix's smallest eigenvalue.  None of this runs on the command line's path."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slitbound import FourierState, InvalidArgument, NumericFailure, momentum_moments
+from slitbound import (FourierState, InvalidArgument, LanczosState, NumericFailure,
+                       eval_lanczos_momentum_density, momentum_moments)
 from slitbound.special import SI_2PI
 
 
@@ -199,6 +201,14 @@ def np_lanczos_position(x, slit_width: float) -> np.ndarray:
     return np.where(np.abs(xa) <= slit_width / 2.0, amp * sinc, 0.0)
 
 
+def np_intensity_profile(geometry, y) -> np.ndarray:
+    """Detector-plane intensity density (k0/f) * |phi~(k0*y/f)|^2 on an array
+    of y; even in y and normalized to 1 over the real line."""
+    k = geometry.k0 * np.asarray(y, dtype=float) / geometry.focal_length
+    return geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(
+        k, LanczosState(geometry.slit_width))
+
+
 def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:
     """2*sqrt(pi*delta_x) * cos(delta_x*k/2) / (pi^2 - delta_x^2 k^2) on an array
     of k, within 1e-4 of delta_x*k = +/- pi by the limit form
@@ -243,23 +253,36 @@ def prolate_lambda0_48(xi: float) -> float:
     return float(c / np.pi * beta[0] ** 2 / (beta @ p_at_zero) ** 2)
 
 
-def prolate_lambda0_indexed(xi: float) -> tuple[float, float]:
-    """(lambda0, tail) of `lp_lambda0`'s expansion from LAPACK: `eigh` of the
-    prolate matrix built from np.diag and two index writes, on the same
-    16 + ceil(c/2) terms, the dense solve that `lp_lambda0` replaced."""
+def prolate_matrix_indexed(xi: float) -> tuple[float, np.ndarray]:
+    """(c, T): the prolate matrix of `lp_lambda0`'s expansion at min(xi, 32),
+    built from np.diag and two index writes on the same 16 + ceil(c/2) terms."""
     nn = 2.0 * np.arange(42)
     u2_diag = (2 * nn * (nn + 1) - 1) / ((2 * nn + 3) * (2 * nn - 1))
     u2_off = ((nn[:-1] + 1) * (nn[:-1] + 2)
               / ((2 * nn[:-1] + 3) * np.sqrt((2 * nn[:-1] + 1) * (2 * nn[:-1] + 5))))
-    p_at_zero = np.sqrt((2 * nn + 1) / 2.0) * np.cumprod(
-        np.concatenate([[1.0], (1.0 - nn[1:]) / nn[1:]]))
     c = np.pi * min(xi, 32.0) / 2.0
     n = 16 + math.ceil(c / 2.0)
     prolate = np.diag(nn[:n] * (nn[:n] + 1) + c * c * u2_diag[:n])
     i = np.arange(n - 1)
     prolate[i + 1, i] = prolate[i, i + 1] = c * c * u2_off[: n - 1]
+    return c, prolate
+
+
+def prolate_lambda0_indexed(xi: float) -> tuple[float, float]:
+    """(lambda0, tail) of `lp_lambda0`'s expansion from LAPACK: `eigh` of
+    `prolate_matrix_indexed`, the dense solve that `lp_lambda0` replaced."""
+    c, prolate = prolate_matrix_indexed(xi)
+    nn = 2.0 * np.arange(len(prolate))
+    p_at_zero = np.sqrt((2 * nn + 1) / 2.0) * np.cumprod(
+        np.concatenate([[1.0], (1.0 - nn[1:]) / nn[1:]]))
     _, vecs = np.linalg.eigh(prolate)
     beta = vecs[:, 0]
     tail = float(np.max(np.abs(beta[-4:])))
-    lam = float(c / np.pi * beta[0] ** 2 / (beta @ p_at_zero[:n]) ** 2)
+    lam = float(c / np.pi * beta[0] ** 2 / (beta @ p_at_zero) ** 2)
     return (1.0 if lam > 1.0 - 1e-14 else lam), tail
+
+
+def prolate_chi0_indexed(xi: float) -> float:
+    """The smallest eigenvalue chi_0 of `prolate_matrix_indexed`, by LAPACK's
+    `eigvalsh`."""
+    return float(np.linalg.eigvalsh(prolate_matrix_indexed(xi)[1])[0])

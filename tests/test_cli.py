@@ -101,12 +101,12 @@ COMMAND_MODULES = {
 }
 # the package's public names by defining module, each loaded on first use
 EXPORTS = {
-    "concentration": ["LpBoundResult", "lp_lambda0", "well_defined_verdict"],
+    "concentration": ["LpBoundResult", "lp_lambda0"],
     "core": ["FourierState", "SlitGeometry", "UncertaintyReport", "build_report",
              "eval_momentum_wavefunction", "eval_position_wavefunction",
              "min_uncertainty_coefficients", "momentum_moments", "verify_constraints"],
-    "diffraction": ["DetectorSpec", "NoiseSpec", "gamma_trace", "intensity_profile",
-                    "synthesize_frame", "theory_trace"],
+    "diffraction": ["DetectorSpec", "NoiseSpec", "gamma_trace", "synthesize_frame",
+                    "theory_trace"],
     "reanalysis": ["ReanalysisRow", "reanalyze_products"],
     "special": ["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
                 "lanczos_gamma", "sine_integral"],

@@ -6,8 +6,10 @@ from oracles import (
     SampledDensity,
     concentration_probability,
     eval_momentum_density,
+    prolate_chi0_indexed,
     prolate_lambda0_48,
     prolate_lambda0_indexed,
+    prolate_matrix_indexed,
     random_symmetric_state,
 )
 from slitbound import (
@@ -17,7 +19,6 @@ from slitbound import (
     eval_momentum_wavefunction,
     lp_lambda0,
     min_uncertainty_coefficients,
-    well_defined_verdict,
 )
 from slitbound import concentration
 from slitbound.concentration import WELL_DEFINED_THRESHOLD, WELL_DEFINED_XI
@@ -201,6 +202,31 @@ class TestLambda0Solve:
         for xi in xis + size_rule_edges():
             assert_agrees_with_lapack(lp_lambda0(xi), xi)
 
+    def test_start_below_smallest_eigenvalue(self):
+        # Newton's start must lie below chi_0 to pass the Sturm certificate;
+        # the closest call is xi = 1e-3, 8.6e-15 relative below
+        xis = np.logspace(-3, np.log10(32.0), 2001, endpoint=False).tolist()
+        for xi in xis + size_rule_edges():
+            assert concentration._start(np.pi * xi / 2.0) < prolate_chi0_indexed(xi), xi
+
+    def test_start_above_eigenvalue_restarts_from_zero(self, monkeypatch):
+        # no xi takes the restart with the real start, so this forces it, from
+        # twice the start, where p_0 < 0, and from between theta_0 (the
+        # smallest eigenvalue of T without its first row and column) and
+        # chi_1, where p_0 > 0 and another pivot is negative
+        xis = np.logspace(-3, np.log10(32.0), 101, endpoint=False).tolist() + size_rule_edges()
+        for xi in xis:
+            _, prolate = prolate_matrix_indexed(xi)
+            chi = np.linalg.eigvalsh(prolate)
+            theta0 = np.linalg.eigvalsh(prolate[1:, 1:])[0]
+            twice = 2.0 * concentration._start(np.pi * xi / 2.0)
+            assert chi[0] < twice and chi[0] < theta0 < chi[1], xi
+            solves = []
+            for mu in (0.0, twice, (theta0 + chi[1]) / 2.0):
+                monkeypatch.setattr(concentration, "_start", lambda c, mu=mu: mu)
+                solves.append(float_bits(*concentration._solve(xi)))
+            assert solves[1] == solves[0] and solves[2] == solves[0], xi
+
     @pytest.mark.parametrize("xi", [0.0, 5e-324, 1e-300, 1e-160, 1e-150, 1e-20, 1e-10, 1e-5])
     def test_tiny_xi(self, xi):
         # c^2 underflows from xi ~ 1e-150 down, and c = 0 makes T singular
@@ -268,26 +294,12 @@ class TestConcentrationProbability:
 
 
 class TestWellDefinedVerdict:
-    def test_cases(self):
-        assert well_defined_verdict(0.78)
-        assert not well_defined_verdict(0.178)
-        assert well_defined_verdict(0.70)  # closed threshold
-
-    def test_threshold_constant(self):
-        assert WELL_DEFINED_THRESHOLD == 0.70
-        assert well_defined_verdict(WELL_DEFINED_THRESHOLD)
-        assert not well_defined_verdict(np.nextafter(WELL_DEFINED_THRESHOLD, 0.0))
-
     def test_threshold_xi(self):
         # lambda0 crosses the 70 % line at xi* = 0.8349379513...
         assert lp_lambda0(0.834937).lambda0 < WELL_DEFINED_THRESHOLD
         assert lp_lambda0(0.834939).lambda0 >= WELL_DEFINED_THRESHOLD
         assert lp_lambda0(WELL_DEFINED_XI).lambda0 == pytest.approx(WELL_DEFINED_THRESHOLD,
                                                                      abs=1e-14)
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidArgument):
-            well_defined_verdict(1.2)
 
 
 class TestBoundDominatesStates:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import np_intensity_profile
 from slitbound import (
     DetectorSpec,
     InvalidArgument,
     NoiseSpec,
     SlitGeometry,
     gamma_trace,
-    intensity_profile,
     lanczos_gamma,
     synthesize_frame,
     theory_trace,
@@ -30,11 +30,11 @@ def noisy_final(sigma, seed):
 class TestIntensityProfile:
     def test_even(self):
         y = np.linspace(1e-5, 0.014, 400)
-        assert np.array_equal(intensity_profile(GEOMETRY, y),
-                              intensity_profile(GEOMETRY, -y))
+        assert np.array_equal(np_intensity_profile(GEOMETRY, y),
+                              np_intensity_profile(GEOMETRY, -y))
 
     def test_normalized_over_detector_plane(self):
-        total, _ = quad(lambda y: intensity_profile(GEOMETRY, y), 0, 0.05,
+        total, _ = quad(lambda y: np_intensity_profile(GEOMETRY, y), 0, 0.05,
                         limit=2000, epsabs=1e-12)
         assert 2 * total == pytest.approx(1.0, abs=1e-6)
 
@@ -45,8 +45,12 @@ class TestIntensityProfile:
                             wavelength=GEOMETRY.wavelength,
                             focal_length=GEOMETRY.focal_length)
         y = np.linspace(0, 0.005, 200)
-        assert np.allclose(intensity_profile(wide, y),
-                           s * intensity_profile(GEOMETRY, s * y), rtol=1e-12)
+        assert np.allclose(np_intensity_profile(wide, y),
+                           s * np_intensity_profile(GEOMETRY, s * y), rtol=1e-12)
+        # and so do the frames, on a detector whose pixels scale by s exactly
+        assert np.allclose(synthesize_frame(wide, DetectorSpec(512, 8e-6)),
+                           s * synthesize_frame(GEOMETRY, DetectorSpec(512, s * 8e-6)),
+                           rtol=1e-12)
 
 
 class TestDetectorSpec:
@@ -74,7 +78,7 @@ class TestDetectorSpec:
 class TestSynthesizeFrame:
     def test_noiseless_equals_profile_samples(self):
         frame = synthesize_frame(GEOMETRY, DETECTOR)
-        expected = intensity_profile(GEOMETRY, DETECTOR.pixel_positions())
+        expected = np_intensity_profile(GEOMETRY, DETECTOR.pixel_positions())
         assert np.array_equal(frame, expected)
 
     def test_noiseless_symmetric(self):
@@ -132,6 +136,14 @@ class TestNormalizeFrame:
         frame = synthesize_frame(GEOMETRY, DETECTOR)
         frame[0] = -1e-12
         with pytest.raises(InvalidArgument, match="intensities must be nonnegative"):
+            gamma_trace(DETECTOR, frame, GEOMETRY)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # refused before the normalization, which would give a nan trace
+        frame = synthesize_frame(GEOMETRY, DETECTOR)
+        frame[1000] = bad
+        with pytest.raises(InvalidArgument, match="intensities must be nonnegative and finite"):
             gamma_trace(DETECTOR, frame, GEOMETRY)
 
 

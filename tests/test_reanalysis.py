@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slitbound import InvalidArgument, reanalyze_products
+from slitbound.concentration import WELL_DEFINED_THRESHOLD, WELL_DEFINED_XI
 
 PUBLISHED_PRODUCTS = [1.128, 2.464, 2.723]
 PUBLISHED_XI = [0.179, 0.392, 0.433]
@@ -24,6 +25,22 @@ class TestReanalyzeProducts:
         assert row.xi == pytest.approx(1.0, rel=1e-15)
         assert row.lambda0 == pytest.approx(0.78, abs=0.01)
         assert row.well_defined
+
+    def test_verdict_at_threshold(self):
+        # a* = 2 pi xi* and its float neighbours, where lambda0 is 0.70 to a few
+        # ulps: the verdict is the closed comparison lambda0 >= 0.70
+        assert WELL_DEFINED_THRESHOLD == 0.70
+        a_star = 2 * np.pi * WELL_DEFINED_XI
+        a_values = [a_star]
+        for direction in (0.0, np.inf):
+            a = a_star
+            for _ in range(64):
+                a = np.nextafter(a, direction)
+                a_values.append(a)
+        rows = reanalyze_products(a_values)
+        for row in rows:
+            assert row.well_defined == (row.lambda0 >= WELL_DEFINED_THRESHOLD)
+        assert {row.well_defined for row in rows} == {False, True}
 
     def test_large_product_saturates(self):
         # xi = 12: 1 - lambda0 is below double precision
