@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +21,7 @@ from slitbound import (
     eval_momentum_wavefunction,
     lp_lambda0,
     min_uncertainty_coefficients,
+    reanalyze_products,
 )
 from slitbound import concentration
 from slitbound.concentration import WELL_DEFINED_THRESHOLD, WELL_DEFINED_XI
@@ -293,7 +296,23 @@ class TestConcentrationProbability:
             concentration_probability(d, -1.0)
 
 
+def verdicts(monkeypatch, lambda0_values):
+    # the verdict reanalyze_products gives for each lambda0, fed to it exactly
+    values = iter(lambda0_values)
+    monkeypatch.setattr("slitbound.reanalysis.lp_lambda0",
+                        lambda xi: SimpleNamespace(lambda0=next(values)))
+    return [row.well_defined for row in reanalyze_products([1.0] * len(lambda0_values))]
+
+
 class TestWellDefinedVerdict:
+    def test_cases(self, monkeypatch):
+        assert verdicts(monkeypatch, [0.78, 0.178, 0.70]) == [True, False, True]  # closed
+
+    def test_threshold_constant(self, monkeypatch):
+        assert WELL_DEFINED_THRESHOLD == 0.70
+        below = np.nextafter(WELL_DEFINED_THRESHOLD, 0.0)
+        assert verdicts(monkeypatch, [WELL_DEFINED_THRESHOLD, below]) == [True, False]
+
     def test_threshold_xi(self):
         # lambda0 crosses the 70 % line at xi* = 0.8349379513...
         assert lp_lambda0(0.834937).lambda0 < WELL_DEFINED_THRESHOLD
