@@ -13,14 +13,14 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _HOMES = {
-    **dict.fromkeys(["LpBoundResult", "lp_lambda0"], "concentration"),
+    **dict.fromkeys(["LpBoundResult", "ReanalysisRow", "lp_lambda0", "reanalyze_products"],
+                    "concentration"),
     **dict.fromkeys(["FourierState", "SlitGeometry", "UncertaintyReport", "build_report",
                      "eval_momentum_wavefunction", "eval_position_wavefunction",
                      "min_uncertainty_coefficients", "momentum_moments",
                      "verify_constraints"], "core"),
     **dict.fromkeys(["DetectorSpec", "NoiseSpec", "gamma_trace", "synthesize_frame",
                      "theory_trace"], "diffraction"),
-    **dict.fromkeys(["ReanalysisRow", "reanalyze_products"], "reanalysis"),
     **dict.fromkeys(["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
                      "lanczos_gamma", "sine_integral"], "special"),
 }

@@ -178,35 +178,27 @@ def cmd_lpbound(args):
         "lpbound_report.json",
         "lpbound",
         {"xi": list(args.xi)},
-        {
-            "rows": [
-                {"xi": r.xi, "kernel_c": r.kernel_c, "lambda0": r.lambda0, "tail": r.tail}
-                for r in results
-            ]
-        },
+        # kernel_c = pi*xi/2 overflows above xi ~ 5.7e307, where lambda0 = 1
+        # is still certified, and is then reported as null
+        {"rows": [{**r._asdict(), "kernel_c": r.kernel_c if math.isfinite(r.kernel_c) else None}
+                  for r in results]},
         {"lambda0": [f"{r.lambda0:.3f}" for r in results]},
     )
 
 
 def cmd_reanalyze(args):
-    from . import reanalysis
-    from .concentration import WELL_DEFINED_THRESHOLD, WELL_DEFINED_XI
+    from . import concentration
 
-    rows = reanalysis.reanalyze_products(args.a)
+    rows = concentration.reanalyze_products(args.a)
     header = ["a", "xi", "lambda0", "well_defined"]
     tables = [("reanalysis.csv", header, [[getattr(r, f) for r in rows] for f in header])]
     return tables, (
         "reanalysis_report.json",
         "reanalyze",
-        {"a": list(args.a), "threshold": WELL_DEFINED_THRESHOLD,
+        {"a": list(args.a), "threshold": concentration.WELL_DEFINED_THRESHOLD,
          "a_definition": "delta_x*delta_p/hbar, delta_p = 2*sigma_p",
-         "a_threshold": 2.0 * math.pi * WELL_DEFINED_XI},
-        {
-            "rows": [
-                {"a": r.a, "xi": r.xi, "lambda0": r.lambda0, "well_defined": r.well_defined}
-                for r in rows
-            ]
-        },
+         "a_threshold": 2.0 * math.pi * concentration.WELL_DEFINED_XI},
+        {"rows": [r._asdict() for r in rows]},
         {
             "rows": [
                 {"a": f"{r.a:.3f}", "xi": f"{r.xi:.3f}", "lambda0": f"{r.lambda0:.3f}",

@@ -13,11 +13,14 @@ tridiagonal eigenproblem of at most 42 terms solved in pure Python: Newton's
 iteration on det(T - mu) from an estimate of the smallest eigenvalue that the
 bottom-up LDL^T pivots certify to lie below it (Sturm), else from mu = 0, and
 the eigenvector from the ratios of those pivots.  No numpy is loaded.
+
+Measured products delta_x*delta_p = a*hbar are reanalyzed here too: each maps
+to the window parameter xi = a/(2*pi), and its momentum uncertainty is well
+defined when lambda0(xi) reaches the 70 % probability weight.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -28,9 +31,10 @@ from .errors import InvalidArgument, NumericFailure
 # a momentum uncertainty is well defined when its window can hold at least
 # this probability weight
 WELL_DEFINED_THRESHOLD = 0.70
-# lambda0 reaches WELL_DEFINED_THRESHOLD at this xi (bisection on lp_lambda0;
-# a 40-digit solve of the same expansion gives 0.834937951317756172)
-WELL_DEFINED_XI = 0.8349379513177562
+# the first double at which lp_lambda0 reaches WELL_DEFINED_THRESHOLD: a
+# 40-digit solve of the same expansion crosses at 0.834937951317756172, and
+# the double nearest it, 0.8349379513177562, lies below and reads 1 ulp short
+WELL_DEFINED_XI = 0.8349379513177563
 
 # psi0 is expanded on n = 16 + ceil(c/2) even normalized Legendre polynomials
 # P_0, ..., P_2n-2, which keeps the last four coefficients below 3e-18 for every
@@ -81,14 +85,8 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     """
     if not (math.isfinite(xi) and xi >= 0):
         raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
-    lam, tail = _solve(xi) if xi < _XI_SATURATED else _saturated()
+    lam, tail = _solve(xi) if xi < _XI_SATURATED else _SATURATED
     return LpBoundResult(xi=float(xi), kernel_c=math.pi * xi / 2.0, lambda0=lam, tail=tail)
-
-
-@functools.cache
-def _saturated() -> tuple[float, float]:
-    """(lambda0, tail) of every xi >= _XI_SATURATED, solved on first use."""
-    return _solve(_XI_SATURATED)
 
 
 def _start(c: float) -> float:
@@ -153,3 +151,28 @@ def _solve(xi: float) -> tuple[float, float]:
     if lam > 1.0 - _LAMBDA_ROUNDING:
         lam = 1.0
     return lam, tail
+
+
+# (lambda0, tail) of every xi >= _XI_SATURATED, solved once at import
+_SATURATED = _solve(_XI_SATURATED)
+
+
+class ReanalysisRow(NamedTuple):
+    a: float
+    xi: float
+    lambda0: float
+    well_defined: bool
+
+
+def reanalyze_products(a_values) -> list[ReanalysisRow]:
+    """One ReanalysisRow per product a (in units of hbar): xi = a/(2*pi),
+    the concentration bound at that xi, and the well-definedness verdict."""
+    a_arr = [float(a) for a in a_values]
+    if not all(math.isfinite(a) and a > 0 for a in a_arr):
+        raise InvalidArgument("all products a must be finite and positive")
+    rows = []
+    for a in a_arr:
+        xi = a / (2.0 * math.pi)
+        lam = lp_lambda0(xi).lambda0
+        rows.append(ReanalysisRow(a, xi, lam, lam >= WELL_DEFINED_THRESHOLD))
+    return rows

@@ -95,19 +95,18 @@ COMMAND_MODULES = {
     "minstate": ["core"],
     "lanczos": ["core", "special"],
     "lpbound": ["concentration"],
-    "reanalyze": ["concentration", "reanalysis"],
+    "reanalyze": ["concentration"],
     "simulate": ["core", "diffraction", "special"],
     "estimate": ["core", "diffraction", "special"],
 }
 # the package's public names by defining module, each loaded on first use
 EXPORTS = {
-    "concentration": ["LpBoundResult", "lp_lambda0"],
+    "concentration": ["LpBoundResult", "ReanalysisRow", "lp_lambda0", "reanalyze_products"],
     "core": ["FourierState", "SlitGeometry", "UncertaintyReport", "build_report",
              "eval_momentum_wavefunction", "eval_position_wavefunction",
              "min_uncertainty_coefficients", "momentum_moments", "verify_constraints"],
     "diffraction": ["DetectorSpec", "NoiseSpec", "gamma_trace", "synthesize_frame",
                     "theory_trace"],
-    "reanalysis": ["ReanalysisRow", "reanalyze_products"],
     "special": ["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
                 "lanczos_gamma", "sine_integral"],
 }
@@ -503,6 +502,15 @@ class TestLpbound:
         lines = (tmp_path / "lpbound.csv").read_text().splitlines()
         assert lines[1:] == ["400,1", "1000,1"]
 
+    def test_kernel_c_overflow(self, tmp_path):
+        # kernel_c = pi*xi/2 overflows above xi ~ 5.7e307; lambda0 = 1 and its
+        # tail stay certified there, so the report says null for kernel_c
+        assert run(tmp_path, "lpbound", "--xi", "1e300", "1e308", "1.7976931348623157e308") == 0
+        rows = load_report(tmp_path, "lpbound_report.json")["results"]["rows"]
+        assert [r["lambda0"] for r in rows] == [1.0, 1.0, 1.0]
+        assert all(r["tail"] <= 1e-15 for r in rows)
+        assert [r["kernel_c"] for r in rows] == [np.pi * 1e300 / 2.0, None, None]
+
 
 class TestReanalyze:
     def test_published_triple(self, tmp_path):
@@ -517,11 +525,11 @@ class TestReanalyze:
 
     def test_threshold_product(self, tmp_path):
         # the verdict turns at the report's a_threshold
-        a_star = 2.0 * np.pi * 0.8349379513177562
+        a_star = 2.0 * np.pi * 0.8349379513177563
         below, above = f"{a_star * (1 - 1e-6)!r}", f"{a_star * (1 + 1e-6)!r}"
         assert run(tmp_path, "reanalyze", "--a", below, above) == 0
         report = load_report(tmp_path, "reanalysis_report.json")
-        assert report["parameters"]["a_threshold"] == pytest.approx(5.24606986812635, rel=1e-14)
+        assert report["parameters"]["a_threshold"] == 5.246069868126351
         assert [r["well_defined"] for r in report["results"]["rows"]] == [False, True]
 
     def test_far_saturated_product(self, tmp_path):
@@ -822,7 +830,7 @@ class TestHardExit:
 FUZZ_CHILD = """
 import contextlib, io, json, os, resource, sys
 import numpy
-from slitbound import cli, concentration, core, diffraction, reanalysis, special
+from slitbound import cli, concentration, core, diffraction, special
 with open('/proc/self/status') as fh:
     vm = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))
 cap = vm * 1024 + (1 << 30)
@@ -854,7 +862,7 @@ FUZZ_FAR_WIDTHS = ["1m", "1e300", "1e154", "1.7e308m", "1e308"]
 FUZZ_OPTICS = {"--wavelength": ["632.82nm", "1e-310nm", "1e300m", "0", "-5nm", "nan", "2um"],
                "--focal-length": ["150mm", "1e-310nm", "1e300m", "-1m", "inf", "1e153m"]}
 FUZZ_NUMBERS = ["0", "0.179", "1.0", "31.99", "32", "1e3", "1e300", "-1.5", "-0.0", "nan",
-                "inf", "5e-324", "2.464"]
+                "inf", "5e-324", "2.464", "1e308", "1.7976931348623157e308"]
 
 
 def fuzz_case(rng, frames):
@@ -936,6 +944,14 @@ class TestArgumentFuzz:
                or (err != "" if code == 0 else
                    err.splitlines() != [err.strip()] or not err.startswith("slitbound: "))]
         assert bad[:5] == []
+        # lambda0 is certified at every finite xi >= 0, so an lpbound case of
+        # such values, or a reanalyze case of finite a > 0, succeeds
+        valid = {"lpbound": lambda v: v >= 0, "reanalyze": lambda v: v > 0}
+        refused = [(argv, code) for argv, (code, _, _) in zip(cases, results)
+                   if argv[0] in valid and code != 0
+                   and all(np.isfinite(float(v)) and valid[argv[0]](float(v))
+                           for v in argv[2:])]
+        assert refused[:5] == []
         # the fuzz reached every exit code and every command's success
         assert {code for code, _, _ in results} == {0, 2, 3, 4}
         assert {argv[0] for argv, (code, _, _) in zip(cases, results) if code == 0} \

@@ -190,13 +190,15 @@ class TestLambda0Solve:
             return solve(xi)
 
         monkeypatch.setattr(concentration, "_solve", counting_solve)
-        concentration._saturated.cache_clear()
         results = [lp_lambda0(xi) for xi in np.linspace(32.0, 1e4, 10).tolist()]
-        assert calls == [32.0]
+        # the saturation solve was made at import: no xi >= 32 takes another
+        assert calls == []
         assert {r.lambda0 for r in results} == {1.0}
+        assert float_bits(*concentration._SATURATED) == float_bits(*solve(32.0))
         # below saturation every xi takes its own solve
         lp_lambda0(31.0)
-        assert calls == [32.0, 31.0]
+        lp_lambda0(31.0)
+        assert calls == [31.0, 31.0]
 
     def test_matches_indexed_build(self):
         # the LAPACK solve of the matrix built by np.diag and index writes,
@@ -299,7 +301,7 @@ class TestConcentrationProbability:
 def verdicts(monkeypatch, lambda0_values):
     # the verdict reanalyze_products gives for each lambda0, fed to it exactly
     values = iter(lambda0_values)
-    monkeypatch.setattr("slitbound.reanalysis.lp_lambda0",
+    monkeypatch.setattr("slitbound.concentration.lp_lambda0",
                         lambda xi: SimpleNamespace(lambda0=next(values)))
     return [row.well_defined for row in reanalyze_products([1.0] * len(lambda0_values))]
 
@@ -319,6 +321,16 @@ class TestWellDefinedVerdict:
         assert lp_lambda0(0.834939).lambda0 >= WELL_DEFINED_THRESHOLD
         assert lp_lambda0(WELL_DEFINED_XI).lambda0 == pytest.approx(WELL_DEFINED_THRESHOLD,
                                                                      abs=1e-14)
+        # xi* is the first double where the computed lambda0 reaches 0.70
+        below = np.nextafter(WELL_DEFINED_XI, 0.0)
+        assert lp_lambda0(WELL_DEFINED_XI).lambda0 >= WELL_DEFINED_THRESHOLD
+        assert lp_lambda0(below).lambda0 < WELL_DEFINED_THRESHOLD
+        # so the verdict holds at a* = 2 pi xi*, the report's a_threshold, and not
+        # at the double below
+        a_star = 2 * np.pi * WELL_DEFINED_XI
+        assert a_star == 5.246069868126351
+        rows = reanalyze_products([a_star, np.nextafter(a_star, 0.0)])
+        assert [row.well_defined for row in rows] == [True, False]
 
 
 class TestBoundDominatesStates:
