@@ -5,23 +5,23 @@ Every command is deterministic given its flags (fixed default seed 42) and
 writes plot-ready CSV plus a strict JSON report.  A ``cmd_*`` function
 computes and returns its files without writing any: a list of CSV tables
 ``(file name, header, columns[, comments])``, each column a list or an
-array, and the report ``(file name, command, parameters, results,
-display)``.  ``main`` encodes every file in memory, each table a column at
-a time, checking that every value is finite, and only then writes them,
-the report last.  So exit 2 or 3 leaves no new file, and a report on disk
-means its CSVs were written with it.  Exit codes: 0 success, 2
-configuration error, 3 numeric failure, 4 I/O error.  Each command imports
-the compute modules it runs when it runs, so a cold process loads,
-compiles and builds no other; numpy too is imported only by the commands
-that compute on arrays, ``simulate`` and ``estimate``, so ``minstate``,
-``lanczos``, ``lpbound`` and ``reanalyze`` run without it.  A command runs
-with RuntimeWarning ignored, so a failure prints one line: a non-finite
-value numpy would warn of is refused on encoding.  From the command line a
-command runs through ``run``: once ``main`` has written its files, it
-flushes stdout and stderr and ends the process with ``os._exit``, without
-the interpreter's teardown, so atexit handlers that other code registers
-(coverage.py's subprocess measurement, say) do not run.  ``main`` called
-from Python returns its exit code.
+array, and the report ``(file name, parameters, results, display)``.
+``main`` takes the report's command from the parser, encodes every file in
+memory, each table a column at a time, checking that every value is finite,
+and only then writes them, the report last.  So exit 2 or 3 leaves no new
+file, and a report on disk means its CSVs were written with it.  Exit codes:
+0 success, 2 configuration error, 3 numeric failure, 4 I/O error.  Each
+command imports the compute modules it runs when it runs, so a cold process
+loads, compiles and builds no other; numpy too is imported only by the
+commands that compute on arrays, ``simulate`` and ``estimate``, so
+``minstate``, ``lanczos``, ``lpbound`` and ``reanalyze`` run without it.  A
+command runs with RuntimeWarning ignored, so a failure prints one line: a
+non-finite value numpy would warn of is refused on encoding.  From the
+command line a command runs through ``run``: once ``main`` has written its
+files, it flushes stdout and stderr and ends the process with ``os._exit``,
+without the interpreter's teardown, so atexit handlers that other code
+registers (coverage.py's subprocess measurement, say) do not run.  ``main``
+called from Python returns its exit code.
 """
 
 from __future__ import annotations
@@ -87,10 +87,8 @@ def cmd_minstate(args):
     from . import core
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
-    if args.nmax < 1:
-        raise InvalidArgument(f"--nmax must be >= 1, got {args.nmax}")
     _check_cap("--nmax", args.nmax, MAX_NMAX)
-    state = core.min_uncertainty_coefficients(args.nmax, delta_x)
+    state = _flag("--nmax", core.min_uncertainty_coefficients, args.nmax, delta_x)
     _, sigma_p = core.momentum_moments(state)
     residuals = core.verify_constraints(state)
     # cosine-state position spread: delta_x * sqrt(1/12 - 1/(2 pi^2))
@@ -109,7 +107,6 @@ def cmd_minstate(args):
     ]
     return tables, (
         "minstate_report.json",
-        "minstate",
         {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": 1.0},
         {
             "sigma_x_m": sigma_x,
@@ -142,14 +139,13 @@ def cmd_lanczos(args):
     # what the momentum CSV leaves out beyond |k| = k_max; the second moment's
     # bound, about 0.34/delta_x^2, leaves the float range below a width of
     # about 4e-155 m and above about 4e161 m, and is then reported as null
-    m2_tail = special.lanczos_second_moment_tail_bound(state, k_max)
+    w_tail, m2_tail = special.lanczos_tail_bounds(state, k_max)
     tables = [
         ("lanczos_position_density.csv", ["x_m", "density_per_m"], [x, [v * v for v in phi]]),
         ("lanczos_momentum_density.csv", ["k_per_m", "density_m"], [k, dens]),
     ]
     return tables, (
         "lanczos_report.json",
-        "lanczos",
         {"slit_width_m": delta_x, "hbar": 1.0},
         {
             "gamma": gamma,
@@ -158,7 +154,7 @@ def cmd_lanczos(args):
             "product_over_hbar": report.product_over_hbar,
             "verdicts": report.verdicts,
             "k_max_per_m": k_max,
-            "weight_tail_bound": special.lanczos_weight_tail_bound(state, k_max),
+            "weight_tail_bound": w_tail,
             "second_moment_tail_bound": m2_tail if 0.0 < m2_tail < math.inf else None,
         },
         {
@@ -176,7 +172,6 @@ def cmd_lpbound(args):
     tables = [("lpbound.csv", header, [[getattr(r, f) for r in results] for f in header])]
     return tables, (
         "lpbound_report.json",
-        "lpbound",
         {"xi": list(args.xi)},
         # kernel_c = pi*xi/2 overflows above xi ~ 5.7e307, where lambda0 = 1
         # is still certified, and is then reported as null
@@ -194,7 +189,6 @@ def cmd_reanalyze(args):
     tables = [("reanalysis.csv", header, [[getattr(r, f) for r in rows] for f in header])]
     return tables, (
         "reanalysis_report.json",
-        "reanalyze",
         {"a": list(args.a), "threshold": concentration.WELL_DEFINED_THRESHOLD,
          "a_definition": "delta_x*delta_p/hbar, delta_p = 2*sigma_p",
          "a_threshold": 2.0 * math.pi * concentration.WELL_DEFINED_XI},
@@ -229,7 +223,6 @@ def cmd_simulate(args):
                ["normalized=false"])]
     return tables, (
         "simulate_report.json",
-        "simulate",
         {
             "slit_width_m": geometry.slit_width,
             "wavelength_m": geometry.wavelength,
@@ -265,15 +258,10 @@ def cmd_estimate(args):
     if pixel_size <= 0 or np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = _flag("frame", diffraction.DetectorSpec, num_pixels=len(y), pixel_size=pixel_size)
-    # the band quadrature bounded on its last edge, and the estimator's
-    # largest term pixel_size*y^2 checked finite, both as Python floats,
-    # before any array arithmetic on the frame's extent can overflow
+    # the band's last edge bounded as a Python float, before array arithmetic
+    # on the frame's extent can overflow, as gamma_trace bounds its own terms
     special.check_band_edge(special.LanczosState(geometry.slit_width),
                             geometry.k0 * (len(y) // 2 * pixel_size) / geometry.focal_length)
-    extent = (len(y) - 1) / 2.0 * pixel_size
-    if not math.isfinite(pixel_size * (extent * extent)):
-        raise InvalidArgument(f"frame extent +-{extent:.3g} m is too large: "
-                              "pixel_size*y^2 overflows")
     n, y_extent, gamma_hat = diffraction.gamma_trace(
         detector, np.clip(intens, 0.0, None), geometry)
     theory = diffraction.theory_trace(geometry, y_extent)
@@ -282,7 +270,6 @@ def cmd_estimate(args):
                [n, y_extent * 1e3, gamma_hat, theory])]
     return tables, (
         "estimate_report.json",
-        "estimate",
         {
             "frame": os.path.basename(args.frame),
             "slit_width_m": geometry.slit_width,
@@ -323,22 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minstate", help="minimum-uncertainty slit state and report")
     p.add_argument("--slit-width", default=DEFAULT_SLIT_WIDTH)
     p.add_argument("--nmax", type=int, default=4096)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_minstate)
 
     p = sub.add_parser("lanczos", help="truncated-sinc state, gamma constant and report")
     p.add_argument("--slit-width", default=DEFAULT_SLIT_WIDTH)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_lanczos)
 
     p = sub.add_parser("lpbound", help="concentration bound lambda0(xi)")
     p.add_argument("--xi", type=float, nargs="+", required=True)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_lpbound)
 
     p = sub.add_parser("reanalyze", help="reanalyze measured products a (units of hbar)")
     p.add_argument("--a", type=float, nargs="+", required=True)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_reanalyze)
 
     p = sub.add_parser("simulate", help="synthesize a CCD frame of the 4f pattern")
@@ -349,15 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additive Gaussian sigma as a fraction of the frame peak")
     p.add_argument("--quantize", action="store_true")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the accumulative gamma estimator on a frame CSV")
     p.add_argument("frame", help="path to a frame CSV (pixel,y_mm,intensity)")
     _add_geometry_flags(p)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_estimate)
 
+    for p in sub.choices.values():  # last, as each help lists it last
+        p.add_argument("--out", default=".")
     return parser
 
 
@@ -372,7 +355,7 @@ def main(argv=None) -> int:
         # encoding checks every value, so nothing is written unless all of it
         # passes; the report goes last, so on disk it vouches for its CSVs
         texts = [(table[0], format_csv(*table)) for table in tables]
-        texts.append((report_name, format_report(*report)))
+        texts.append((report_name, format_report(args.command, *report)))
         for name, text in texts:
             atomic_write_text(os.path.join(args.out, name), text)
         return EXIT_OK

@@ -85,6 +85,7 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     """
     if not (math.isfinite(xi) and xi >= 0):
         raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
+    xi = abs(xi)  # -0.0 as +0.0, so no result is a negative zero
     lam, tail = _solve(xi) if xi < _XI_SATURATED else _SATURATED
     return LpBoundResult(xi=float(xi), kernel_c=math.pi * xi / 2.0, lambda0=lam, tail=tail)
 

@@ -14,6 +14,8 @@ and converges to gamma (minus the off-detector tail) as n -> N/2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import SlitGeometry
@@ -92,6 +94,11 @@ def gamma_trace(
     """Accumulative estimate of the uncertainty excess factor from a frame,
     normalized here so that sum(pixel_size * I_i) = 1, expanding pixel pairs
     symmetrically from the center.  Returns (n, y_extent, gamma_hat)."""
+    # the largest pixel_size*y^2 checked as Python floats, before arrays overflow
+    extent = (detector.num_pixels - 1) / 2.0 * detector.pixel_size
+    if not math.isfinite(detector.pixel_size * (extent * extent)):
+        raise InvalidArgument(f"frame extent +-{extent:.3g} m is too large: "
+                              "pixel_size*y^2 overflows")
     v = np.asarray(intensities, dtype=float)
     if v.shape != (detector.num_pixels,):
         raise InvalidArgument("intensities length must equal num_pixels")

@@ -268,40 +268,31 @@ def _check_panels(total: float) -> None:
             f"more than {MAX_PANELS}")
 
 
-def _tail_prefactors(state: LanczosState, k_max: float):
-    """(d, C, lead) shared by the tail bounds: d = U - pi at U = dx*k_max/2,
-    C the density prefactor in the u-measure (both tails), and lead >= 1 the
-    inflation of the bracket's leading term 2pi/(u^2-pi^2) at U."""
-    U = state.slit_width * k_max / 2.0
-    if U <= 2.0 * math.pi:
-        raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
-    # the bracket over its leading term, as quotients near 1 divided by d: a
-    # huge or infinite U gives 0 or nan, never a ZeroDivisionError or an
-    # OverflowError (Python floats raise both where numpy gives inf)
-    d, s = U - math.pi, U + math.pi
-    lead = 1.0 + 2.0 * (U / s) / d + 4.0 / math.pi * (s / d) / d
-    return d, 1.0 / (4.0 * math.pi**2 * SI_2PI), lead
-
-
-def lanczos_weight_tail_bound(state: LanczosState, k_max: float) -> float:
-    """Certified upper bound on the probability mass beyond |k| > k_max.
+def lanczos_tail_bounds(state: LanczosState, k_max: float) -> tuple[float, float]:
+    """Certified upper bounds (weight, second_moment) on the probability
+    mass and on int k^2 density dk beyond |k| > k_max.
 
     Uses the two-term asymptotics of Si with remainder <= 4/v^3, so with
     u = dx*k/2 the bracket in the density is at most
     2pi/(u^2-pi^2) + 4pi*u/(u^2-pi^2)^2 + 8/(u-pi)^3.
     Valid for dx*k_max/2 > 2*pi.
     """
-    d, C, lead = _tail_prefactors(state, k_max)
+    U = state.slit_width * k_max / 2.0
+    if U <= 2.0 * math.pi:
+        raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
+    # lead >= 1 inflates the bracket's leading term 2pi/(u^2-pi^2) at U, as
+    # quotients near 1 divided by d = U - pi: a huge or infinite U gives 0 or
+    # nan, never a ZeroDivisionError or an OverflowError (Python floats raise
+    # both where numpy gives inf)
+    d, s = U - math.pi, U + math.pi
+    lead = 1.0 + 2.0 * (U / s) / d + 4.0 / math.pi * (s / d) / d
+    # the density prefactor in the u-measure, both tails
+    C = 1.0 / (4.0 * math.pi**2 * SI_2PI)
     # integrand (in u) is <= C * bracket(u)^2, decreasing; bound the integral
     # by the leading 1/(3 (U-pi)^3) behavior with the bracket inflated at U
     integral = (2.0 * math.pi) ** 2 * (lead * lead) / (3.0 * d * d * d)
-    return 2.0 * C * integral
-
-
-def lanczos_second_moment_tail_bound(state: LanczosState, k_max: float) -> float:
-    """Certified upper bound on int_{|k| > k_max} k^2 density dk."""
-    d, C, lead = _tail_prefactors(state, k_max)
     # u^2 * bracket(u)^2 <= (2pi)^2 * lead^2 * u^2/(u^2-pi^2)^2 <= that /(U-pi)
     integral_u = (2.0 * math.pi) ** 2 * (lead * lead) / d
     # back to k units: k^2 dk = (2/dx)^3 u^2 du
-    return 2.0 * C * integral_u * (2.0 / state.slit_width) * (2.0 / state.slit_width)
+    return (2.0 * C * integral,
+            2.0 * C * integral_u * (2.0 / state.slit_width) * (2.0 / state.slit_width))

@@ -265,6 +265,9 @@ class TestOutputFiles:
             expected |= files
             # no extra file and no .tmp-* leftover
             assert {p.name for p in tmp_path.iterdir()} == expected, argv[0]
+            # main names the report's command after the subcommand
+            (report,) = (f for f in files if f.endswith(".json"))
+            assert load_report(tmp_path, report)["command"] == argv[0]
 
     def test_files_take_the_umask_mode(self, tmp_path):
         old = os.umask(0o022)
@@ -430,8 +433,11 @@ class TestMinstate:
         report = load_report(tmp_path, "minstate_report.json")
         assert report["results"]["truncation_warning"]
 
-    def test_invalid_nmax(self, tmp_path):
+    def test_invalid_nmax(self, tmp_path, capsys):
         assert run(tmp_path, "minstate", "--nmax", "0") == 2
+        # the library's check, named after the flag, and only it
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("slitbound: configuration error: --nmax: ")
 
     def test_invalid_slit_width(self, tmp_path):
         assert run(tmp_path, "minstate", "--slit-width", "bogus") == 2

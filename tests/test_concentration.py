@@ -232,7 +232,8 @@ class TestLambda0Solve:
                 solves.append(float_bits(*concentration._solve(xi)))
             assert solves[1] == solves[0] and solves[2] == solves[0], xi
 
-    @pytest.mark.parametrize("xi", [0.0, 5e-324, 1e-300, 1e-160, 1e-150, 1e-20, 1e-10, 1e-5])
+    @pytest.mark.parametrize("xi", [-0.0, 0.0, 5e-324, 1e-300, 1e-160, 1e-150, 1e-20, 1e-10,
+                                    1e-5])
     def test_tiny_xi(self, xi):
         # c^2 underflows from xi ~ 1e-150 down, and c = 0 makes T singular
         res = lp_lambda0(xi)
@@ -240,6 +241,9 @@ class TestLambda0Solve:
         assert np.isfinite(res.lambda0) and np.isfinite(res.tail)
         assert abs(res.lambda0 - lam) <= 1e-15 * lam
         assert res.tail <= 1e-15
+        # -0.0 passes the xi >= 0 check and is read as +0.0, so no CSV cell
+        # or report value is a negative zero
+        assert not np.signbit([res.xi, res.kernel_c, res.lambda0]).any()
 
     @pytest.mark.parametrize("xi,lambda0,tail", [
         (0.5, 0.46779105921070603325, 3.0890965186430092e-39),

@@ -170,6 +170,13 @@ class TestGammaTrace:
         gap = np.abs(gamma_hat[sel] - theory[sel])
         assert np.max(gap) < 0.01 * lanczos_gamma()
 
+    def test_overflowing_terms_rejected(self):
+        # y = +-1e155 m: y^2 overflows, so pixel_size*y^2*I would be inf
+        detector = DetectorSpec(num_pixels=2, pixel_size=2e155)
+        geometry = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=1e153)
+        with pytest.raises(InvalidArgument, match=r"frame extent \+-1e\+155 m is too large"):
+            gamma_trace(detector, [0.2, 0.2], geometry)
+
 
 class TestTheoryTrace:
     def test_monotone_with_limit_gamma(self):
