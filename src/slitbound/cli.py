@@ -66,14 +66,17 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 
 
 def _geometry(args):
+    """The SlitGeometry of the three geometry flags, and its report parameters."""
     from . import core
 
-    return _flag(
+    g = _flag(
         "--slit-width, --wavelength, --focal-length", core.SlitGeometry,
         slit_width=_flag("--slit-width", parse_length, args.slit_width),
         wavelength=_flag("--wavelength", parse_length, args.wavelength),
         focal_length=_flag("--focal-length", parse_length, args.focal_length),
     )
+    return g, {"slit_width_m": g.slit_width, "wavelength_m": g.wavelength,
+               "focal_length_m": g.focal_length}
 
 
 def _linspace(start: float, stop: float, num: int) -> list:
@@ -109,11 +112,8 @@ def cmd_minstate(args):
         "minstate_report.json",
         {"slit_width_m": delta_x, "n_max": int(args.nmax), "hbar": 1.0},
         {
+            **report._asdict(),
             "sigma_x_m": sigma_x,
-            "sigma_p": sigma_p,
-            "delta_p": report.delta_p,
-            "product_over_hbar": report.product_over_hbar,
-            "verdicts": report.verdicts,
             "parseval_residual": float(residuals.parseval),
             "boundary_residual": float(residuals.boundary),
             "truncation_warning": bool(residuals.boundary > 1e-3),
@@ -128,8 +128,7 @@ def cmd_lanczos(args):
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
     state = special.LanczosState(delta_x)
     gamma = special.lanczos_gamma()
-    sigma_p = gamma * math.pi / delta_x
-    report = core.build_report(None, sigma_p, delta_x)
+    report = core.build_report(None, gamma * math.pi / delta_x, delta_x)
 
     x = _linspace(-delta_x / 2, delta_x / 2, 1001)
     phi = special.eval_lanczos_position(x, state)
@@ -148,11 +147,8 @@ def cmd_lanczos(args):
         "lanczos_report.json",
         {"slit_width_m": delta_x, "hbar": 1.0},
         {
+            **report._asdict(),
             "gamma": gamma,
-            "sigma_p": sigma_p,
-            "delta_p": report.delta_p,
-            "product_over_hbar": report.product_over_hbar,
-            "verdicts": report.verdicts,
             "k_max_per_m": k_max,
             "weight_tail_bound": w_tail,
             "second_moment_tail_bound": m2_tail if 0.0 < m2_tail < math.inf else None,
@@ -172,7 +168,7 @@ def cmd_lpbound(args):
     tables = [("lpbound.csv", header, [[getattr(r, f) for r in results] for f in header])]
     return tables, (
         "lpbound_report.json",
-        {"xi": list(args.xi)},
+        {"xi": [r.xi for r in results]},
         # kernel_c = pi*xi/2 overflows above xi ~ 5.7e307, where lambda0 = 1
         # is still certified, and is then reported as null
         {"rows": [{**r._asdict(), "kernel_c": r.kernel_c if math.isfinite(r.kernel_c) else None}
@@ -208,7 +204,7 @@ def cmd_simulate(args):
 
     from . import diffraction
 
-    geometry = _geometry(args)
+    geometry, geometry_parameters = _geometry(args)
     _check_cap("--pixels", args.pixels, MAX_PIXELS)
     detector = _flag("--pixels", diffraction.DetectorSpec, num_pixels=args.pixels,
                      pixel_size=_flag("--pixel-size", parse_length, args.pixel_size))
@@ -224,9 +220,7 @@ def cmd_simulate(args):
     return tables, (
         "simulate_report.json",
         {
-            "slit_width_m": geometry.slit_width,
-            "wavelength_m": geometry.wavelength,
-            "focal_length_m": geometry.focal_length,
+            **geometry_parameters,
             "num_pixels": detector.num_pixels,
             "pixel_size_m": detector.pixel_size,
             "detector_span_m": detector.span,
@@ -247,7 +241,7 @@ def cmd_estimate(args):
 
     from . import diffraction, special
 
-    geometry = _geometry(args)
+    geometry, geometry_parameters = _geometry(args)
     y, intens = read_frame_csv(args.frame)
     if len(y) < 2:
         raise InvalidArgument("frame must have at least two pixels")
@@ -270,12 +264,7 @@ def cmd_estimate(args):
                [n, y_extent * 1e3, gamma_hat, theory])]
     return tables, (
         "estimate_report.json",
-        {
-            "frame": os.path.basename(args.frame),
-            "slit_width_m": geometry.slit_width,
-            "wavelength_m": geometry.wavelength,
-            "focal_length_m": geometry.focal_length,
-        },
+        {"frame": os.path.basename(args.frame), **geometry_parameters},
         {
             "gamma_hat_final": float(gamma_hat[-1]),
             "gamma_theory_edge": float(theory[-1]),

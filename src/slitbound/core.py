@@ -85,14 +85,13 @@ class FourierState:
 
 
 class UncertaintyReport(NamedTuple):
-    """Uncertainty measures and inequality verdicts, products in units of hbar."""
+    """A slit-state report's bound block, products in units of hbar: the
+    fields are the report's keys, so a command writes the record whole."""
 
     sigma_p: float
-    delta_x: float
     delta_p: float
     product_over_hbar: float
     verdicts: dict
-    sigma_x: float | None = None
 
 
 def min_uncertainty_coefficients(n_max: int, delta_x: float) -> FourierState:
@@ -199,11 +198,11 @@ def verify_constraints(state: FourierState) -> ConstraintResiduals:
 
 
 def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> UncertaintyReport:
-    """Assemble the uncertainty products and all inequality verdicts.
+    """The report's bound block: uncertainty products and inequality verdicts.
 
-    delta_p = 2*sigma_p by definition; the product reported is
-    sigma_p * delta_x / hbar so the sharp bound reads product >= pi.
-    """
+    delta_p = 2*sigma_p by definition; the product reported is sigma_p *
+    delta_x / hbar so the sharp bound reads product >= pi.  A sigma_x adds
+    the Kennard verdict."""
     if sigma_p < 0 or (sigma_x is not None and sigma_x < 0):
         raise InvalidArgument("standard deviations must be nonnegative")
     if not delta_x > 0:
@@ -218,11 +217,4 @@ def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> Uncer
     }
     if sigma_x is not None:
         verdicts["kennard"] = bool(sigma_x * sigma_p >= 0.5)
-    return UncertaintyReport(
-        sigma_x=sigma_x,
-        sigma_p=sigma_p,
-        delta_x=delta_x,
-        delta_p=delta_p,
-        product_over_hbar=product,
-        verdicts=verdicts,
-    )
+    return UncertaintyReport(sigma_p, delta_p, product, verdicts)

@@ -23,21 +23,17 @@ LENGTH_SUFFIXES = {
 
 def parse_length(text) -> float:
     """Parse a length with an optional SI suffix (nm, um, mm, cm, m) into
-    meters; bare numbers are meters."""
-    if isinstance(text, (int, float)):
-        value = float(text)
-    else:
-        s = str(text).strip()
-        factor = 1.0
-        for suffix in sorted(LENGTH_SUFFIXES, key=len, reverse=True):
-            if s.endswith(suffix):
-                s = s[: -len(suffix)]
-                factor = LENGTH_SUFFIXES[suffix]
-                break
-        try:
-            value = float(s) * factor
-        except ValueError as exc:
-            raise InvalidArgument(f"cannot parse length {text!r}") from exc
+    meters; bare numbers are meters.  A number is read through its str,
+    which round-trips a float."""
+    s, factor = str(text).strip(), 1.0
+    for suffix in sorted(LENGTH_SUFFIXES, key=len, reverse=True):
+        if s.endswith(suffix):
+            s, factor = s[: -len(suffix)], LENGTH_SUFFIXES[suffix]
+            break
+    try:
+        value = float(s) * factor
+    except ValueError as exc:
+        raise InvalidArgument(f"cannot parse length {text!r}") from exc
     if not (value > 0 and math.isfinite(value)):
         raise InvalidArgument(f"length must be positive and finite, got {text!r}")
     return value

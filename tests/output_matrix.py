@@ -1,0 +1,93 @@
+"""Write every output of the acceptance matrix for one source tree.
+
+    python tests/output_matrix.py TREE OUTDIR
+
+Each case runs its commands in order, each as a fresh
+``python -m slitbound.cli`` with ``PYTHONPATH=TREE/src``, in ``OUTDIR/<case>/``
+as the working directory, so the files a command writes land there.  Beside
+them go ``<i>.stdout``, ``<i>.stderr`` and ``<i>.exit`` for the case's i-th
+command.  The matrix is:
+
+- the six commands of README.md's ``sh`` block, run in order as one case,
+  since ``estimate`` reads the frame ``simulate`` writes;
+- the extra cases of ``EXTRA`` below;
+- the seven ``--help`` texts: the program's and each command's.
+
+Run it on two trees into two directories and compare them with
+``diff -r OUT_A OUT_B``; a change that keeps every output shows no
+difference.  The commands come from this file and the README beside it, so
+both trees run the same matrix.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+_NOISY_GEOMETRY = ["--slit-width", "350um", "--wavelength", "532nm", "--focal-length", "200mm"]
+EXTRA = {
+    "lpbound-saturated": [["lpbound", "--xi", "0.179", "32", "40", "1e300"]],
+    "lpbound-negative-zero": [["lpbound", "--xi", "-0"]],
+    "minstate-wide": [["minstate", "--nmax", "100000", "--slit-width", "1m"]],
+    "frame-noisy": [
+        ["simulate", "--pixels", "2048", "--pixel-size", "7.5um", "--noise-sigma", "1e-3",
+         "--quantize", "--seed", "3", *_NOISY_GEOMETRY],
+        ["estimate", "frame.csv", *_NOISY_GEOMETRY],
+    ],
+    "frame-noiseless": [["simulate", "--pixels", "1024"], ["estimate", "frame.csv"]],
+    "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
+    "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
+}
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``slitbound ...`` lines of README.md's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("slitbound ")]
+
+
+def cases() -> dict[str, list[list[str]]]:
+    readme = readme_commands()
+    help_cases = {"help": [["--help"]]}
+    help_cases.update({f"help-{argv[0]}": [[argv[0], "--help"]] for argv in readme})
+    return {"readme": readme, **EXTRA, **help_cases}
+
+
+def run_case(tree: pathlib.Path, case_dir: pathlib.Path, commands) -> list[int]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    case_dir.mkdir(parents=True)
+    codes = []
+    for i, argv in enumerate(commands, 1):
+        done = subprocess.run([sys.executable, "-m", "slitbound.cli", *argv],
+                              cwd=case_dir, env=env, capture_output=True)
+        (case_dir / f"{i}.stdout").write_bytes(done.stdout)
+        (case_dir / f"{i}.stderr").write_bytes(done.stderr)
+        (case_dir / f"{i}.exit").write_text(f"{done.returncode}\n")
+        codes.append(done.returncode)
+    return codes
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print("usage: python tests/output_matrix.py TREE OUTDIR", file=sys.stderr)
+        return 2
+    tree, out = pathlib.Path(args[0]).resolve(), pathlib.Path(args[1]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"output_matrix: {out} is not empty", file=sys.stderr)
+        return 2
+    for name, commands in cases().items():
+        codes = run_case(tree, out / name, commands)
+        print(f"{name}: exit {' '.join(map(str, codes))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

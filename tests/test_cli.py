@@ -390,7 +390,7 @@ class TestParseLength:
     def test_rejects(self):
         from slitbound import InvalidArgument
 
-        for bad in ("abc", "-3mm", "0m", "", "inf", "nan", "infmm"):
+        for bad in ("abc", "-3mm", "0m", "", "inf", "nan", "infmm", 10**400):
             with pytest.raises(InvalidArgument):
                 parse_length(bad)
 
@@ -494,6 +494,10 @@ class TestLpbound:
 
     def test_negative_xi(self, tmp_path):
         assert run(tmp_path, "lpbound", "--xi", "-0.5") == 2
+        # -0 passes the xi >= 0 check, and the report echoes the +0.0 it read
+        assert run(tmp_path, "lpbound", "--xi", "-0", "1.0") == 0
+        xi = load_report(tmp_path, "lpbound_report.json")["parameters"]["xi"]
+        assert xi == [0.0, 1.0] and not np.signbit(xi).any()
 
     def test_non_finite_xi(self, tmp_path):
         for bad in ("nan", "inf"):

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,6 +24,27 @@ from slitbound.special import (
 SI_2PI_ORACLE = 1.4181515761326284
 # Si(pi)^2 / (2 pi^2 Si(2pi)), from the same quadrature oracle
 LANCZOS_DENSITY_AT_ZERO = 0.12251804225912144
+# Si at exact doubles to 32 significant digits (mpmath.si at 45 digits): both
+# sides of the |x| = 4 switch between the Pade and the f, g forms, 2*pi, the
+# worst point found (3.79), and up to 1e6
+SI_REFERENCES = [
+    (1e-8, "1.0000000000000000153670052745729e-8"),
+    (0.5, "0.49310741804306668916162670757276"),
+    (1.0, "0.94608307036718301494135331382318"),
+    (3.79, "1.7949921769732642500950314571967"),
+    (3.99, "1.7600892984314865533097710266085"),
+    (4.0, "1.7582031389490530581055593033585"),
+    (np.nextafter(4.0, 5.0), "1.7582031389490528900616482264317"),
+    (4.01, "1.7563053683733345294916372619503"),
+    (2 * np.pi, "1.4181515761326284502457801622998"),
+    (10.0, "1.6583475942188740493309718793897"),
+    (37.5, "1.5448334540038942671914270471229"),
+    (100.0, "1.5622254668890562933523451388045"),
+    (1e3, "1.5702331219687712181479627780363"),
+    (1e4, "1.5708915453859619157223696748094"),
+    (1e5, "1.5708063203993941228391714019773"),
+    (1e6, "1.5707953900431190814622082011421"),
+]
 
 
 def band_moment(state, k_max, power):
@@ -74,6 +97,15 @@ class TestSineIntegral:
         for x in (0.3, 1.0, 3.9, 4.1, 7.0, 25.0, 100.0):
             oracle, _ = quad(lambda t: np.sinc(t / np.pi), 0, x, limit=400, epsabs=1e-14)
             assert sine_integral(x) == pytest.approx(oracle, abs=1e-12)
+
+    def test_against_32_digit_references(self):
+        # the absolute error the sine_integral docstring states, on the float
+        # and the array path and at -x
+        for x, ref in SI_REFERENCES:
+            for sign in (1, -1):
+                got = (sine_integral(sign * float(x)), sine_integral(np.array([sign * x]))[0])
+                for value in got:
+                    assert abs(Decimal(float(value)) - sign * Decimal(ref)) <= Decimal("1e-15"), x
 
     def test_odd(self):
         xs = np.array([0.1, 1.0, 3.5, 4.5, 20.0, 1e3])
