@@ -361,7 +361,10 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """main on sys.argv, then os._exit: the teardown of every loaded module
-    costs a cold command more than some of them spend computing."""
+    costs a cold command more than some of them spend computing.  OpenBLAS
+    runs one thread unless the user chose a count: on a command's small
+    arrays more threads cost more than they save."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None where the descriptor was closed at start

@@ -130,10 +130,18 @@ def _over(f, x):
     return [f(float(v)) for v in x] if hasattr(x, "__iter__") else f(float(x))
 
 
-def _cos(t: float) -> float:
-    # math.cos raises on an infinite argument; nan, as numpy gives, lets the
-    # output checks refuse the value as non-finite
-    return math.cos(t) if math.isfinite(t) else math.nan
+def _nan_at_inf(f):
+    """The math function f with nan at an infinite argument, where math raises
+    and numpy gives nan: the output checks refuse the value as non-finite."""
+    return lambda t: f(t) if math.isfinite(t) else math.nan
+
+
+_cos, _sin = _nan_at_inf(math.cos), _nan_at_inf(math.sin)
+
+
+def _sinc(t: float) -> float:
+    """sin(t)/t as np.sinc forms it: 1 at t = 0, nan at an infinite t."""
+    return _sin(t) / t if t else 1.0
 
 
 def eval_position_wavefunction(x, delta_x: float):
@@ -160,7 +168,7 @@ def _momentum_shape(u: float) -> float:
     s = abs(u) - math.pi
     if abs(s) < 1e-4:
         y = math.pi * (s / (2.0 * math.pi))
-        return 0.5 * (math.sin(y) / y if y else 1.0) / (2.0 * math.pi + s)
+        return 0.5 * _sinc(y) / (2.0 * math.pi + s)
     return _cos(u / 2.0) / (math.pi**2 - u * u)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import SlitGeometry
 from .errors import InvalidArgument
-from .special import LanczosState, eval_lanczos_momentum_density, lanczos_band_moments
+from .special import (LanczosState, check_band_edge, eval_lanczos_momentum_density,
+                      lanczos_band_moments)
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
 ADC_BITS = 16
@@ -127,8 +128,9 @@ def theory_trace(geometry: SlitGeometry, y_grid) -> np.ndarray:
     (delta_x/pi) * sqrt(int_{|k| <= k0*y/f} k^2 |phi~(k)|^2 dk).
     Monotone nondecreasing with limit gamma."""
     y = np.asarray(y_grid, dtype=float)
-    if y.ndim != 1 or np.any(y <= 0) or np.any(np.diff(y) <= 0):
-        raise InvalidArgument("y_grid must be 1-d, positive and strictly increasing")
+    if y.ndim != 1 or not np.all(np.isfinite(y)) or np.any(y <= 0) or np.any(np.diff(y) <= 0):
+        raise InvalidArgument("y_grid must be 1-d, finite, positive and strictly increasing")
     state = LanczosState(geometry.slit_width)
+    check_band_edge(state, geometry.k0 * float(y.max(initial=0.0)) / geometry.focal_length)
     m2 = lanczos_band_moments(state, geometry.k0 * y / geometry.focal_length, 2)
     return geometry.slit_width / np.pi * np.sqrt(m2)

@@ -25,7 +25,10 @@ def parse_length(text) -> float:
     """Parse a length with an optional SI suffix (nm, um, mm, cm, m) into
     meters; bare numbers are meters.  A number is read through its str,
     which round-trips a float."""
-    s, factor = str(text).strip(), 1.0
+    try:
+        s, factor = str(text).strip(), 1.0
+    except ValueError as exc:  # an int past the digit limit of str
+        raise InvalidArgument("length must be positive and finite") from exc
     for suffix in sorted(LENGTH_SUFFIXES, key=len, reverse=True):
         if s.endswith(suffix):
             s, factor = s[: -len(suffix)], LENGTH_SUFFIXES[suffix]

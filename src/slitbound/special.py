@@ -17,17 +17,17 @@ below 1e-16 on their range).
 
 The module loads no numpy, so ``lanczos`` starts without it: on a number
 or a sequence every formula is Python float arithmetic.  Si and the
-momentum density also take an array through numpy, imported there, with
-the same coefficient tables and the same order of operations, so an array
-and a list of the same points give the same bits.  ``lanczos_band_moments``,
-which ``diffraction`` runs, is numpy throughout.
+momentum density also take an array through numpy, imported there, and
+run the same formula functions on it, so an array and a list of the same
+points give the same bits.  ``lanczos_band_moments``, which
+``diffraction`` runs, is numpy throughout.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import _over
+from .core import _cos, _over, _sin, _sinc
 from .errors import InvalidArgument
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
@@ -85,28 +85,24 @@ def _poly(coeffs, y):
     return acc
 
 
+def _si_pade(ax):
+    # Si(|x|) for x^2 <= 16, on a float or an array
+    return ax * _poly(_SI_NUM, ax * ax) / _poly(_SI_DEN, ax * ax)
+
+
+def _si_asymptotic(ax, cos, sin):
+    # Si(|x|) for x^2 > 16 with the path's cos and sin; at inf, 0 * nan = nan
+    y = 1.0 / (ax * ax)
+    f = _poly(_F_NUM, y) / (ax * _poly(_F_DEN, y))
+    g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
+    return math.pi / 2.0 - f * cos(ax) - g * sin(ax)
+
+
 def _si(x: float) -> float:
     ax = abs(x)
-    if ax * ax <= 16.0:
-        out = ax * _poly(_SI_NUM, ax * ax) / _poly(_SI_DEN, ax * ax)
-    elif not math.isfinite(ax):
-        # math.cos and math.sin raise at infinity, where numpy gives nan
-        return math.nan
-    else:
-        y = 1.0 / (ax * ax)
-        f = _poly(_F_NUM, y) / (ax * _poly(_F_DEN, y))
-        g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
-        out = math.pi / 2.0 - f * math.cos(ax) - g * math.sin(ax)
+    out = _si_pade(ax) if ax * ax <= 16.0 else _si_asymptotic(ax, _cos, _sin)
     # np.sign's factor: Si(-0.0) is 0.0
     return out if x >= 0 else -out
-
-
-def _sinc(t: float) -> float:
-    """sin(t)/t as np.sinc forms it: 1 at t = 0, and nan at an infinite t,
-    where math.sin raises and numpy gives nan."""
-    if not t:
-        return 1.0
-    return math.sin(t) / t if math.isfinite(t) else math.nan
 
 
 def sine_integral(x):
@@ -120,14 +116,8 @@ def sine_integral(x):
     ax = np.abs(xa)
     small = ax * ax <= 16.0
     out = np.empty_like(ax)
-    # each point takes one branch: the Pade form, or f and g of y = 1/x^2
-    xs = ax[small]
-    out[small] = xs * _poly(_SI_NUM, xs * xs) / _poly(_SI_DEN, xs * xs)
-    xl = ax[~small]
-    y = 1.0 / (xl * xl)
-    f = _poly(_F_NUM, y) / (xl * _poly(_F_DEN, y))
-    g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
-    out[~small] = np.pi / 2.0 - f * np.cos(xl) - g * np.sin(xl)
+    out[small] = _si_pade(ax[small])
+    out[~small] = _si_asymptotic(ax[~small], np.cos, np.sin)
     out *= np.sign(xa)
     return float(out) if np.isscalar(x) else out
 
@@ -196,18 +186,17 @@ def eval_lanczos_momentum_density(k, state: LanczosState):
     """
     dx = state.slit_width
     scale = dx / (8.0 * math.pi**2 * SI_2PI)
-    if not hasattr(k, "dtype"):
-        def density(v):
-            u = v * dx / 2.0
-            dsi = _si(u + math.pi) - _si(u - math.pi)
-            return scale * (dsi * dsi)
 
+    def density(v, si=_si):
+        u = v * dx / 2.0
+        dsi = si(u + math.pi) - si(u - math.pi)
+        return scale * (dsi * dsi)
+
+    if not hasattr(k, "dtype"):
         return _over(density, k)
     import numpy as np
 
-    u = np.asarray(k, dtype=float) * dx / 2.0
-    dsi = sine_integral(u + np.pi) - sine_integral(u - np.pi)
-    out = scale * dsi**2
+    out = density(np.asarray(k, dtype=float), sine_integral)
     return float(out) if np.isscalar(k) else out
 
 

@@ -43,6 +43,10 @@ EXTRA = {
     "frame-noiseless": [["simulate", "--pixels", "1024"], ["estimate", "frame.csv"]],
     "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
     "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
+    # both reach nan at an infinite argument inside the command: exit 3, one
+    # stderr line and no file
+    "minstate-overflow": [["minstate", "--slit-width", "1.7e308m"]],
+    "lanczos-subnormal": [["lanczos", "--slit-width", "1e-310m"]],
 }
 
 

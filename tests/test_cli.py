@@ -390,7 +390,7 @@ class TestParseLength:
     def test_rejects(self):
         from slitbound import InvalidArgument
 
-        for bad in ("abc", "-3mm", "0m", "", "inf", "nan", "infmm", 10**400):
+        for bad in ("abc", "-3mm", "0m", "", "inf", "nan", "infmm", 10**400, 10**5000):
             with pytest.raises(InvalidArgument):
                 parse_length(bad)
 
@@ -822,6 +822,36 @@ class TestHardExit:
         assert proc.stderr.startswith("usage: slitbound lanczos [-h]")
         assert proc.stderr.endswith(
             "slitbound lanczos: error: argument --slit-width: expected one argument\n")
+
+    @pytest.mark.parametrize("given", [None, "3"], ids=["absent", "user"])
+    def test_run_defaults_one_blas_thread(self, tmp_path, monkeypatch, given):
+        # run, the command-line entry, gives OpenBLAS one thread unless the
+        # user chose a count; main called from Python leaves the variable be
+        if given is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+        assert run(tmp_path, "lpbound", "--xi", "1.0") == 0
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == given
+        seen = []
+        monkeypatch.setattr(cli, "main",
+                            lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+        monkeypatch.setattr(os, "_exit", seen.append)
+        cli.run()
+        assert seen == [given or "1", 0]
+
+    def test_blas_threads_keep_output_bytes(self, tmp_path):
+        # the README simulate and estimate, each in a fresh interpreter, write
+        # the same bytes under run's default, an explicit 1 and two threads
+        outputs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            for argv, _ in README_OUTPUTS[-2:]:
+                proc = run_python("-m", "slitbound.cli", *(a.format(out=out) for a in argv),
+                                  "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+                assert (proc.returncode, proc.stderr) == (0, ""), (threads, argv[0])
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_console_script_runs_run(self):
         tomllib = pytest.importorskip("tomllib")

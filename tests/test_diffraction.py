@@ -13,6 +13,7 @@ from slitbound import (
     synthesize_frame,
     theory_trace,
 )
+from slitbound.special import MAX_PANELS
 
 GEOMETRY = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=0.150)
 DETECTOR = DetectorSpec(num_pixels=3648, pixel_size=8e-6)
@@ -195,6 +196,14 @@ class TestTheoryTrace:
             theory_trace(GEOMETRY, np.array([1e-3, 1e-3]))
         with pytest.raises(InvalidArgument):
             theory_trace(GEOMETRY, np.array([-1e-3, 1e-3]))
+        for bad in ([np.inf], [np.nan], [1e-3, np.inf]):
+            with pytest.raises(InvalidArgument, match="y_grid"):
+                theory_trace(GEOMETRY, np.array(bad))
+        # an edge k0*y/f past the floats is refused as too many panels,
+        # before any array overflows
+        with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
+            theory_trace(GEOMETRY, np.array([1e303]))
+        assert theory_trace(GEOMETRY, np.array([])).shape == (0,)
 
 
 class TestNoiseBehavior:

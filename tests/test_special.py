@@ -120,6 +120,12 @@ class TestSineIntegral:
             expected = np.pi / 2 - np.cos(x) / x - np.sin(x) / x**2
             assert sine_integral(x) == pytest.approx(expected, abs=1e-6)
             assert abs(sine_integral(x) - np.pi / 2) < 2.1 / x
+        # past every finite x the float, list and array paths give nan, as
+        # numpy's cos and sin do at infinity; a nan's sign bit is not fixed
+        for x in (np.inf, -np.inf, np.nan):
+            with np.errstate(invalid="ignore"):
+                got = [sine_integral(x), *sine_integral([x]), *sine_integral(np.array([x]))]
+            assert np.isnan(got).all(), x
 
     def test_array_call_matches_scalar_calls_bitwise(self):
         # each point takes one branch, so an array mixing both branches gives
@@ -211,6 +217,13 @@ class TestLanczosMomentumDensity:
             eval_lanczos_momentum_density(-ks, state),
         )
         assert np.all(eval_lanczos_momentum_density(ks, state) >= 0)
+        # nan, not an exception, at an infinite or nan k on every path
+        for k in (np.inf, -np.inf, np.nan):
+            with np.errstate(invalid="ignore"):
+                got = [eval_lanczos_momentum_density(k, state),
+                       *eval_lanczos_momentum_density([k], state),
+                       *eval_lanczos_momentum_density(np.array([k]), state)]
+            assert np.isnan(got).all(), k
 
     def test_normalization_with_certified_tail(self):
         dx = 1.0
