@@ -249,16 +249,14 @@ def cmd_estimate(args):
     # true value: each spacing within 1e-8*max|y| of the true pitch, and the
     # span over N-1 within 1e-8*max|y|/(N-1)
     pixel_size = float((y[-1] - y[0]) / (len(y) - 1))
-    if pixel_size <= 0 or np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
+    if not pixel_size > 0:
+        raise InvalidArgument("frame y_mm must increase from row to row")
+    if np.any(np.abs(np.diff(y) - pixel_size) > 2e-8 * np.max(np.abs(y))):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = _flag("frame", diffraction.DetectorSpec, num_pixels=len(y), pixel_size=pixel_size)
-    # the band's last edge bounded as a Python float, before array arithmetic
-    # on the frame's extent can overflow, as gamma_trace bounds its own terms
-    special.check_band_edge(special.LanczosState(geometry.slit_width),
-                            geometry.k0 * (len(y) // 2 * pixel_size) / geometry.focal_length)
-    n, y_extent, gamma_hat = diffraction.gamma_trace(
-        detector, np.clip(intens, 0.0, None), geometry)
-    theory = diffraction.theory_trace(geometry, y_extent)
+    # theory first: it refuses too wide a band before the estimator's arithmetic
+    theory = diffraction.theory_trace(geometry, np.arange(1, len(y) // 2 + 1) * pixel_size)
+    n, y_extent, gamma_hat = diffraction.gamma_trace(detector, intens.clip(0.0), geometry)
     gamma = special.lanczos_gamma()
     tables = [("trace.csv", ["n", "y_mm", "gamma_hat", "gamma_theory"],
                [n, y_extent * 1e3, gamma_hat, theory])]

@@ -3,6 +3,7 @@ JSON report, unit parsing, the frame CSV reader and atomic file writes."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -118,26 +119,18 @@ def read_frame_csv(path: str):
     Every data row must hold exactly three finite numbers, and a frame holds
     at most MAX_PIXELS rows.  Returns (y_meters, intensities) as float
     arrays."""
-    rows = []
     with open(path) as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header_seen:
-                if len(rows) == MAX_PIXELS:
-                    raise InvalidArgument(
-                        f"frame CSV {path!r} holds more than {MAX_PIXELS} rows")
-                rows.append(line)
-            elif line != "pixel,y_mm,intensity":
-                raise InvalidArgument(
-                    f"unexpected frame CSV header {line!r}; expected pixel,y_mm,intensity"
-                )
-            else:
-                header_seen = True
+        # the header and at most one row past the cap, `#` and blank lines skipped
+        lines = list(itertools.islice(
+            (s for s in map(str.strip, fh) if s and not s.startswith("#")), MAX_PIXELS + 2))
+    if lines and lines[0] != "pixel,y_mm,intensity":
+        raise InvalidArgument(
+            f"unexpected frame CSV header {lines[0]!r}; expected pixel,y_mm,intensity")
+    rows = lines[1:]
     if not rows:
         raise InvalidArgument(f"frame CSV {path!r} contains no data")
+    if len(rows) > MAX_PIXELS:
+        raise InvalidArgument(f"frame CSV {path!r} holds more than {MAX_PIXELS} rows")
     table = _frame_table(rows)
     if table is None:
         # the table fails only where one of its rows fails on its own

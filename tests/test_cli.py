@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import slitbound
-from slitbound import NumericFailure, cli, core, diffraction, special
+from slitbound import InvalidArgument, NumericFailure, cli, core, diffraction, reports, special
 from slitbound.reports import format_csv, parse_length, read_frame_csv
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -672,6 +672,49 @@ class TestSimulateAndEstimate:
         assert np.array_equal(float_bits(y), float_bits([float(r[1]) * 1e-3 for r in rows]))
         assert np.array_equal(float_bits(intens), float_bits([float(r[2]) for r in rows]))
 
+    @pytest.mark.parametrize("text", ["", "pixel,y_mm,intensity\n",
+                                      "# normalized=false\n\npixel,y_mm,intensity\n# end\n"],
+                             ids=["empty", "header-only", "header-and-comments"])
+    def test_read_frame_without_rows(self, tmp_path, text):
+        path = tmp_path / "frame.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgument, match="contains no data"):
+            read_frame_csv(str(path))
+
+    @pytest.mark.parametrize("variant", ["comments-before-header", "comments-and-blanks",
+                                         "crlf"])
+    def test_read_frame_skips_comments_and_line_ends(self, tmp_path, variant):
+        # each variant reads bitwise the same as the frame simulate writes
+        assert run(tmp_path, "simulate", "--pixels", "256", "--noise-sigma", "1e-3") == 0
+        plain = (tmp_path / "frame.csv").read_text()
+        lines = plain.splitlines(keepends=True)
+        text = {
+            "comments-before-header": "# one\n\n#two\n" + plain,
+            "comments-and-blanks": "".join(
+                line + ("# note\n" if i % 3 else "\n  \n") for i, line in enumerate(lines)),
+            "crlf": plain.replace("\n", "\r\n"),
+        }[variant]
+        path = tmp_path / "variant.csv"
+        path.write_bytes(text.encode())
+        want = read_frame_csv(str(tmp_path / "frame.csv"))
+        for got, expected in zip(read_frame_csv(str(path)), want):
+            assert np.array_equal(float_bits(got), float_bits(expected))
+
+    def test_frame_cap_counts_rows_only(self, tmp_path, monkeypatch):
+        # under a cap of 4 rows, the comment and blank lines around 4 rows do
+        # not count toward it, and a fifth row does
+        monkeypatch.setattr(reports, "MAX_PIXELS", 4)
+
+        def frame(rows):
+            path = tmp_path / f"frame-{rows}.csv"
+            path.write_text("# c\n" * 9 + "pixel,y_mm,intensity\n" + "".join(
+                f"# c\n\n{i},{0.008 * i:.9g},0.2\n" for i in range(1, rows + 1)))
+            return str(path)
+
+        assert np.array_equal(read_frame_csv(frame(4))[1], [0.2] * 4)
+        with pytest.raises(InvalidArgument, match="holds more than 4 rows"):
+            read_frame_csv(frame(5))
+
     def test_estimate_single_pixel_frame(self, tmp_path):
         bad = tmp_path / "frame.csv"
         bad.write_text("pixel,y_mm,intensity\n1,0.004,0.2\n")
@@ -716,12 +759,27 @@ class TestSimulateAndEstimate:
         assert run(tmp_path, "estimate", str(tmp_path / "frame.csv")) == 0
         assert (tmp_path / "trace.csv").read_bytes() != traces["zero"]
 
-    def test_estimate_nonuniform_pixels(self, tmp_path):
+    def test_estimate_nonuniform_pixels(self, tmp_path, capsys):
         bad = tmp_path / "frame.csv"
         bad.write_text(
             "pixel,y_mm,intensity\n1,-0.012,0.1\n2,-0.004,0.2\n3,0.004,0.2\n4,0.013,0.1\n"
         )
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 2
+        assert "frame pixels must be uniformly spaced" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("y_mm", [(0.012, 0.004, -0.004, -0.012), (0.004,) * 4],
+                             ids=["descending", "constant"])
+    def test_estimate_y_must_increase(self, tmp_path, capsys, y_mm):
+        # a uniform but falling, or a constant, y_mm is refused for its order
+        bad = tmp_path / "frame.csv"
+        bad.write_text("pixel,y_mm,intensity\n" + "".join(
+            f"{i},{y},0.2\n" for i, y in enumerate(y_mm, 1)))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["estimate", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "slitbound: configuration error: frame y_mm must increase from row to row"]
+        assert list(out.iterdir()) == []
 
 
 class TestReentrantMain:
