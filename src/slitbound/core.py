@@ -27,18 +27,18 @@ from .errors import InvalidArgument
 class SlitGeometry:
     """Slit width, laser wavelength and focal length of the imaging lens."""
 
-    __slots__ = ("slit_width", "wavelength", "focal_length")
+    __slots__ = ("slit_width", "wavelength", "focal_length", "scale")
 
     def __init__(self, slit_width: float, wavelength: float, focal_length: float):
         self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
-        for name in self.__slots__:
+        for name in self.__slots__[:3]:
             if not getattr(self, name) > 0:
                 raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
-        # the scales the detector maps through: lambda*f can underflow to 0
+        # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
         lf = self.wavelength * self.focal_length
-        fringe = 2.0 * self.slit_width / lf if lf > 0 else math.inf
+        self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
         for name, value in (("k0 = 2*pi/wavelength", self.k0),
-                            ("2*slit_width/(wavelength*focal_length)", fringe)):
+                            ("scale = pi*slit_width/(wavelength*focal_length)", self.scale)):
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgument(f"{name} must be finite and positive, got {value}")
 

@@ -2,14 +2,14 @@
 line-CCD frames, and the accumulative estimator of the uncertainty excess
 factor gamma.
 
-The focal-plane mapping is y/f = k/k0, so the detector samples the
-wavenumber density of the prepared truncated-sinc state directly.  The
-estimator expands symmetrically from the detector center,
+The focal-plane mapping y/f = k/k0 samples the prepared state's wavenumber
+density.  In u = delta_x*k/2 = s*y, with the fringe scale s = pi*delta_x/(lambda*f)
+of ``SlitGeometry.scale``, the estimator expands symmetrically from the center,
 
-    gamma_hat_n = (2*delta_x/(lambda*f)) * sqrt(sum_i delta_y * y_i^2 * I_i),
+    gamma_hat_n = (2/pi) * sqrt(sum_i u_i^2 * I_i / sum_i I_i),
 
-over pixels i = N/2-n+1 .. N/2+n of the frame, normalized by ``gamma_trace``,
-and converges to gamma (minus the off-detector tail) as n -> N/2.
+over pixels i = N/2-n+1 .. N/2+n of the frame, and converges to gamma (minus
+the off-detector tail) as n -> N/2; it and the theory depend on s alone.
 """
 
 from __future__ import annotations
@@ -93,30 +93,30 @@ def gamma_trace(
     detector: DetectorSpec, intensities, geometry: SlitGeometry
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulative estimate of the uncertainty excess factor from a frame,
-    normalized here so that sum(pixel_size * I_i) = 1, expanding pixel pairs
-    symmetrically from the center.  Returns (n, y_extent, gamma_hat)."""
-    # the largest pixel_size*y^2 checked as Python floats, before arrays overflow
-    extent = (detector.num_pixels - 1) / 2.0 * detector.pixel_size
-    if not math.isfinite(detector.pixel_size * (extent * extent)):
-        raise InvalidArgument(f"frame extent +-{extent:.3g} m is too large: "
-                              "pixel_size*y^2 overflows")
+    (2/pi) * sqrt(sum u_i^2 * I_i / sum I_i) with u = scale*y, expanding pixel
+    pairs symmetrically from the center.  Returns (n, y_extent, gamma_hat)."""
+    # the largest u^2 checked as a Python float, before arrays overflow
+    u_max = geometry.scale * ((detector.num_pixels - 1) / 2.0 * detector.pixel_size)
+    if not math.isfinite(u_max * u_max):
+        raise InvalidArgument(f"frame extent scale*y = +-{u_max:.3g} is too large: u^2 overflows")
     v = np.asarray(intensities, dtype=float)
     if v.shape != (detector.num_pixels,):
         raise InvalidArgument("intensities length must equal num_pixels")
     if not np.all((v >= 0) & np.isfinite(v)):
         raise InvalidArgument("intensities must be nonnegative and finite")
-    total = float(np.sum(v)) * detector.pixel_size
+    with np.errstate(over="ignore"):  # refused below, without numpy's warning
+        total = float(np.sum(v))
+    if total == math.inf:
+        raise InvalidArgument("cannot normalize a frame whose intensity sum overflows")
     if total <= 0:
         raise InvalidArgument("cannot normalize an all-zero frame")
-    y = detector.pixel_positions()
-    terms = detector.pixel_size * y**2 * (v / total)
+    terms = (geometry.scale * detector.pixel_positions())**2 * (v / total)
     half = detector.num_pixels // 2
     # pair n (1-based) joins pixels N/2-n+1 and N/2+n
     inner = terms[half - 1 :: -1]  # center-left outward
     outer = terms[half:]           # center-right outward
     cum = np.cumsum(inner + outer)
-    prefactor = 2.0 * geometry.slit_width / (geometry.wavelength * geometry.focal_length)
-    gamma_hat = prefactor * np.sqrt(cum)
+    gamma_hat = 2.0 / np.pi * np.sqrt(cum)
     n = np.arange(1, half + 1)
     # outer |y| reached after n pairs = outer edge of pixel N/2+n
     y_extent = n * detector.pixel_size
@@ -124,13 +124,12 @@ def gamma_trace(
 
 
 def theory_trace(geometry: SlitGeometry, y_grid) -> np.ndarray:
-    """Band-limited theory value of the excess factor at each outer |y|:
-    (delta_x/pi) * sqrt(int_{|k| <= k0*y/f} k^2 |phi~(k)|^2 dk).
-    Monotone nondecreasing with limit gamma."""
+    """Band-limited excess factor (2/pi) * sqrt(int_{|u| <= scale*y} u^2 |phi~(u)|^2 du) at
+    each outer |y|: in u every truncated-sinc state is the one of width 2, whose
+    wavenumber is u.  Nondecreasing with limit gamma."""
     y = np.asarray(y_grid, dtype=float)
     if y.ndim != 1 or not np.all(np.isfinite(y)) or np.any(y <= 0) or np.any(np.diff(y) <= 0):
         raise InvalidArgument("y_grid must be 1-d, finite, positive and strictly increasing")
-    state = LanczosState(geometry.slit_width)
-    check_band_edge(state, geometry.k0 * float(y.max(initial=0.0)) / geometry.focal_length)
-    m2 = lanczos_band_moments(state, geometry.k0 * y / geometry.focal_length, 2)
-    return geometry.slit_width / np.pi * np.sqrt(m2)
+    state = LanczosState(2.0)
+    check_band_edge(state, geometry.scale * float(y.max(initial=0.0)))
+    return 2.0 / np.pi * np.sqrt(lanczos_band_moments(state, geometry.scale * y, 2))

@@ -36,11 +36,13 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 Mutant = collections.namedtuple("Mutant", "name file old new nodes")
 
 CLI, REPORTS = "src/slitbound/cli.py", "src/slitbound/reports.py"
+DIFFRACTION = "src/slitbound/diffraction.py"
 STRICT = "tests/test_cli.py::TestStrictReports::"
 ESTIMATE = "tests/test_cli.py::TestSimulateAndEstimate::"
 CAPS = "tests/test_cli.py::TestSizeCaps::"
 HARD_EXIT = "tests/test_cli.py::TestHardExit::"
 FUZZ = "tests/test_cli.py::TestArgumentFuzz"
+GAMMA_TRACE = "tests/test_diffraction.py::TestGammaTrace::"
 STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.0):\n"
 RESTART = ("tests/test_concentration.py::TestLambda0Solve::"
            "test_start_above_eigenvalue_restarts_from_zero")
@@ -90,10 +92,15 @@ MUTANTS = [
     Mutant("no-flush", CLI,
            "            stream.flush()\n", "            pass\n",
            [HARD_EXIT + "test_buffered_stdout_survives"]),
-    Mutant("theory-no-band-edge-check", "src/slitbound/diffraction.py",
-           "    check_band_edge(state, geometry.k0 * float(y.max(initial=0.0))"
-           " / geometry.focal_length)\n",
-           "", [CAPS + "test_band_panels_of_overflowing_extent"]),
+    Mutant("theory-no-band-edge-check", DIFFRACTION,
+           "    check_band_edge(state, geometry.scale * float(y.max(initial=0.0)))\n",
+           "", ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused"]),
+    Mutant("estimator-no-u2-check", DIFFRACTION,
+           "    if not math.isfinite(u_max * u_max):\n", "    if False:\n",
+           [GAMMA_TRACE + "test_overflowing_terms_rejected"]),
+    Mutant("estimator-no-sum-check", DIFFRACTION,
+           "    if total == math.inf:\n", "    if False:\n",
+           ["tests/test_diffraction.py::TestNormalizeFrame::test_overflowing_sum_rejected"]),
     Mutant("frame-no-row-cap", REPORTS,
            "    if len(rows) > MAX_PIXELS:\n", "    if False:\n",
            [CAPS + "test_frame_rows_cap"]),

@@ -41,6 +41,11 @@ EXTRA = {
         ["estimate", "frame.csv", *_NOISY_GEOMETRY],
     ],
     "frame-noiseless": [["simulate", "--pixels", "1024"], ["estimate", "frame.csv"]],
+    # y^2 overflows, but u = scale*y stays near 2.4e5: exit 0
+    "frame-huge-extent": [
+        ["simulate", "--pixels", "2", "--pixel-size", "2e155m", "--focal-length", "1e153m"],
+        ["estimate", "frame.csv", "--focal-length", "1e153m"],
+    ],
     "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
     "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
     # both reach nan at an infinite argument inside the command: exit 3, one

@@ -323,21 +323,26 @@ class TestSizeCaps:
             assert f"more than {special.MAX_PANELS}" in proc.stderr
             assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("y_mm,focal_length", [("1e158", "1e153m"), ("1e106", "1e103m")])
-    def test_estimator_terms_of_overflowing_extent(self, tmp_path, y_mm, focal_length):
-        # a huge focal length keeps the band under MAX_PANELS, but
-        # pixel_size*y^2 overflows: at 1e158 mm y^2 itself, at 1e106 mm the
-        # product.  A fresh interpreter shows any numpy warning printed
-        frame = tmp_path / "frame.csv"
-        frame.write_text(f"pixel,y_mm,intensity\n1,-{y_mm},0.2\n2,{y_mm},0.2\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        proc = run_python("-m", "slitbound.cli", "estimate", str(frame),
-                          "--focal-length", focal_length, "--out", str(out))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
-        assert proc.stderr.startswith("slitbound: configuration error: frame extent")
-        assert list(out.iterdir()) == []
+    @pytest.mark.parametrize("huge,small", [(("1e158", "1e153m"), ("1e3", "10mm")),
+                                            (("1e106", "1e103m"), ("1e3", "1m"))],
+                             ids=["1e158-1e153m", "1e106-1e103m"])
+    def test_estimator_of_huge_extent(self, tmp_path, huge, small):
+        # y^2 of the huge frame overflows, but the estimator and the theory see
+        # only u = scale*y, about 2.4e5 and 2.4e3 here, so the huge frame gives
+        # the estimate of the small one it scales.  A fresh interpreter shows
+        # any numpy warning printed
+        results = []
+        for y_mm, focal_length in (huge, small):
+            out = tmp_path / y_mm
+            out.mkdir()
+            frame = out / "frame.csv"
+            frame.write_text(f"pixel,y_mm,intensity\n1,-{y_mm},0.2\n2,{y_mm},0.2\n")
+            proc = run_python("-m", "slitbound.cli", "estimate", str(frame),
+                              "--focal-length", focal_length, "--out", str(out))
+            assert (proc.returncode, proc.stderr) == (0, "")
+            results.append(load_report(out, "estimate_report.json")["results"])
+        for key in ("gamma_hat_final", "gamma_theory_edge"):
+            assert results[0][key] == pytest.approx(results[1][key], rel=1e-12, abs=0)
 
     def test_band_panels_cap(self, tmp_path):
         # a 1e9 mm slit over two pixels asks for 1.7e8 panels, 1.26 GiB in the
@@ -739,6 +744,20 @@ class TestSimulateAndEstimate:
         assert cli.main(["estimate", str(frame), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "slitbound: configuration error: cannot normalize an all-zero frame"]
+        assert list(out.iterdir()) == []
+
+    def test_estimate_overflowing_intensity_sum(self, tmp_path, capsys):
+        # each intensity is finite but their sum is not; dividing by it would
+        # report gamma_hat 0
+        frame = tmp_path / "frame.csv"
+        frame.write_text("pixel,y_mm,intensity\n1,-0.012,1e308\n2,-0.004,1.7e308\n"
+                         "3,0.004,1.7e308\n4,0.012,1e308\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["estimate", str(frame), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "slitbound: configuration error: "
+            "cannot normalize a frame whose intensity sum overflows"]
         assert list(out.iterdir()) == []
 
     def test_estimate_clips_negative_pixels(self, tmp_path):

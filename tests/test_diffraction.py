@@ -107,7 +107,7 @@ class TestSynthesizeFrame:
 
 
 class TestNormalizeFrame:
-    """gamma_trace normalizes the frame it is given to sum(pixel_size * I_i) = 1."""
+    """gamma_trace normalizes the frame it is given to sum(I_i) = 1."""
 
     def test_unit_mass(self):
         # a flat frame at any level, normalized to 1/(N*pixel_size) per pixel:
@@ -128,6 +128,13 @@ class TestNormalizeFrame:
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidArgument, match="cannot normalize an all-zero frame"):
             gamma_trace(DETECTOR, np.zeros(3648), GEOMETRY)
+
+    def test_overflowing_sum_rejected(self):
+        # each intensity is finite but their sum is not: dividing by it would
+        # zero every term and give gamma_hat = 0
+        frame = [1e308, 1.7e308, 1.7e308, 1e308]
+        with pytest.raises(InvalidArgument, match="intensity sum overflows"):
+            gamma_trace(DetectorSpec(num_pixels=4, pixel_size=8e-6), frame, GEOMETRY)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidArgument, match="intensities length must equal num_pixels"):
@@ -172,11 +179,22 @@ class TestGammaTrace:
         assert np.max(gap) < 0.01 * lanczos_gamma()
 
     def test_overflowing_terms_rejected(self):
-        # y = +-1e155 m: y^2 overflows, so pixel_size*y^2*I would be inf
+        # y = +-1e155 m is u = scale*y = +-1.6e159: u^2 overflows, so u^2*I would be inf
         detector = DetectorSpec(num_pixels=2, pixel_size=2e155)
-        geometry = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=1e153)
-        with pytest.raises(InvalidArgument, match=r"frame extent \+-1e\+155 m is too large"):
-            gamma_trace(detector, [0.2, 0.2], geometry)
+        with pytest.raises(InvalidArgument, match=r"\+-1\.58e\+159 is too large: u\^2 overflows"):
+            gamma_trace(detector, [0.2, 0.2], GEOMETRY)
+
+    def test_depends_on_geometry_only_through_scale(self):
+        # (3*lambda, f/3) has the same scale pi*delta_x/(lambda*f) up to rounding
+        frame = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=7))
+        other = SlitGeometry(slit_width=GEOMETRY.slit_width, wavelength=3 * GEOMETRY.wavelength,
+                             focal_length=GEOMETRY.focal_length / 3)
+        _, y_extent, gamma_hat = gamma_trace(DETECTOR, frame, GEOMETRY)
+        assert other.scale == pytest.approx(GEOMETRY.scale, rel=4e-16)
+        np.testing.assert_allclose(gamma_trace(DETECTOR, frame, other)[2], gamma_hat,
+                                   rtol=4e-15, atol=0)
+        np.testing.assert_allclose(theory_trace(other, y_extent),
+                                   theory_trace(GEOMETRY, y_extent), rtol=4e-15, atol=0)
 
 
 class TestTheoryTrace:
@@ -204,6 +222,12 @@ class TestTheoryTrace:
         with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
             theory_trace(GEOMETRY, np.array([1e303]))
         assert theory_trace(GEOMETRY, np.array([])).shape == (0,)
+
+    def test_infinite_band_edge_refused(self):
+        # u = scale*y past the floats is refused as too many panels before any
+        # array holds it, so numpy warns of no overflow
+        with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
+            theory_trace(GEOMETRY, np.array([1e-3, 1e305]))
 
 
 class TestNoiseBehavior:
