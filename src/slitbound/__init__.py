@@ -21,8 +21,8 @@ _HOMES = {
                      "verify_constraints"], "core"),
     **dict.fromkeys(["DetectorSpec", "NoiseSpec", "gamma_trace", "synthesize_frame",
                      "theory_trace"], "diffraction"),
-    **dict.fromkeys(["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
-                     "lanczos_gamma", "sine_integral"], "special"),
+    **dict.fromkeys(["eval_lanczos_momentum_density", "eval_lanczos_position", "lanczos_gamma",
+                     "sine_integral"], "special"),
 }
 __all__ = ["InvalidArgument", "NumericFailure", *_HOMES]
 

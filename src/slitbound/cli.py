@@ -126,19 +126,18 @@ def cmd_lanczos(args):
     from . import core, special
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
-    state = special.LanczosState(delta_x)
     gamma = special.lanczos_gamma()
     report = core.build_report(None, gamma * math.pi / delta_x, delta_x)
 
     x = _linspace(-delta_x / 2, delta_x / 2, 1001)
-    phi = special.eval_lanczos_position(x, state)
+    phi = special.eval_lanczos_position(x, delta_x)
     k_max = 16 * math.pi / delta_x
     k = _linspace(-k_max, k_max, 4001)
-    dens = special.eval_lanczos_momentum_density(k, state)
+    dens = special.eval_lanczos_momentum_density(k, delta_x)
     # what the momentum CSV leaves out beyond |k| = k_max; the second moment's
     # bound, about 0.34/delta_x^2, leaves the float range below a width of
     # about 4e-155 m and above about 4e161 m, and is then reported as null
-    w_tail, m2_tail = special.lanczos_tail_bounds(state, k_max)
+    w_tail, m2_tail = special.lanczos_tail_bounds(delta_x, k_max)
     tables = [
         ("lanczos_position_density.csv", ["x_m", "density_per_m"], [x, [v * v for v in phi]]),
         ("lanczos_momentum_density.csv", ["k_per_m", "density_m"], [k, dens]),

@@ -125,6 +125,12 @@ def momentum_moments(state: FourierState):
     return mean, sigma_p
 
 
+def _check_width(delta_x: float) -> None:
+    """Refuse a slit width that is not positive: zero, negative or nan."""
+    if not delta_x > 0:
+        raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
+
+
 def _over(f, x):
     """f at a number x as a float, or the list of f over a sequence x."""
     return [f(float(v)) for v in x] if hasattr(x, "__iter__") else f(float(x))
@@ -150,8 +156,7 @@ def eval_position_wavefunction(x, delta_x: float):
     Defined only inside the slit; |x| > delta_x/2 is a domain error.  A
     float for a number x, a list for a sequence.
     """
-    if not delta_x > 0:
-        raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
+    _check_width(delta_x)
     amp = math.sqrt(2.0 / delta_x)
 
     def psi(v):
@@ -179,8 +184,7 @@ def eval_momentum_wavefunction(k, delta_x: float):
     removable singularities at delta_x*k = +/- pi evaluated by their finite
     limit sqrt(delta_x/pi)/2.  A float for a number k, a list for a sequence.
     """
-    if not delta_x > 0:
-        raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
+    _check_width(delta_x)
     amp = 2.0 * math.sqrt(math.pi * delta_x)
     return _over(lambda v: amp * _momentum_shape(v * delta_x), k)
 
@@ -213,8 +217,7 @@ def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> Uncer
     the Kennard verdict."""
     if sigma_p < 0 or (sigma_x is not None and sigma_x < 0):
         raise InvalidArgument("standard deviations must be nonnegative")
-    if not delta_x > 0:
-        raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
+    _check_width(delta_x)
     delta_p = 2.0 * sigma_p
     product = sigma_p * delta_x
     verdicts = {

@@ -10,6 +10,10 @@ of ``SlitGeometry.scale``, the estimator expands symmetrically from the center,
 
 over pixels i = N/2-n+1 .. N/2+n of the frame, and converges to gamma (minus
 the off-detector tail) as n -> N/2; it and the theory depend on s alone.
+
+In u every truncated-sinc state is the one of width 2, whose wavenumber is u.
+``band_moments`` integrates its density for the theory trace: 8-point
+Gauss-Legendre on panels of pi/2 in u, at most MAX_PANELS of them per call.
 """
 
 from __future__ import annotations
@@ -20,11 +24,25 @@ import numpy as np
 
 from .core import SlitGeometry
 from .errors import InvalidArgument
-from .special import (LanczosState, check_band_edge, eval_lanczos_momentum_density,
-                      lanczos_band_moments)
+from .special import eval_lanczos_momentum_density
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
 ADC_BITS = 16
+# at most this many band-quadrature panels (8 nodes each) in one call
+MAX_PANELS = 1 << 20
+# panels whose nodes are evaluated together: about 7 MB of temporaries
+_BLOCK = 1 << 13
+# panel width in u: a quarter period of the amplitude Si(u + pi) - Si(u - pi)
+_PANEL = math.pi / 2.0
+
+# 8-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
+# np.polynomial.legendre.leggauss(8)
+_GL8_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+              -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+              0.7966664774136267, 0.9602898564975362)
+_GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                0.22238103445337443, 0.10122853629037706)
 
 
 class DetectorSpec:
@@ -77,7 +95,7 @@ def synthesize_frame(
     fixed seed."""
     k = geometry.k0 * detector.pixel_positions() / geometry.focal_length
     intens = geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(
-        k, LanczosState(geometry.slit_width))
+        k, geometry.slit_width)
     peak = float(np.max(intens))
     if noise.additive_sigma > 0:
         rng = np.random.default_rng(noise.seed)
@@ -123,13 +141,58 @@ def gamma_trace(
     return n, y_extent, gamma_hat
 
 
+def band_moments(u_edges, power: int) -> np.ndarray:
+    """Cumulative band moments int_{|u| <= u_j} |u|^power * density(u) du of
+    the width-2 truncated-sinc state, for every edge u_j of a nondecreasing
+    array of nonnegative edges.
+
+    Each interval [u_{j-1}, u_j] (with u_{-1} = 0) is tiled by equal panels
+    of at most pi/2, with 8-point Gauss-Legendre on every panel.
+    """
+    hi = np.asarray(u_edges, dtype=float)
+    lo = np.concatenate([[0.0], hi.ravel()[:-1]])
+    if hi.ndim != 1 or not np.all(np.isfinite(hi)) or np.any(hi < lo):
+        raise InvalidArgument("u_edges must be 1-d, finite, nonnegative and nondecreasing")
+    npanel = np.maximum(1.0, np.ceil((hi - lo) / _PANEL))
+    # counted as floats, so that a count past the integers is caught too
+    _check_panels(float(np.sum(npanel)))
+    npanel = npanel.astype(int)
+    # panel i of interval j spans lo_j + [i, i+1]*step_j, the last one ending
+    # exactly at hi_j (the edges np.linspace would give)
+    j = np.repeat(np.arange(hi.size), npanel)
+    first = np.cumsum(npanel) - npanel
+    i = np.arange(j.size) - first[j]
+    step = ((hi - lo) / npanel)[j]
+    left = i * step + lo[j]
+    right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
+    half = (right - left) / 2.0
+    mid = (left + right) / 2.0
+    panels = np.empty(j.size)
+    nodes_gl, weights_gl = np.array([_GL8_NODES]), np.array([_GL8_WEIGHTS])
+    for b in range(0, j.size, _BLOCK):
+        h = half[b:b + _BLOCK, None]
+        nodes = mid[b:b + _BLOCK, None] + h * nodes_gl
+        vals = nodes**power * eval_lanczos_momentum_density(nodes, 2.0)
+        # one BLAS dot product per panel, summed the way np.dot sums one panel
+        panels[b:b + _BLOCK] = np.matmul((h * weights_gl)[:, None, :],
+                                         vals[:, :, None])[:, 0, 0]
+    return np.cumsum(2.0 * np.add.reduceat(panels, first))
+
+
+def _check_panels(total: float) -> None:
+    # a NaN or infinite count fails the comparison as well
+    if not total <= MAX_PANELS:
+        raise InvalidArgument(
+            f"the band quadrature needs {total:.3g} panels of pi/slit_width, "
+            f"more than {MAX_PANELS}")
+
+
 def theory_trace(geometry: SlitGeometry, y_grid) -> np.ndarray:
     """Band-limited excess factor (2/pi) * sqrt(int_{|u| <= scale*y} u^2 |phi~(u)|^2 du) at
-    each outer |y|: in u every truncated-sinc state is the one of width 2, whose
-    wavenumber is u.  Nondecreasing with limit gamma."""
+    each outer |y|, by ``band_moments``.  Nondecreasing with limit gamma."""
     y = np.asarray(y_grid, dtype=float)
     if y.ndim != 1 or not np.all(np.isfinite(y)) or np.any(y <= 0) or np.any(np.diff(y) <= 0):
         raise InvalidArgument("y_grid must be 1-d, finite, positive and strictly increasing")
-    state = LanczosState(2.0)
-    check_band_edge(state, geometry.scale * float(y.max(initial=0.0)))
-    return 2.0 / np.pi * np.sqrt(lanczos_band_moments(state, geometry.scale * y, 2))
+    # the band edge as a Python float, so inf is refused before any array holds it
+    _check_panels(geometry.scale * float(y.max(initial=0.0)) / _PANEL)
+    return 2.0 / np.pi * np.sqrt(band_moments(geometry.scale * y, 2))

@@ -19,15 +19,14 @@ The module loads no numpy, so ``lanczos`` starts without it: on a number
 or a sequence every formula is Python float arithmetic.  Si and the
 momentum density also take an array through numpy, imported there, and
 run the same formula functions on it, so an array and a list of the same
-points give the same bits.  ``lanczos_band_moments``, which
-``diffraction`` runs, is numpy throughout.
+points give the same bits.  The slit width is a float, as in ``core``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import _cos, _over, _sin, _sinc
+from .core import _check_width, _cos, _over, _sin, _sinc
 from .errors import InvalidArgument
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
@@ -124,48 +123,21 @@ def sine_integral(x):
 
 SI_2PI = _si(2.0 * math.pi)
 
-# at most this many band-quadrature panels (8 nodes each) in one call
-MAX_PANELS = 1 << 20
-# panels whose nodes are evaluated together: about 7 MB of temporaries
-_BLOCK = 1 << 13
 
-
-# 8-point Gauss-Legendre nodes and weights on [-1, 1]: the values of
-# np.polynomial.legendre.leggauss(8)
-_GL8_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
-              -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
-              0.7966664774136267, 0.9602898564975362)
-_GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
-                0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
-                0.22238103445337443, 0.10122853629037706)
-
-
-class LanczosState:
-    """Truncated-sinc slit state of width delta_x (amplitude zero at the
-    slit edges, which sit at the first zeros of the sinc)."""
-
-    __slots__ = ("slit_width",)
-
-    def __init__(self, slit_width: float):
-        if not slit_width > 0:
-            raise InvalidArgument(f"slit_width must be positive, got {slit_width}")
-        self.slit_width = slit_width
-
-
-def eval_lanczos_position(x, state: LanczosState):
-    """Normalized position amplitude sqrt(pi/(Si(2pi)*dx)) * sinc(2pi x/dx).
+def eval_lanczos_position(x, delta_x: float):
+    """Normalized position amplitude sqrt(pi/(Si(2pi)*dx)) * sinc(2pi x/dx), dx = delta_x.
 
     Returns 0 outside the slit (the preparation truncates there).  A float
     for a number, a list for a sequence.
     """
-    dx = state.slit_width
-    amp = math.sqrt(math.pi / (SI_2PI * dx))
+    _check_width(delta_x)
+    amp = math.sqrt(math.pi / (SI_2PI * delta_x))
 
     def phi(v):
-        if not abs(v) <= dx / 2.0:
+        if not abs(v) <= delta_x / 2.0:
             return 0.0
         # np.sinc(z) at z = (2 pi x/dx)/pi is sin(t)/t at t = pi*z
-        t = math.pi * (2.0 * math.pi * v / dx / math.pi)
+        t = math.pi * (2.0 * math.pi * v / delta_x / math.pi)
         return amp * _sinc(t)
 
     return _over(phi, x)
@@ -177,18 +149,18 @@ def lanczos_gamma() -> float:
     return 2.0 / math.sqrt(3.0) * math.sqrt(1.0 - 1.0 / (math.pi * SI_2PI))
 
 
-def eval_lanczos_momentum_density(k, state: LanczosState):
-    """Wavenumber density of the truncated-sinc state.
+def eval_lanczos_momentum_density(k, delta_x: float):
+    """Wavenumber density of the truncated-sinc state of width dx = delta_x.
 
     (dx / (8 pi^2 Si(2pi))) * [Si(dx*k/2 + pi) - Si(dx*k/2 - pi)]^2;
     even in k and normalized over the real line.  A float for a number, a
     list for a sequence, an array for an array.
     """
-    dx = state.slit_width
-    scale = dx / (8.0 * math.pi**2 * SI_2PI)
+    _check_width(delta_x)
+    scale = delta_x / (8.0 * math.pi**2 * SI_2PI)
 
     def density(v, si=_si):
-        u = v * dx / 2.0
+        u = v * delta_x / 2.0
         dsi = si(u + math.pi) - si(u - math.pi)
         return scale * (dsi * dsi)
 
@@ -200,73 +172,17 @@ def eval_lanczos_momentum_density(k, state: LanczosState):
     return float(out) if np.isscalar(k) else out
 
 
-def lanczos_band_moments(state: LanczosState, k_edges, power: int):
-    """Cumulative band moments int_{|k| <= k_j} |k|^power * density(k) dk
-    for every edge k_j of a nondecreasing array of nonnegative edges.
-
-    Each interval [k_{j-1}, k_j] (with k_{-1} = 0) is tiled by equal panels
-    of at most pi/dx, a quarter of the period 4*pi/dx in k of the amplitude
-    Si(u + pi) - Si(u - pi), u = dx*k/2, with 8-point Gauss-Legendre on
-    every panel.  Returns an array.
-    """
-    import numpy as np
-
-    hi = np.asarray(k_edges, dtype=float)
-    lo = np.concatenate([[0.0], hi.ravel()[:-1]])
-    if hi.ndim != 1 or not np.all(np.isfinite(hi)) or np.any(hi < lo):
-        raise InvalidArgument("k_edges must be 1-d, finite, nonnegative and nondecreasing")
-    npanel = np.maximum(1.0, np.ceil((hi - lo) / (np.pi / state.slit_width)))
-    # counted as floats, so that a count past the integers is caught too
-    _check_panels(float(np.sum(npanel)))
-    npanel = npanel.astype(int)
-    # panel i of interval j spans lo_j + [i, i+1]*step_j, the last one ending
-    # exactly at hi_j (the edges np.linspace would give)
-    j = np.repeat(np.arange(hi.size), npanel)
-    first = np.cumsum(npanel) - npanel
-    i = np.arange(j.size) - first[j]
-    step = ((hi - lo) / npanel)[j]
-    left = i * step + lo[j]
-    right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
-    half = (right - left) / 2.0
-    mid = (left + right) / 2.0
-    panels = np.empty(j.size)
-    nodes_gl, weights_gl = np.array([_GL8_NODES]), np.array([_GL8_WEIGHTS])
-    for b in range(0, j.size, _BLOCK):
-        h = half[b:b + _BLOCK, None]
-        nodes = mid[b:b + _BLOCK, None] + h * nodes_gl
-        vals = nodes**power * eval_lanczos_momentum_density(nodes, state)
-        # one BLAS dot product per panel, summed the way np.dot sums one panel
-        panels[b:b + _BLOCK] = np.matmul((h * weights_gl)[:, None, :],
-                                         vals[:, :, None])[:, 0, 0]
-    return np.cumsum(2.0 * np.add.reduceat(panels, first))
-
-
-def check_band_edge(state: LanczosState, k_max: float) -> None:
-    """Refuse a band [0, k_max] of more than MAX_PANELS panels of
-    pi/slit_width.  Given k_max as a Python float, an edge that overflowed
-    to infinity is refused without a numpy warning and before any array
-    holds it."""
-    _check_panels(k_max / (math.pi / state.slit_width))
-
-
-def _check_panels(total: float) -> None:
-    # a NaN or infinite count fails the comparison as well
-    if not total <= MAX_PANELS:
-        raise InvalidArgument(
-            f"the band quadrature needs {total:.3g} panels of pi/slit_width, "
-            f"more than {MAX_PANELS}")
-
-
-def lanczos_tail_bounds(state: LanczosState, k_max: float) -> tuple[float, float]:
+def lanczos_tail_bounds(delta_x: float, k_max: float) -> tuple[float, float]:
     """Certified upper bounds (weight, second_moment) on the probability
     mass and on int k^2 density dk beyond |k| > k_max.
 
     Uses the two-term asymptotics of Si with remainder <= 4/v^3, so with
     u = dx*k/2 the bracket in the density is at most
     2pi/(u^2-pi^2) + 4pi*u/(u^2-pi^2)^2 + 8/(u-pi)^3.
-    Valid for dx*k_max/2 > 2*pi.
+    Valid for dx*k_max/2 > 2*pi, with dx = delta_x.
     """
-    U = state.slit_width * k_max / 2.0
+    _check_width(delta_x)
+    U = delta_x * k_max / 2.0
     if U <= 2.0 * math.pi:
         raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
     # lead >= 1 inflates the bracket's leading term 2pi/(u^2-pi^2) at U, as
@@ -284,4 +200,4 @@ def lanczos_tail_bounds(state: LanczosState, k_max: float) -> tuple[float, float
     integral_u = (2.0 * math.pi) ** 2 * (lead * lead) / d
     # back to k units: k^2 dk = (2/dx)^3 u^2 du
     return (2.0 * C * integral,
-            2.0 * C * integral_u * (2.0 / state.slit_width) * (2.0 / state.slit_width))
+            2.0 * C * integral_u * (2.0 / delta_x) * (2.0 / delta_x))

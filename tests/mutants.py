@@ -69,11 +69,14 @@ MUTANTS = [
     Mutant("lambda0-size-rule-15", "src/slitbound/concentration.py",
            "    n = 16 + math.ceil(c / 2.0)\n", "    n = 15 + math.ceil(c / 2.0)\n",
            ["tests/test_concentration.py::TestLambda0::test_size_rule_edges"]),
-    Mutant("band-gauss-legendre-6", "src/slitbound/special.py",
+    Mutant("band-gauss-legendre-6", DIFFRACTION,
            "    nodes_gl, weights_gl = np.array([_GL8_NODES]), np.array([_GL8_WEIGHTS])\n",
            "    nodes_gl, weights_gl = (np.array([v])\n"
            "                            for v in np.polynomial.legendre.leggauss(6))\n",
-           ["tests/test_special.py::TestBandMoments::test_matches_32_node_reference"]),
+           ["tests/test_diffraction.py::TestBandMoments::test_matches_32_node_reference"]),
+    Mutant("width-unchecked", "src/slitbound/core.py",
+           "    if not delta_x > 0:\n", "    if False:\n",
+           ["tests/test_special.py::test_width_must_be_positive"]),
     Mutant("trig-no-nan-at-inf", "src/slitbound/core.py",
            "    return lambda t: f(t) if math.isfinite(t) else math.nan\n", "    return f\n",
            [FUZZ]),
@@ -93,8 +96,9 @@ MUTANTS = [
            "            stream.flush()\n", "            pass\n",
            [HARD_EXIT + "test_buffered_stdout_survives"]),
     Mutant("theory-no-band-edge-check", DIFFRACTION,
-           "    check_band_edge(state, geometry.scale * float(y.max(initial=0.0)))\n",
-           "", ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused"]),
+           "    _check_panels(geometry.scale * float(y.max(initial=0.0)) / _PANEL)\n",
+           "", ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused",
+                CAPS + "test_band_panels_of_overflowing_extent"]),
     Mutant("estimator-no-u2-check", DIFFRACTION,
            "    if not math.isfinite(u_max * u_max):\n", "    if False:\n",
            [GAMMA_TRACE + "test_overflowing_terms_rejected"]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slitbound import (FourierState, InvalidArgument, LanczosState, NumericFailure,
+from slitbound import (FourierState, InvalidArgument, NumericFailure,
                        eval_lanczos_momentum_density, momentum_moments)
 from slitbound.special import SI_2PI
 
@@ -206,7 +206,7 @@ def np_intensity_profile(geometry, y) -> np.ndarray:
     of y; even in y and normalized to 1 over the real line."""
     k = geometry.k0 * np.asarray(y, dtype=float) / geometry.focal_length
     return geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(
-        k, LanczosState(geometry.slit_width))
+        k, geometry.slit_width)
 
 
 def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:

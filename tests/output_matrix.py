@@ -46,6 +46,10 @@ EXTRA = {
         ["simulate", "--pixels", "2", "--pixel-size", "2e155m", "--focal-length", "1e153m"],
         ["estimate", "frame.csv", "--focal-length", "1e153m"],
     ],
+    # the band quadrature would need 1.69e8 panels: exit 2, one stderr line
+    # and no trace.csv
+    "frame-band-cap": [["simulate", "--pixels", "2"],
+                       ["estimate", "frame.csv", "--slit-width", "1e9mm"]],
     "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
     "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
     # both reach nan at an infinite argument inside the command: exit 3, one

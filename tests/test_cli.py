@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import slitbound
-from slitbound import InvalidArgument, NumericFailure, cli, core, diffraction, reports, special
+from slitbound import InvalidArgument, NumericFailure, cli, core, diffraction, reports
 from slitbound.reports import format_csv, parse_length, read_frame_csv
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -107,8 +107,8 @@ EXPORTS = {
              "min_uncertainty_coefficients", "momentum_moments", "verify_constraints"],
     "diffraction": ["DetectorSpec", "NoiseSpec", "gamma_trace", "synthesize_frame",
                     "theory_trace"],
-    "special": ["LanczosState", "eval_lanczos_momentum_density", "eval_lanczos_position",
-                "lanczos_gamma", "sine_integral"],
+    "special": ["eval_lanczos_momentum_density", "eval_lanczos_position", "lanczos_gamma",
+                "sine_integral"],
 }
 # runs {run} in a fresh interpreter, then prints the slitbound modules loaded,
 # and numpy and numpy.polynomial where they are
@@ -308,11 +308,12 @@ class TestSizeCaps:
 
     def test_band_panels_of_overflowing_extent(self, tmp_path):
         # y = +-1e300 mm puts the panel count past every integer, and at
-        # +-1e306 mm k0*y overflows as well.  A fresh interpreter, outside
-        # pytest's filters, shows any numpy warning the arithmetic on y prints
+        # +-1e308 mm the band edge u = scale*y overflows to inf as well.  A
+        # fresh interpreter, outside pytest's filters, shows any numpy warning
+        # the arithmetic on y prints
         out = tmp_path / "out"
         out.mkdir()
-        for y_mm in ("1e300", "1e306"):
+        for y_mm in ("1e300", "1e306", "1e308"):
             frame = tmp_path / f"frame-{y_mm}.csv"
             frame.write_text(f"pixel,y_mm,intensity\n1,-{y_mm},0.2\n2,{y_mm},0.2\n")
             proc = run_python("-m", "slitbound.cli", "estimate", str(frame), "--out", str(out))
@@ -320,7 +321,7 @@ class TestSizeCaps:
             # the refusal and nothing before it
             assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
             assert proc.stderr.startswith("slitbound: configuration error:")
-            assert f"more than {special.MAX_PANELS}" in proc.stderr
+            assert f"more than {diffraction.MAX_PANELS}" in proc.stderr
             assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("huge,small", [(("1e158", "1e153m"), ("1e3", "10mm")),
@@ -358,7 +359,7 @@ class TestSizeCaps:
         proc = run_python("-c", code, "estimate", str(frame), "--slit-width", "1e9mm",
                           "--out", str(out))
         assert proc.returncode == 2, proc.stderr
-        assert f"more than {special.MAX_PANELS}" in proc.stderr
+        assert f"more than {diffraction.MAX_PANELS}" in proc.stderr
         assert list(out.iterdir()) == []
 
     def test_band_quadrature_memory(self, tmp_path):

@@ -16,7 +16,6 @@ from oracles import (
 )
 from slitbound import (
     InvalidArgument,
-    LanczosState,
     eval_lanczos_momentum_density,
     eval_momentum_wavefunction,
     lp_lambda0,
@@ -354,10 +353,9 @@ class TestBoundDominatesStates:
 
     def test_lanczos_state_dominated(self):
         dx = 1.0
-        state = LanczosState(dx)
         for xi in (0.5, 1.0, 2.0):
             delta_p = xi * 2 * np.pi / dx
-            prob = window_mass(lambda k: eval_lanczos_momentum_density(k, state), delta_p)
+            prob = window_mass(lambda k: eval_lanczos_momentum_density(k, dx), delta_p)
             assert prob <= lp_lambda0(xi).lambda0 + 2e-3
 
     def test_min_state_near_saturation_at_small_xi(self):

@@ -8,15 +8,33 @@ from slitbound import (
     InvalidArgument,
     NoiseSpec,
     SlitGeometry,
+    eval_lanczos_momentum_density,
     gamma_trace,
     lanczos_gamma,
     synthesize_frame,
     theory_trace,
 )
-from slitbound.special import MAX_PANELS
+from slitbound import diffraction
+from slitbound.diffraction import MAX_PANELS, band_moments
 
 GEOMETRY = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=0.150)
 DETECTOR = DetectorSpec(num_pixels=3648, pixel_size=8e-6)
+
+
+def band_moments_reference(u_edges, power):
+    """Independent oracle for band_moments: edge by edge, equal panels of at
+    most pi/2 in u with 32-point Gauss-Legendre on each, on the width-2 state."""
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    out, total, lo = [], 0.0, 0.0
+    for hi in u_edges:
+        npanel = max(1, int(np.ceil((hi - lo) / (np.pi / 2))))
+        cuts = np.linspace(lo, hi, npanel + 1)
+        half = np.diff(cuts)[:, None] / 2.0
+        u = (cuts[:-1, None] + cuts[1:, None]) / 2.0 + half * xg
+        total += 2.0 * np.sum(half * wg * u**power * eval_lanczos_momentum_density(u, 2.0))
+        out.append(total)
+        lo = hi
+    return np.array(out)
 
 
 def noiseless_trace():
@@ -217,8 +235,8 @@ class TestTheoryTrace:
         for bad in ([np.inf], [np.nan], [1e-3, np.inf]):
             with pytest.raises(InvalidArgument, match="y_grid"):
                 theory_trace(GEOMETRY, np.array(bad))
-        # an edge k0*y/f past the floats is refused as too many panels,
-        # before any array overflows
+        # a band edge u = scale*y of 1.6e307 is refused as too many panels,
+        # before any array arithmetic
         with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
             theory_trace(GEOMETRY, np.array([1e303]))
         assert theory_trace(GEOMETRY, np.array([])).shape == (0,)
@@ -228,6 +246,52 @@ class TestTheoryTrace:
         # array holds it, so numpy warns of no overflow
         with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
             theory_trace(GEOMETRY, np.array([1e-3, 1e305]))
+
+
+class TestBandMoments:
+    def test_cumulative_moments_match_adaptive_quadrature(self):
+        edges = np.array([0.0, 0.3, 2.0, 2.0, 17.5, 60.0])
+        for power in (0, 2):
+            got = band_moments(edges, power)
+            want = [
+                2 * quad(lambda u: u**power * eval_lanczos_momentum_density(u, 2.0),
+                         0.0, e, limit=200, epsabs=1e-14)[0]
+                for e in edges
+            ]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_single_edge_helpers_agree(self):
+        edges = np.linspace(5.0, 300.0, 40)
+        for power in (0, 2):
+            assert band_moments(edges, power)[-1] == pytest.approx(
+                band_moments([300.0], power)[0], rel=1e-13)
+
+    def test_matches_32_node_reference(self):
+        cap = np.pi / 2
+        rng = np.random.default_rng(9)
+        edge_sets = {
+            # every panel exactly the cap width, out to u = 2000
+            "cap-width": cap * np.arange(1.0, 1274.0),
+            "irregular": np.sort(rng.uniform(0.0, 900.0 * cap, 60)),
+            "tiny first": np.array([1e-6, 1e-3, 0.5, 3.0, 40.0, 700.0]) * cap,
+        }
+        for name, edges in edge_sets.items():
+            for power in (0, 2):
+                got = band_moments(edges, power)
+                want = band_moments_reference(edges, power)
+                assert np.max(np.abs(got / want - 1.0)) <= 4e-15, (name, power)
+
+    def test_gauss_legendre_constants(self):
+        # the 8-point rule is written out; it must stay numpy's, to 1 ulp
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        for const, ref in ((diffraction._GL8_NODES, nodes), (diffraction._GL8_WEIGHTS, weights)):
+            assert np.all(np.abs(np.array(const) - ref) <= np.spacing(np.abs(ref)))
+            assert isinstance(const, tuple)
+
+    def test_invalid_arguments(self):
+        for bad in ([-1.0], [2.0, 1.0], [[1.0]], 1.0):
+            with pytest.raises(InvalidArgument):
+                band_moments(bad, 2)
 
 
 class TestNoiseBehavior:

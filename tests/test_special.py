@@ -5,18 +5,17 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import np_lanczos_position
-from slitbound import cli, special
+from slitbound import cli
 from slitbound import (
     InvalidArgument,
-    LanczosState,
     eval_lanczos_momentum_density,
     eval_lanczos_position,
     lanczos_gamma,
     sine_integral,
 )
+from slitbound.diffraction import band_moments
 from slitbound.special import (
     SI_2PI,
-    lanczos_band_moments,
     lanczos_tail_bounds,
 )
 
@@ -47,25 +46,10 @@ SI_REFERENCES = [
 ]
 
 
-def band_moment(state, k_max, power):
-    """int_{|k| <= k_max} |k|^power * density(k) dk at a single edge."""
-    return lanczos_band_moments(state, [k_max], power)[0]
-
-
-def band_moments_reference(state, k_edges, power):
-    """Independent oracle for lanczos_band_moments: edge by edge, equal
-    panels of at most pi/dx with 32-point Gauss-Legendre on each."""
-    xg, wg = np.polynomial.legendre.leggauss(32)
-    out, total, lo = [], 0.0, 0.0
-    for hi in k_edges:
-        npanel = max(1, int(np.ceil((hi - lo) / (np.pi / state.slit_width))))
-        cuts = np.linspace(lo, hi, npanel + 1)
-        half = np.diff(cuts)[:, None] / 2.0
-        k = (cuts[:-1, None] + cuts[1:, None]) / 2.0 + half * xg
-        total += 2.0 * np.sum(half * wg * k**power * eval_lanczos_momentum_density(k, state))
-        out.append(total)
-        lo = hi
-    return np.array(out)
+def band_moment(dx, k_max, power):
+    """int_{|k| <= k_max} |k|^power * density(k) dk at a single edge, from the
+    width-2 moment in u = dx*k/2: (2/dx)^power * M(dx*k_max/2)."""
+    return (2.0 / dx) ** power * band_moments([dx * k_max / 2.0], power)[0]
 
 
 def averaged_tail_integrand(u):
@@ -78,9 +62,8 @@ def averaged_tail_integrand(u):
 def sigma_k_by_quadrature(dx: float) -> float:
     """Independent oracle: second moment of the momentum density by direct
     quadrature to U plus the analytic oscillation-averaged tail."""
-    state = LanczosState(dx)
     U = 2000.0
-    m2 = band_moment(state, 2 * U / dx, 2)
+    m2 = band_moment(dx, 2 * U / dx, 2)
     tail_u, _ = quad(averaged_tail_integrand, U, np.inf)
     m2 += 2.0 / (np.pi**2 * SI_2PI * dx**2) * tail_u
     return np.sqrt(m2)
@@ -144,42 +127,52 @@ def test_list_path_matches_array_path_bitwise(dx):
     # the grids of cmd_lanczos: the float path gives every point the bits
     # of the numpy formula, and the CSVs a list and an array encode agree;
     # the position amplitude is checked against its numpy oracle, the
-    # density against its own array path, which lanczos_band_moments runs
-    state = LanczosState(dx)
+    # density against its own array path, which diffraction.band_moments runs
     x = cli._linspace(-dx / 2, dx / 2, 1001)
     k = cli._linspace(-16 * np.pi / dx, 16 * np.pi / dx, 4001)
     for fn, grid, numpy_path in (
             (eval_lanczos_position, x, lambda a: np_lanczos_position(a, dx)),
-            (eval_lanczos_momentum_density, k, lambda a: eval_lanczos_momentum_density(a, state))):
-        listed = fn(grid, state)
+            (eval_lanczos_momentum_density, k, lambda a: eval_lanczos_momentum_density(a, dx))):
+        listed = fn(grid, dx)
         assert isinstance(listed, list)
         array = numpy_path(np.array(grid))
         assert isinstance(array, np.ndarray)
         assert np.array_equal(np.array(listed).view(np.int64), array.view(np.int64))
-        assert all(type(fn(v, state)) is float for v in grid[:3])
+        assert all(type(fn(v, dx)) is float for v in grid[:3])
+
+
+@pytest.mark.parametrize("dx", [0.0, -0.0, -1.0, np.nan])
+def test_width_must_be_positive(dx):
+    # every entry point refuses the width itself, the density on each path
+    calls = [lambda: eval_lanczos_position(0.0, dx),
+             lambda: eval_lanczos_momentum_density(0.0, dx),
+             lambda: eval_lanczos_momentum_density([0.0], dx),
+             lambda: eval_lanczos_momentum_density(np.array([0.0]), dx),
+             lambda: lanczos_tail_bounds(dx, 100.0)]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="delta_x must be positive"):
+            call()
 
 
 class TestLanczosPosition:
     def test_center_value(self):
         dx = 0.8
-        state = LanczosState(dx)
-        assert eval_lanczos_position(0.0, state) == pytest.approx(
+        assert eval_lanczos_position(0.0, dx) == pytest.approx(
             np.sqrt(np.pi / (SI_2PI * dx)), rel=1e-14
         )
 
     def test_edges_vanish(self):
-        state = LanczosState(1.0)
-        assert eval_lanczos_position(0.5, state) == pytest.approx(0.0, abs=1e-15)
-        assert eval_lanczos_position(-0.5, state) == pytest.approx(0.0, abs=1e-15)
+        dx = 1.0
+        assert eval_lanczos_position(0.5, dx) == pytest.approx(0.0, abs=1e-15)
+        assert eval_lanczos_position(-0.5, dx) == pytest.approx(0.0, abs=1e-15)
 
     def test_outside_slit_is_zero(self):
-        state = LanczosState(1.0)
-        assert eval_lanczos_position(0.6, state) == 0.0
+        dx = 1.0
+        assert eval_lanczos_position(0.6, dx) == 0.0
 
     def test_normalization(self):
         dx = 1.3
-        state = LanczosState(dx)
-        total, _ = quad(lambda x: eval_lanczos_position(x, state) ** 2,
+        total, _ = quad(lambda x: eval_lanczos_position(x, dx) ** 2,
                         -dx / 2, dx / 2, epsabs=1e-13)
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -200,37 +193,35 @@ class TestGamma:
 class TestLanczosMomentumDensity:
     def test_value_at_zero(self):
         for dx in (1.0, 2.7):
-            state = LanczosState(dx)
-            assert eval_lanczos_momentum_density(0.0, state) == pytest.approx(
+            assert eval_lanczos_momentum_density(0.0, dx) == pytest.approx(
                 LANCZOS_DENSITY_AT_ZERO * dx, rel=1e-12
             )
             # closed form of the same value
-            assert eval_lanczos_momentum_density(0.0, state) == pytest.approx(
+            assert eval_lanczos_momentum_density(0.0, dx) == pytest.approx(
                 dx * sine_integral(np.pi) ** 2 / (2 * np.pi**2 * SI_2PI), rel=1e-14
             )
 
     def test_even_and_nonnegative(self):
-        state = LanczosState(1.0)
+        dx = 1.0
         ks = np.linspace(0.1, 200.0, 997)
         assert np.array_equal(
-            eval_lanczos_momentum_density(ks, state),
-            eval_lanczos_momentum_density(-ks, state),
+            eval_lanczos_momentum_density(ks, dx),
+            eval_lanczos_momentum_density(-ks, dx),
         )
-        assert np.all(eval_lanczos_momentum_density(ks, state) >= 0)
+        assert np.all(eval_lanczos_momentum_density(ks, dx) >= 0)
         # nan, not an exception, at an infinite or nan k on every path
         for k in (np.inf, -np.inf, np.nan):
             with np.errstate(invalid="ignore"):
-                got = [eval_lanczos_momentum_density(k, state),
-                       *eval_lanczos_momentum_density([k], state),
-                       *eval_lanczos_momentum_density(np.array([k]), state)]
+                got = [eval_lanczos_momentum_density(k, dx),
+                       *eval_lanczos_momentum_density([k], dx),
+                       *eval_lanczos_momentum_density(np.array([k]), dx)]
             assert np.isnan(got).all(), k
 
     def test_normalization_with_certified_tail(self):
         dx = 1.0
-        state = LanczosState(dx)
         k_max = 600.0
-        weight = band_moment(state, k_max, 0)
-        tail, _ = lanczos_tail_bounds(state, k_max)
+        weight = band_moment(dx, k_max, 0)
+        tail, _ = lanczos_tail_bounds(dx, k_max)
         assert tail < 1e-7
         # true mass beyond k_max lies in [0, tail], so the full integral is 1
         assert -1e-10 <= 1.0 - weight <= tail + 1e-10
@@ -242,66 +233,14 @@ class TestLanczosMomentumDensity:
 
     def test_tail_bounds_certify(self):
         # bounds must dominate the numerically integrated remainder
-        state = LanczosState(1.0)
-        w_inner = band_moment(state, 200.0, 0)
-        w_outer = band_moment(state, 2000.0, 0)
-        w_tail, m_tail = lanczos_tail_bounds(state, 200.0)
-        assert w_outer - w_inner <= w_tail
-        m_inner = band_moment(state, 200.0, 2)
-        m_outer = band_moment(state, 2000.0, 2)
-        assert m_outer - m_inner <= m_tail
-
-
-class TestBandMoments:
-    def test_cumulative_moments_match_adaptive_quadrature(self):
         dx = 1.0
-        state = LanczosState(dx)
-        edges = np.array([0.0, 0.3, 2.0, 2.0, 17.5, 60.0])
-        for power in (0, 2):
-            got = lanczos_band_moments(state, edges, power)
-            want = [
-                2 * quad(lambda k: k**power * eval_lanczos_momentum_density(k, state),
-                         0.0, e, limit=200, epsabs=1e-14)[0]
-                for e in edges
-            ]
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
-    def test_single_edge_helpers_agree(self):
-        state = LanczosState(0.7)
-        edges = np.linspace(5.0, 300.0, 40)
-        for power in (0, 2):
-            assert lanczos_band_moments(state, edges, power)[-1] == pytest.approx(
-                band_moment(state, 300.0, power), rel=1e-13)
-
-    @pytest.mark.parametrize("dx", [1.0, 477e-6])
-    def test_matches_32_node_reference(self, dx):
-        state = LanczosState(dx)
-        cap = np.pi / dx
-        rng = np.random.default_rng(9)
-        edge_sets = {
-            # every panel exactly the cap width, out to u = dx*k/2 = 2000
-            "cap-width": cap * np.arange(1.0, 1274.0),
-            "irregular": np.sort(rng.uniform(0.0, 900.0 * cap, 60)),
-            "tiny first": np.array([1e-6, 1e-3, 0.5, 3.0, 40.0, 700.0]) * cap,
-        }
-        for name, edges in edge_sets.items():
-            for power in (0, 2):
-                got = lanczos_band_moments(state, edges, power)
-                want = band_moments_reference(state, edges, power)
-                assert np.max(np.abs(got / want - 1.0)) <= 4e-15, (name, power)
-
-    def test_gauss_legendre_constants(self):
-        # the 8-point rule is written out; it must stay numpy's, to 1 ulp
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        for const, ref in ((special._GL8_NODES, nodes), (special._GL8_WEIGHTS, weights)):
-            assert np.all(np.abs(np.array(const) - ref) <= np.spacing(np.abs(ref)))
-            assert isinstance(const, tuple)
-
-    def test_invalid_arguments(self):
-        state = LanczosState(1.0)
-        for bad in ([-1.0], [2.0, 1.0], [[1.0]], 1.0):
-            with pytest.raises(InvalidArgument):
-                lanczos_band_moments(state, bad, 2)
+        w_inner = band_moment(dx, 200.0, 0)
+        w_outer = band_moment(dx, 2000.0, 0)
+        w_tail, m_tail = lanczos_tail_bounds(dx, 200.0)
+        assert w_outer - w_inner <= w_tail
+        m_inner = band_moment(dx, 200.0, 2)
+        m_outer = band_moment(dx, 2000.0, 2)
+        assert m_outer - m_inner <= m_tail
 
 
 class TestFourierConsistency:
@@ -309,13 +248,12 @@ class TestFourierConsistency:
         # numerically Fourier-transforming the position amplitude reproduces
         # the square root of the momentum density on |k| <= 8 pi / dx
         dx = 1.0
-        state = LanczosState(dx)
         ks = np.linspace(0.0, 8 * np.pi / dx, 81)
-        target = np.sqrt(eval_lanczos_momentum_density(ks, state))
+        target = np.sqrt(eval_lanczos_momentum_density(ks, dx))
         scale = np.max(target)
         for k, t in zip(ks, target):
             ft, _ = quad(
-                lambda x: eval_lanczos_position(x, state) * np.cos(k * x) / np.sqrt(2 * np.pi),
+                lambda x: eval_lanczos_position(x, dx) * np.cos(k * x) / np.sqrt(2 * np.pi),
                 -dx / 2, dx / 2, epsabs=1e-13,
             )
             assert abs(abs(ft) - t) < 1e-6 * scale
