@@ -266,16 +266,21 @@ class TestBandMoments:
             assert band_moments(edges, power)[-1] == pytest.approx(
                 band_moments([300.0], power)[0], rel=1e-13)
 
-    def test_matches_32_node_reference(self):
-        cap = np.pi / 2
+    @pytest.mark.parametrize("dx", [1.0, 477e-6])
+    def test_matches_32_node_reference(self, dx):
+        # edges laid out in wavenumber k for a slit of width dx, one panel cap
+        # pi/dx apart, then mapped to u = dx*k/2 as a caller would; the
+        # rounding of that map leaves panels a hair off the cap width in u
+        cap = np.pi / dx
         rng = np.random.default_rng(9)
         edge_sets = {
-            # every panel exactly the cap width, out to u = 2000
+            # every panel the cap width, out to u = 2000
             "cap-width": cap * np.arange(1.0, 1274.0),
             "irregular": np.sort(rng.uniform(0.0, 900.0 * cap, 60)),
             "tiny first": np.array([1e-6, 1e-3, 0.5, 3.0, 40.0, 700.0]) * cap,
         }
-        for name, edges in edge_sets.items():
+        for name, k_edges in edge_sets.items():
+            edges = k_edges * (dx / 2)
             for power in (0, 2):
                 got = band_moments(edges, power)
                 want = band_moments_reference(edges, power)
