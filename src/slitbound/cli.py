@@ -254,7 +254,7 @@ def cmd_estimate(args):
         raise InvalidArgument("frame pixels must be uniformly spaced")
     detector = _flag("frame", diffraction.DetectorSpec, num_pixels=len(y), pixel_size=pixel_size)
     # theory first: it refuses too wide a band before the estimator's arithmetic
-    theory = diffraction.theory_trace(geometry, np.arange(1, len(y) // 2 + 1) * pixel_size)
+    theory = diffraction.theory_trace(geometry, detector)
     n, y_extent, gamma_hat = diffraction.gamma_trace(detector, intens.clip(0.0), geometry)
     gamma = special.lanczos_gamma()
     tables = [("trace.csv", ["n", "y_mm", "gamma_hat", "gamma_theory"],

@@ -12,8 +12,10 @@ over pixels i = N/2-n+1 .. N/2+n of the frame, and converges to gamma (minus
 the off-detector tail) as n -> N/2; it and the theory depend on s alone.
 
 In u every truncated-sinc state is the one of width 2, whose wavenumber is u.
-``band_moments`` integrates its density for the theory trace: 8-point
-Gauss-Legendre on panels of pi/2 in u, at most MAX_PANELS of them per call.
+``band_moments`` integrates its density for the theory trace on the detector's
+pixel grid, the edges u = n*scale*pixel_size: each pixel interval is cut into
+the same number of equal panels of at most pi/2, with 8-point Gauss-Legendre
+on every panel, at most MAX_PANELS panels per call.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class DetectorSpec:
     __slots__ = ("num_pixels", "pixel_size")
 
     def __init__(self, num_pixels: int, pixel_size: float):
+        if not hasattr(type(num_pixels), "__index__"):
+            raise InvalidArgument(f"num_pixels must be an integer, got {num_pixels!r}")
         if num_pixels < 2 or num_pixels % 2 != 0:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
         if not pixel_size > 0:
@@ -79,8 +83,8 @@ class NoiseSpec:
             raise InvalidArgument(
                 f"additive_sigma must be finite and nonnegative, got {additive_sigma}"
             )
-        if seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {seed}")
+        if not hasattr(type(seed), "__index__") or seed < 0:
+            raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
         self.additive_sigma, self.seed, self.quantize = additive_sigma, seed, quantize
 
 
@@ -141,42 +145,27 @@ def gamma_trace(
     return n, y_extent, gamma_hat
 
 
-def band_moments(u_edges, power: int) -> np.ndarray:
-    """Cumulative band moments int_{|u| <= u_j} |u|^power * density(u) du of
-    the width-2 truncated-sinc state, for every edge u_j of a nondecreasing
-    array of nonnegative edges.
+def band_moments(width: float, count: int, power: int) -> np.ndarray:
+    """Cumulative band moments int_{|u| <= j*width} |u|^power * density(u) du
+    of the width-2 truncated-sinc state at the edges j*width, j = 1..count.
 
-    Each interval [u_{j-1}, u_j] (with u_{-1} = 0) is tiled by equal panels
-    of at most pi/2, with 8-point Gauss-Legendre on every panel.
+    Every interval is tiled by the same number of equal panels of at most
+    pi/2, with 8-point Gauss-Legendre on every panel.
     """
-    hi = np.asarray(u_edges, dtype=float)
-    lo = np.concatenate([[0.0], hi.ravel()[:-1]])
-    if hi.ndim != 1 or not np.all(np.isfinite(hi)) or np.any(hi < lo):
-        raise InvalidArgument("u_edges must be 1-d, finite, nonnegative and nondecreasing")
-    npanel = np.maximum(1.0, np.ceil((hi - lo) / _PANEL))
-    # counted as floats, so that a count past the integers is caught too
-    _check_panels(float(np.sum(npanel)))
-    npanel = npanel.astype(int)
-    # panel i of interval j spans lo_j + [i, i+1]*step_j, the last one ending
-    # exactly at hi_j (the edges np.linspace would give)
-    j = np.repeat(np.arange(hi.size), npanel)
-    first = np.cumsum(npanel) - npanel
-    i = np.arange(j.size) - first[j]
-    step = ((hi - lo) / npanel)[j]
-    left = i * step + lo[j]
-    right = np.where(i + 1 == npanel[j], hi[j], (i + 1) * step + lo[j])
-    half = (right - left) / 2.0
-    mid = (left + right) / 2.0
-    panels = np.empty(j.size)
-    nodes_gl, weights_gl = np.array([_GL8_NODES]), np.array([_GL8_WEIGHTS])
-    for b in range(0, j.size, _BLOCK):
-        h = half[b:b + _BLOCK, None]
-        nodes = mid[b:b + _BLOCK, None] + h * nodes_gl
-        vals = nodes**power * eval_lanczos_momentum_density(nodes, 2.0)
-        # one BLAS dot product per panel, summed the way np.dot sums one panel
-        panels[b:b + _BLOCK] = np.matmul((h * weights_gl)[:, None, :],
-                                         vals[:, :, None])[:, 0, 0]
-    return np.cumsum(2.0 * np.add.reduceat(panels, first))
+    if not width > 0 or count < 0:
+        raise InvalidArgument(f"band_moments needs width > 0 and count >= 0, got {width}, {count}")
+    # an infinite width stays a float, which the panel check refuses
+    per = math.ceil(width / _PANEL) if width < math.inf else math.inf
+    _check_panels(count * per)
+    h = width / per / 2.0  # panel k: midpoint (2k+1)*h, half-width h
+    panels = np.empty(count * per)
+    nodes_gl, weights_gl = np.array(_GL8_NODES), np.array(_GL8_WEIGHTS)
+    for b in range(0, panels.size, _BLOCK):
+        mid = (2.0 * np.arange(b, min(b + _BLOCK, panels.size)) + 1.0) * h
+        u = mid[:, None] + h * nodes_gl
+        vals = u**power * eval_lanczos_momentum_density(u, 2.0)
+        panels[b:b + _BLOCK] = vals @ (h * weights_gl)
+    return np.cumsum(2.0 * panels.reshape(count, per).sum(axis=1))
 
 
 def _check_panels(total: float) -> None:
@@ -187,12 +176,9 @@ def _check_panels(total: float) -> None:
             f"more than {MAX_PANELS}")
 
 
-def theory_trace(geometry: SlitGeometry, y_grid) -> np.ndarray:
-    """Band-limited excess factor (2/pi) * sqrt(int_{|u| <= scale*y} u^2 |phi~(u)|^2 du) at
-    each outer |y|, by ``band_moments``.  Nondecreasing with limit gamma."""
-    y = np.asarray(y_grid, dtype=float)
-    if y.ndim != 1 or not np.all(np.isfinite(y)) or np.any(y <= 0) or np.any(np.diff(y) <= 0):
-        raise InvalidArgument("y_grid must be 1-d, finite, positive and strictly increasing")
-    # the band edge as a Python float, so inf is refused before any array holds it
-    _check_panels(geometry.scale * float(y.max(initial=0.0)) / _PANEL)
-    return 2.0 / np.pi * np.sqrt(band_moments(geometry.scale * y, 2))
+def theory_trace(geometry: SlitGeometry, detector: DetectorSpec) -> np.ndarray:
+    """Band-limited excess factor (2/pi) * sqrt(int_{|u| <= scale*y} u^2 |phi~(u)|^2 du)
+    at the outer |y| = n*pixel_size of pixel pairs n = 1..N/2, the y_extent of
+    ``gamma_trace``, by ``band_moments``.  Nondecreasing with limit gamma."""
+    width = geometry.scale * detector.pixel_size
+    return 2.0 / np.pi * np.sqrt(band_moments(width, detector.num_pixels // 2, 2))

@@ -80,7 +80,8 @@ def format_csv(name: str, header: list[str], columns,
             codes.append(CSV_FLOAT_FORMAT if kind == "f" else "%d")
         cells.append(column)
     template = ",".join(codes) + "\n"
-    body = "".join([template % row for row in zip(*cells)])
+    rows = list(zip(*cells))
+    body = (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     # only a non-finite float cell (nan, inf) holds an n: no finite %.9g
     # float, %d integer or true/false does
     if "n" in body:

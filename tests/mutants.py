@@ -70,10 +70,14 @@ MUTANTS = [
            "    n = 16 + math.ceil(c / 2.0)\n", "    n = 15 + math.ceil(c / 2.0)\n",
            ["tests/test_concentration.py::TestLambda0::test_size_rule_edges"]),
     Mutant("band-gauss-legendre-6", DIFFRACTION,
-           "    nodes_gl, weights_gl = np.array([_GL8_NODES]), np.array([_GL8_WEIGHTS])\n",
-           "    nodes_gl, weights_gl = (np.array([v])\n"
+           "    nodes_gl, weights_gl = np.array(_GL8_NODES), np.array(_GL8_WEIGHTS)\n",
+           "    nodes_gl, weights_gl = (np.array(v)\n"
            "                            for v in np.polynomial.legendre.leggauss(6))\n",
            ["tests/test_diffraction.py::TestBandMoments::test_matches_32_node_reference"]),
+    Mutant("uniform-one-panel", DIFFRACTION,
+           "    per = math.ceil(width / _PANEL) if width < math.inf else math.inf\n",
+           "    per = 1\n",
+           ["tests/test_diffraction.py::TestBandMoments::test_widths_match_32_node_reference"]),
     Mutant("width-unchecked", "src/slitbound/core.py",
            "    if not delta_x > 0:\n", "    if False:\n",
            ["tests/test_special.py::test_width_must_be_positive"]),
@@ -96,9 +100,16 @@ MUTANTS = [
            "            stream.flush()\n", "            pass\n",
            [HARD_EXIT + "test_buffered_stdout_survives"]),
     Mutant("theory-no-band-edge-check", DIFFRACTION,
-           "    _check_panels(geometry.scale * float(y.max(initial=0.0)) / _PANEL)\n",
+           "    _check_panels(count * per)\n",
            "", ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused",
                 CAPS + "test_band_panels_of_overflowing_extent"]),
+    Mutant("detector-float-count", DIFFRACTION,
+           '        if not hasattr(type(num_pixels), "__index__"):\n', "        if False:\n",
+           ["tests/test_diffraction.py::TestDetectorSpec::test_integer_fields"]),
+    Mutant("noise-float-seed", DIFFRACTION,
+           '        if not hasattr(type(seed), "__index__") or seed < 0:\n',
+           "        if seed < 0:\n",
+           ["tests/test_diffraction.py::TestDetectorSpec::test_integer_fields"]),
     Mutant("estimator-no-u2-check", DIFFRACTION,
            "    if not math.isfinite(u_max * u_max):\n", "    if False:\n",
            [GAMMA_TRACE + "test_overflowing_terms_rejected"]),

@@ -41,6 +41,9 @@ EXTRA = {
         ["estimate", "frame.csv", *_NOISY_GEOMETRY],
     ],
     "frame-noiseless": [["simulate", "--pixels", "1024"], ["estimate", "frame.csv"]],
+    # 2 mm pixels are 21 band-quadrature panels each in u
+    "frame-wide-pixels": [["simulate", "--pixels", "64", "--pixel-size", "2mm"],
+                          ["estimate", "frame.csv"]],
     # y^2 overflows, but u = scale*y stays near 2.4e5: exit 0
     "frame-huge-extent": [
         ["simulate", "--pixels", "2", "--pixel-size", "2e155m", "--focal-length", "1e153m"],

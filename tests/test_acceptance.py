@@ -96,8 +96,8 @@ def test_criterion_4_reanalysis_verdicts():
 
 
 def test_criterion_5_end_to_end_simulation():
-    _, y_extent, clean = gamma_trace(DETECTOR, synthesize_frame(GEOMETRY, DETECTOR), GEOMETRY)
-    edge_theory = theory_trace(GEOMETRY, y_extent[-1:])[0]
+    _, _, clean = gamma_trace(DETECTOR, synthesize_frame(GEOMETRY, DETECTOR), GEOMETRY)
+    edge_theory = theory_trace(GEOMETRY, DETECTOR)[-1]
     rel = abs(clean[-1] - edge_theory) / edge_theory
     exceed = 0
     for seed in range(100):

@@ -93,6 +93,16 @@ class TestDetectorSpec:
         with pytest.raises(InvalidArgument):
             NoiseSpec(seed=-1)
 
+    def test_integer_fields(self):
+        # a float count or seed is refused here, not deep inside numpy
+        with pytest.raises(InvalidArgument, match="num_pixels must be an integer, got 4.0"):
+            DetectorSpec(num_pixels=4.0, pixel_size=8e-6)
+        with pytest.raises(InvalidArgument, match="seed must be an integer >= 0, got 1.5"):
+            NoiseSpec(additive_sigma=1e-3, seed=1.5)
+        detector = DetectorSpec(num_pixels=np.int64(4), pixel_size=8e-6)
+        frame = synthesize_frame(GEOMETRY, detector, NoiseSpec(1e-3, seed=np.int64(3)))
+        assert theory_trace(GEOMETRY, detector).shape == (2,) and frame.shape == (4,)
+
 
 class TestSynthesizeFrame:
     def test_noiseless_equals_profile_samples(self):
@@ -185,13 +195,13 @@ class TestGammaTrace:
         assert np.all(np.diff(gamma_hat) >= 0)
 
     def test_noiseless_final_value(self):
-        _, y_extent, gamma_hat = noiseless_trace()
-        theory_edge = theory_trace(GEOMETRY, y_extent[-1:])[0]
+        _, _, gamma_hat = noiseless_trace()
+        theory_edge = theory_trace(GEOMETRY, DETECTOR)[-1]
         assert abs(gamma_hat[-1] - theory_edge) < 0.005 * lanczos_gamma()
 
     def test_noiseless_pointwise_vs_theory(self):
         _, y_extent, gamma_hat = noiseless_trace()
-        theory = theory_trace(GEOMETRY, y_extent)
+        theory = theory_trace(GEOMETRY, DETECTOR)
         sel = y_extent >= 0.2e-3
         gap = np.abs(gamma_hat[sel] - theory[sel])
         assert np.max(gap) < 0.01 * lanczos_gamma()
@@ -207,84 +217,91 @@ class TestGammaTrace:
         frame = synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(additive_sigma=1e-3, seed=7))
         other = SlitGeometry(slit_width=GEOMETRY.slit_width, wavelength=3 * GEOMETRY.wavelength,
                              focal_length=GEOMETRY.focal_length / 3)
-        _, y_extent, gamma_hat = gamma_trace(DETECTOR, frame, GEOMETRY)
+        gamma_hat = gamma_trace(DETECTOR, frame, GEOMETRY)[2]
         assert other.scale == pytest.approx(GEOMETRY.scale, rel=4e-16)
         np.testing.assert_allclose(gamma_trace(DETECTOR, frame, other)[2], gamma_hat,
                                    rtol=4e-15, atol=0)
-        np.testing.assert_allclose(theory_trace(other, y_extent),
-                                   theory_trace(GEOMETRY, y_extent), rtol=4e-15, atol=0)
+        np.testing.assert_allclose(theory_trace(other, DETECTOR),
+                                   theory_trace(GEOMETRY, DETECTOR), rtol=4e-15, atol=0)
 
 
 class TestTheoryTrace:
     def test_monotone_with_limit_gamma(self):
-        y = np.linspace(0.05e-3, 40e-3, 300)
-        vals = theory_trace(GEOMETRY, y)
+        # pixel-pair edges y = n * 0.05 mm out to 40 mm
+        vals = theory_trace(GEOMETRY, DetectorSpec(num_pixels=1600, pixel_size=0.05e-3))
         assert np.all(np.diff(vals) >= -1e-14)
         assert np.all(vals <= lanczos_gamma() + 1e-12)
         assert vals[-1] == pytest.approx(lanczos_gamma(), abs=5e-4)
 
     def test_edge_captures_most_of_gamma(self):
-        edge = theory_trace(GEOMETRY, np.array([DETECTOR.span / 2]))[0]
+        edge = theory_trace(GEOMETRY, DETECTOR)[-1]
         assert edge > 0.99 * lanczos_gamma()
 
+    def test_matches_reference_on_pixel_grid(self):
+        # the theory at each y_extent = n * pixel_size, n = 1..N/2
+        for detector in (DetectorSpec(64, 2e-3), DetectorSpec(512, 8e-6)):
+            n = np.arange(1, detector.num_pixels // 2 + 1)
+            want = 2.0 / np.pi * np.sqrt(band_moments_reference(
+                GEOMETRY.scale * detector.pixel_size * n, 2))
+            got = theory_trace(GEOMETRY, detector)
+            assert np.max(np.abs(got / want - 1.0)) <= 4e-15
+
     def test_invalid_grid(self):
-        with pytest.raises(InvalidArgument):
-            theory_trace(GEOMETRY, np.array([1e-3, 1e-3]))
-        with pytest.raises(InvalidArgument):
-            theory_trace(GEOMETRY, np.array([-1e-3, 1e-3]))
-        for bad in ([np.inf], [np.nan], [1e-3, np.inf]):
-            with pytest.raises(InvalidArgument, match="y_grid"):
-                theory_trace(GEOMETRY, np.array(bad))
+        # the grid is the detector's, and DetectorSpec refuses a bad one
+        for bad in (0.0, -1e-3, np.nan):
+            with pytest.raises(InvalidArgument, match="pixel_size"):
+                DetectorSpec(num_pixels=2, pixel_size=bad)
         # a band edge u = scale*y of 1.6e307 is refused as too many panels,
         # before any array arithmetic
         with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
-            theory_trace(GEOMETRY, np.array([1e303]))
-        assert theory_trace(GEOMETRY, np.array([])).shape == (0,)
+            theory_trace(GEOMETRY, DetectorSpec(num_pixels=2, pixel_size=1e303))
 
     def test_infinite_band_edge_refused(self):
         # u = scale*y past the floats is refused as too many panels before any
         # array holds it, so numpy warns of no overflow
-        with pytest.raises(InvalidArgument, match=str(MAX_PANELS)):
-            theory_trace(GEOMETRY, np.array([1e-3, 1e305]))
+        with pytest.raises(InvalidArgument, match=f"needs inf panels.*{MAX_PANELS}"):
+            theory_trace(GEOMETRY, DetectorSpec(num_pixels=4, pixel_size=1e305))
 
 
 class TestBandMoments:
     def test_cumulative_moments_match_adaptive_quadrature(self):
-        edges = np.array([0.0, 0.3, 2.0, 2.0, 17.5, 60.0])
-        for power in (0, 2):
-            got = band_moments(edges, power)
-            want = [
-                2 * quad(lambda u: u**power * eval_lanczos_momentum_density(u, 2.0),
-                         0.0, e, limit=200, epsabs=1e-14)[0]
-                for e in edges
-            ]
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        for width in (0.3, 2.0, 17.5):
+            for power in (0, 2):
+                got = band_moments(width, 3, power)
+                want = [
+                    2 * quad(lambda u: u**power * eval_lanczos_momentum_density(u, 2.0),
+                             0.0, e, limit=200, epsabs=1e-14)[0]
+                    for e in width * np.arange(1, 4)
+                ]
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_single_edge_helpers_agree(self):
-        edges = np.linspace(5.0, 300.0, 40)
+        # 40 intervals of 5 panels each against one interval of 191 panels
         for power in (0, 2):
-            assert band_moments(edges, power)[-1] == pytest.approx(
-                band_moments([300.0], power)[0], rel=1e-13)
+            assert band_moments(7.5, 40, power)[-1] == pytest.approx(
+                band_moments(300.0, 1, power)[0], rel=1e-13)
 
     @pytest.mark.parametrize("dx", [1.0, 477e-6])
     def test_matches_32_node_reference(self, dx):
         # edges laid out in wavenumber k for a slit of width dx, one panel cap
         # pi/dx apart, then mapped to u = dx*k/2 as a caller would; the
-        # rounding of that map leaves panels a hair off the cap width in u
-        cap = np.pi / dx
-        rng = np.random.default_rng(9)
-        edge_sets = {
-            # every panel the cap width, out to u = 2000
-            "cap-width": cap * np.arange(1.0, 1274.0),
-            "irregular": np.sort(rng.uniform(0.0, 900.0 * cap, 60)),
-            "tiny first": np.array([1e-6, 1e-3, 0.5, 3.0, 40.0, 700.0]) * cap,
-        }
-        for name, k_edges in edge_sets.items():
-            edges = k_edges * (dx / 2)
-            for power in (0, 2):
-                got = band_moments(edges, power)
-                want = band_moments_reference(edges, power)
-                assert np.max(np.abs(got / want - 1.0)) <= 4e-15, (name, power)
+        # rounding of that map leaves the width a hair off the cap in u.
+        # Every panel the cap width, out to u = 2000
+        width = np.pi / dx * (dx / 2)
+        for power in (0, 2):
+            got = band_moments(width, 1273, power)
+            want = band_moments_reference(width * np.arange(1, 1274), power)
+            assert np.max(np.abs(got / want - 1.0)) <= 4e-15, power
+
+    @pytest.mark.parametrize("width", [np.pi / 2, np.nextafter(np.pi / 2, 4), 2.0, 31.6],
+                             ids=["pi/2", "above-pi/2", "2.0", "31.6"])
+    def test_widths_match_32_node_reference(self, width):
+        # 1, 2, 2 and 21 panels per interval
+        count = 40
+        for power in (0, 2):
+            got = band_moments(width, count, power)
+            want = band_moments_reference(width * np.arange(1, count + 1), power)
+            assert np.max(np.abs(got / want - 1.0)) <= 4e-15, power
 
     def test_gauss_legendre_constants(self):
         # the 8-point rule is written out; it must stay numpy's, to 1 ulp
@@ -293,10 +310,25 @@ class TestBandMoments:
             assert np.all(np.abs(np.array(const) - ref) <= np.spacing(np.abs(ref)))
             assert isinstance(const, tuple)
 
+    def test_count_zero_is_empty(self):
+        assert band_moments(2.0, 0, 2).shape == (0,)
+
     def test_invalid_arguments(self):
-        for bad in ([-1.0], [2.0, 1.0], [[1.0]], 1.0):
-            with pytest.raises(InvalidArgument):
-                band_moments(bad, 2)
+        for width in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidArgument, match="width > 0"):
+                band_moments(width, 3, 2)
+        with pytest.raises(InvalidArgument, match="count >= 0"):
+            band_moments(1.0, -1, 2)
+        with pytest.raises(InvalidArgument, match=f"needs inf panels.*{MAX_PANELS}"):
+            band_moments(np.inf, 3, 2)
+
+    @pytest.mark.parametrize("width,per", [(1.0, 1), (4.0, 3)])
+    def test_panel_cap_boundary(self, monkeypatch, width, per):
+        # count * per panels: at the cap passes, one interval more is refused
+        monkeypatch.setattr(diffraction, "MAX_PANELS", 12)
+        assert band_moments(width, 12 // per, 2).shape == (12 // per,)
+        with pytest.raises(InvalidArgument, match=f"needs {12 + per} panels.*more than 12"):
+            band_moments(width, 12 // per + 1, 2)
 
 
 class TestNoiseBehavior:

@@ -49,7 +49,7 @@ SI_REFERENCES = [
 def band_moment(dx, k_max, power):
     """int_{|k| <= k_max} |k|^power * density(k) dk at a single edge, from the
     width-2 moment in u = dx*k/2: (2/dx)^power * M(dx*k_max/2)."""
-    return (2.0 / dx) ** power * band_moments([dx * k_max / 2.0], power)[0]
+    return (2.0 / dx) ** power * band_moments(dx * k_max / 2.0, 1, power)[0]
 
 
 def averaged_tail_integrand(u):
