@@ -23,6 +23,9 @@ from typing import NamedTuple
 
 from .errors import InvalidArgument
 
+# the most modes per side, checked before the 2*n_max+1 modes are built
+MAX_NMAX = 1_000_000
+
 
 class SlitGeometry:
     """Slit width, laser wavelength and focal length of the imaging lens."""
@@ -57,8 +60,7 @@ class FourierState:
     """
 
     def __init__(self, slit_width: float, coefficients):
-        if not slit_width > 0:
-            raise InvalidArgument(f"slit_width must be positive, got {slit_width}")
+        _check_width(slit_width)
         try:
             c = tuple(map(complex, coefficients))
         except (TypeError, ValueError):
@@ -100,8 +102,8 @@ def min_uncertainty_coefficients(n_max: int, delta_x: float) -> FourierState:
     c_n is proportional to (-1)^n / (1 - 4 n^2), renormalized after
     truncation at |n| <= n_max.
     """
-    if not hasattr(type(n_max), "__index__") or n_max < 1:
-        raise InvalidArgument(f"n_max must be an integer >= 1, got {n_max!r}")
+    if not hasattr(type(n_max), "__index__") or not 1 <= n_max <= MAX_NMAX:
+        raise InvalidArgument(f"n_max must be an integer from 1 to {MAX_NMAX}, got {n_max!r}")
     a = math.sqrt(8.0) / math.pi
     half = [(-a if n % 2 else a) / (1.0 - 4.0 * n * n) for n in range(n_max + 1)]
     return FourierState(delta_x, half[:0:-1] + half)

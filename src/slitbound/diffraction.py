@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import SlitGeometry
 from .errors import InvalidArgument
+from .reports import MAX_PIXELS
 from .special import eval_lanczos_momentum_density
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
@@ -55,6 +56,8 @@ class DetectorSpec:
     def __init__(self, num_pixels: int, pixel_size: float):
         if not hasattr(type(num_pixels), "__index__"):
             raise InvalidArgument(f"num_pixels must be an integer, got {num_pixels!r}")
+        if num_pixels > MAX_PIXELS:
+            raise InvalidArgument(f"num_pixels must be <= {MAX_PIXELS}, got {num_pixels}")
         if num_pixels < 2 or num_pixels % 2 != 0:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
         if not pixel_size > 0:
@@ -156,7 +159,10 @@ def band_moments(width: float, count: int, power: int) -> np.ndarray:
         raise InvalidArgument(f"band_moments needs width > 0 and count >= 0, got {width}, {count}")
     # an infinite width stays a float, which the panel check refuses
     per = math.ceil(width / _PANEL) if width < math.inf else math.inf
-    _check_panels(count * per)
+    if not count * per <= MAX_PANELS:  # a NaN or infinite count fails as well
+        raise InvalidArgument(
+            f"the band quadrature needs {count * per:.3g} panels of pi/slit_width, "
+            f"more than {MAX_PANELS}")
     h = width / per / 2.0  # panel k: midpoint (2k+1)*h, half-width h
     panels = np.empty(count * per)
     nodes_gl, weights_gl = np.array(_GL8_NODES), np.array(_GL8_WEIGHTS)
@@ -166,14 +172,6 @@ def band_moments(width: float, count: int, power: int) -> np.ndarray:
         vals = u**power * eval_lanczos_momentum_density(u, 2.0)
         panels[b:b + _BLOCK] = vals @ (h * weights_gl)
     return np.cumsum(2.0 * panels.reshape(count, per).sum(axis=1))
-
-
-def _check_panels(total: float) -> None:
-    # a NaN or infinite count fails the comparison as well
-    if not total <= MAX_PANELS:
-        raise InvalidArgument(
-            f"the band quadrature needs {total:.3g} panels of pi/slit_width, "
-            f"more than {MAX_PANELS}")
 
 
 def theory_trace(geometry: SlitGeometry, detector: DetectorSpec) -> np.ndarray:

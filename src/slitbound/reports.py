@@ -1,5 +1,6 @@
 """Bit-exact output formats: CSV tables encoded a column at a time, the
-JSON report, unit parsing, the frame CSV reader and atomic file writes."""
+JSON report, unit parsing, atomic file writes and the frame CSV reader,
+which checks a frame's size and returns the pitch of its uniform grid."""
 
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ import os
 from .errors import InvalidArgument, NumericFailure
 
 CSV_FLOAT_FORMAT = "%.9g"
+# 9 digits put a y_mm within 5e-9*max|y| of its true value: each spacing within
+# 1e-8*max|y| of the true pitch, and the span over N-1 within 1e-8*max|y|/(N-1)
+FRAME_SPACING_TOLERANCE = 2e-8
 # the most pixels a frame may hold, checked before a frame is allocated or read
 MAX_PIXELS = 65_536
 
@@ -116,10 +120,10 @@ def _frame_table(lines: list[str]):
 
 
 def read_frame_csv(path: str):
-    """Read a CCD frame CSV (`pixel,y_mm,intensity`, `#` lines skipped).
-    Every data row must hold exactly three finite numbers, and a frame holds
-    at most MAX_PIXELS rows.  Returns (y_meters, intensities) as float
-    arrays."""
+    """Read a CCD frame CSV (`pixel,y_mm,intensity`, `#` lines skipped): 2 to
+    MAX_PIXELS rows of three finite numbers, y_mm rising in steps uniform within
+    FRAME_SPACING_TOLERANCE*max|y|.  Returns (pixel_size, intensities): the
+    span over N-1 in meters and a float array."""
     with open(path) as fh:
         # the header and at most one row past the cap, `#` and blank lines skipped
         lines = list(itertools.islice(
@@ -137,4 +141,12 @@ def read_frame_csv(path: str):
         # the table fails only where one of its rows fails on its own
         bad = next(line for line in rows if _frame_table([line]) is None)
         raise InvalidArgument(f"frame CSV row {bad!r} is not three finite numbers")
-    return table[:, 1] * 1e-3, table[:, 2]
+    y = table[:, 1] * 1e-3
+    if len(y) < 2:
+        raise InvalidArgument("frame must have at least two pixels")
+    pixel_size = float((y[-1] - y[0]) / (len(y) - 1))
+    if not pixel_size > 0:
+        raise InvalidArgument("frame y_mm must increase from row to row")
+    if (abs(y[1:] - y[:-1] - pixel_size) > FRAME_SPACING_TOLERANCE * abs(y).max()).any():
+        raise InvalidArgument("frame pixels must be uniformly spaced")
+    return pixel_size, table[:, 2]

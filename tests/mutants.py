@@ -100,9 +100,11 @@ MUTANTS = [
            "            stream.flush()\n", "            pass\n",
            [HARD_EXIT + "test_buffered_stdout_survives"]),
     Mutant("theory-no-band-edge-check", DIFFRACTION,
-           "    _check_panels(count * per)\n",
-           "", ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused",
-                CAPS + "test_band_panels_of_overflowing_extent"]),
+           "    if not count * per <= MAX_PANELS:"
+           "  # a NaN or infinite count fails as well\n",
+           "    if False:\n",
+           ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused",
+            CAPS + "test_band_panels_of_overflowing_extent"]),
     Mutant("detector-float-count", DIFFRACTION,
            '        if not hasattr(type(num_pixels), "__index__"):\n', "        if False:\n",
            ["tests/test_diffraction.py::TestDetectorSpec::test_integer_fields"]),
@@ -119,9 +121,20 @@ MUTANTS = [
     Mutant("frame-no-row-cap", REPORTS,
            "    if len(rows) > MAX_PIXELS:\n", "    if False:\n",
            [CAPS + "test_frame_rows_cap"]),
-    Mutant("frame-y-order-unchecked", CLI,
+    Mutant("frame-y-order-unchecked", REPORTS,
            "    if not pixel_size > 0:\n", "    if False:\n",
            [ESTIMATE + "test_estimate_y_must_increase"]),
+    Mutant("frame-spacing-unchecked", REPORTS,
+           "    if (abs(y[1:] - y[:-1] - pixel_size)"
+           " > FRAME_SPACING_TOLERANCE * abs(y).max()).any():\n",
+           "    if False:\n", [ESTIMATE + "test_estimate_nonuniform_pixels"]),
+    Mutant("nmax-uncapped", "src/slitbound/core.py",
+           '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max <= MAX_NMAX:\n',
+           '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max:\n',
+           [CAPS + "test_nmax_cap"]),
+    Mutant("pixels-uncapped", DIFFRACTION,
+           "        if num_pixels > MAX_PIXELS:\n", "        if False:\n",
+           [CAPS + "test_pixels_cap"]),
 ]
 
 

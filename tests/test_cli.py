@@ -283,26 +283,26 @@ class TestOutputFiles:
 
 
 class TestSizeCaps:
-    # each allocator is replaced, so a missing cap fails the test instead of
-    # allocating the huge case
+    # the step after each cap is replaced, so a missing cap fails the test
+    # instead of allocating the huge case
     def test_nmax_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(core, "min_uncertainty_coefficients", refuse_allocation)
-        assert run(tmp_path, "minstate", "--nmax", str(cli.MAX_NMAX + 1)) == 2
+        monkeypatch.setattr(core, "FourierState", refuse_allocation)
+        assert run(tmp_path, "minstate", "--nmax", str(core.MAX_NMAX + 1)) == 2
 
     def test_pixels_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(diffraction, "DetectorSpec", refuse_allocation)
-        assert run(tmp_path, "simulate", "--pixels", str(cli.MAX_PIXELS + 2)) == 2
+        monkeypatch.setattr(diffraction, "synthesize_frame", refuse_allocation)
+        assert run(tmp_path, "simulate", "--pixels", str(reports.MAX_PIXELS + 2)) == 2
 
     def test_frame_rows_cap(self, tmp_path, monkeypatch, capsys):
         # a uniform frame two pixels larger than simulate may write
-        n = cli.MAX_PIXELS + 2
+        n = reports.MAX_PIXELS + 2
         y_mm = (np.arange(1, n + 1) - (n + 1) / 2) * 0.008
         frame = tmp_path / "frame.csv"
         frame.write_text("pixel,y_mm,intensity\n" + "".join(
             f"{i},{y:.9g},0.2\n" for i, y in enumerate(y_mm.tolist(), 1)))
         monkeypatch.setattr(np, "loadtxt", refuse_allocation)
         assert cli.main(["estimate", str(frame), "--out", str(tmp_path)]) == 2
-        assert f"more than {cli.MAX_PIXELS} rows" in capsys.readouterr().err
+        assert f"more than {reports.MAX_PIXELS} rows" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
 
@@ -572,9 +572,9 @@ class TestSimulateAndEstimate:
         report = load_report(tmp_path, "simulate_report.json")
         assert report["parameters"]["detector_span_m"] == pytest.approx(29.184e-3)
         assert report["parameters"]["seed"] == 42
-        y, intens = read_frame_csv(str(tmp_path / "frame.csv"))
-        assert len(y) == 3648
-        assert y[0] == pytest.approx(-29.184e-3 / 2 + 4e-6, rel=1e-6)
+        pixel_size, intens = read_frame_csv(str(tmp_path / "frame.csv"))
+        assert len(intens) == 3648
+        assert pixel_size == pytest.approx(8e-6, rel=1e-8)
         lines = (tmp_path / "frame.csv").read_text().splitlines()
         assert lines[0] == "# normalized=false"
         assert lines[1] == "pixel,y_mm,intensity"
@@ -673,9 +673,10 @@ class TestSimulateAndEstimate:
     def test_read_frame_matches_per_line_float_parse(self, tmp_path):
         assert run(tmp_path, "simulate", "--noise-sigma", "1e-3", "--seed", "7") == 0
         path = tmp_path / "frame.csv"
-        y, intens = read_frame_csv(str(path))
+        pixel_size, intens = read_frame_csv(str(path))
         rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
-        assert np.array_equal(float_bits(y), float_bits([float(r[1]) * 1e-3 for r in rows]))
+        y = [float(r[1]) * 1e-3 for r in rows]
+        assert float_bits(pixel_size) == float_bits((y[-1] - y[0]) / (len(y) - 1))
         assert np.array_equal(float_bits(intens), float_bits([float(r[2]) for r in rows]))
 
     @pytest.mark.parametrize("text", ["", "pixel,y_mm,intensity\n",

@@ -214,10 +214,12 @@ class TestLambda0Solve:
             assert concentration._start(np.pi * xi / 2.0) < prolate_chi0_indexed(xi), xi
 
     def test_start_above_eigenvalue_restarts_from_zero(self, monkeypatch):
-        # no xi takes the restart with the real start, so this forces it, from
-        # twice the start, where p_0 < 0, and from between theta_0 (the
-        # smallest eigenvalue of T without its first row and column) and
-        # chi_1, where p_0 > 0 and another pivot is negative
+        # from xi = 1e-3 up, this grid, no xi takes the restart with the real
+        # start (below about 4.2e-4 it lies within rounding of chi_0, and
+        # test_tiny_xi covers those), so this forces it, from twice the
+        # start, where p_0 < 0, and from between theta_0 (the smallest
+        # eigenvalue of T without its first row and column) and chi_1, where
+        # p_0 > 0 and another pivot is negative
         xis = np.logspace(-3, np.log10(32.0), 101, endpoint=False).tolist() + size_rule_edges()
         for xi in xis:
             _, prolate = prolate_matrix_indexed(xi)

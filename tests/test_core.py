@@ -22,6 +22,7 @@ from slitbound import (
     InvalidArgument,
     build_report,
     cli,
+    core,
     eval_momentum_wavefunction,
     eval_position_wavefunction,
     min_uncertainty_coefficients,
@@ -76,8 +77,9 @@ class TestMinUncertaintyCoefficients:
         assert missing == pytest.approx(PARSEVAL_TAIL_1000, rel=1e-4)
 
     def test_invalid_n_max(self):
-        with pytest.raises(InvalidArgument):
-            min_uncertainty_coefficients(0, 1.0)
+        for n_max in (0, core.MAX_NMAX + 1):
+            with pytest.raises(InvalidArgument):
+                min_uncertainty_coefficients(n_max, 1.0)
 
     def test_parseval_after_construction(self):
         for n_max in (1, 16, 4096):

@@ -14,7 +14,7 @@ from slitbound import (
     synthesize_frame,
     theory_trace,
 )
-from slitbound import diffraction
+from slitbound import diffraction, reports
 from slitbound.diffraction import MAX_PANELS, band_moments
 
 GEOMETRY = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=0.150)
@@ -86,6 +86,8 @@ class TestDetectorSpec:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             DetectorSpec(num_pixels=3647, pixel_size=8e-6)
+        with pytest.raises(InvalidArgument):
+            DetectorSpec(num_pixels=reports.MAX_PIXELS + 2, pixel_size=8e-6)
         with pytest.raises(InvalidArgument):
             DetectorSpec(num_pixels=100, pixel_size=0.0)
         with pytest.raises(InvalidArgument):
