@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
+from . import reports
 from .core import SlitGeometry
 from .errors import InvalidArgument
-from .reports import MAX_PIXELS
 from .special import eval_lanczos_momentum_density
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
@@ -56,8 +56,8 @@ class DetectorSpec:
     def __init__(self, num_pixels: int, pixel_size: float):
         if not hasattr(type(num_pixels), "__index__"):
             raise InvalidArgument(f"num_pixels must be an integer, got {num_pixels!r}")
-        if num_pixels > MAX_PIXELS:
-            raise InvalidArgument(f"num_pixels must be <= {MAX_PIXELS}, got {num_pixels}")
+        if num_pixels > reports.MAX_PIXELS:
+            raise InvalidArgument(f"num_pixels must be <= {reports.MAX_PIXELS}, got {num_pixels}")
         if num_pixels < 2 or num_pixels % 2 != 0:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
         if not pixel_size > 0:

@@ -12,9 +12,6 @@ import os
 from .errors import InvalidArgument, NumericFailure
 
 CSV_FLOAT_FORMAT = "%.9g"
-# 9 digits put a y_mm within 5e-9*max|y| of its true value: each spacing within
-# 1e-8*max|y| of the true pitch, and the span over N-1 within 1e-8*max|y|/(N-1)
-FRAME_SPACING_TOLERANCE = 2e-8
 # the most pixels a frame may hold, checked before a frame is allocated or read
 MAX_PIXELS = 65_536
 
@@ -122,8 +119,8 @@ def _frame_table(lines: list[str]):
 def read_frame_csv(path: str):
     """Read a CCD frame CSV (`pixel,y_mm,intensity`, `#` lines skipped): 2 to
     MAX_PIXELS rows of three finite numbers, y_mm rising in steps uniform within
-    FRAME_SPACING_TOLERANCE*max|y|.  Returns (pixel_size, intensities): the
-    span over N-1 in meters and a float array."""
+    2e-8*max|y|.  Returns (pixel_size, intensities): the span over N-1 in
+    meters and a float array."""
     with open(path) as fh:
         # the header and at most one row past the cap, `#` and blank lines skipped
         lines = list(itertools.islice(
@@ -147,6 +144,9 @@ def read_frame_csv(path: str):
     pixel_size = float((y[-1] - y[0]) / (len(y) - 1))
     if not pixel_size > 0:
         raise InvalidArgument("frame y_mm must increase from row to row")
-    if (abs(y[1:] - y[:-1] - pixel_size) > FRAME_SPACING_TOLERANCE * abs(y).max()).any():
+    # CSV_FLOAT_FORMAT's 9 digits put a y_mm within 5e-9*max|y| of its true
+    # value: each spacing within 1e-8*max|y| of the true pitch, and the span
+    # over N-1 within 1e-8*max|y|/(N-1)
+    if (abs(y[1:] - y[:-1] - pixel_size) > 2e-8 * abs(y).max()).any():
         raise InvalidArgument("frame pixels must be uniformly spaced")
     return pixel_size, table[:, 2]

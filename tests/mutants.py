@@ -125,15 +125,14 @@ MUTANTS = [
            "    if not pixel_size > 0:\n", "    if False:\n",
            [ESTIMATE + "test_estimate_y_must_increase"]),
     Mutant("frame-spacing-unchecked", REPORTS,
-           "    if (abs(y[1:] - y[:-1] - pixel_size)"
-           " > FRAME_SPACING_TOLERANCE * abs(y).max()).any():\n",
+           "    if (abs(y[1:] - y[:-1] - pixel_size) > 2e-8 * abs(y).max()).any():\n",
            "    if False:\n", [ESTIMATE + "test_estimate_nonuniform_pixels"]),
     Mutant("nmax-uncapped", "src/slitbound/core.py",
            '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max <= MAX_NMAX:\n',
            '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max:\n',
            [CAPS + "test_nmax_cap"]),
     Mutant("pixels-uncapped", DIFFRACTION,
-           "        if num_pixels > MAX_PIXELS:\n", "        if False:\n",
+           "        if num_pixels > reports.MAX_PIXELS:\n", "        if False:\n",
            [CAPS + "test_pixels_cap"]),
 ]
 

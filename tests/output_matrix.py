@@ -53,10 +53,12 @@ EXTRA = {
     # and no trace.csv
     "frame-band-cap": [["simulate", "--pixels", "2"],
                        ["estimate", "frame.csv", "--slit-width", "1e9mm"]],
-    # each size just past a library cap, the last two past MAX_PIXELS: exit 2,
-    # one stderr line and no file
+    # each size just past a library cap, the last three past MAX_PIXELS: exit
+    # 2, one stderr line and no file; the last one names --pixel-size, which
+    # is parsed before the detector checks its count
     "caps": [["minstate", "--nmax", "0"], ["minstate", "--nmax", "1000001"],
-             ["simulate", "--pixels", "65537"], ["simulate", "--pixels", "65538"]],
+             ["simulate", "--pixels", "65537"], ["simulate", "--pixels", "65538"],
+             ["simulate", "--pixels", "65538", "--pixel-size", "0"]],
     "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
     "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
     # both reach nan at an infinite argument inside the command: exit 3, one

@@ -578,6 +578,7 @@ class TestSimulateAndEstimate:
         lines = (tmp_path / "frame.csv").read_text().splitlines()
         assert lines[0] == "# normalized=false"
         assert lines[1] == "pixel,y_mm,intensity"
+        assert float(lines[2].split(",")[1]) == pytest.approx(-29.184 / 2 + 0.004, rel=1e-6)
 
     def test_simulate_deterministic(self, tmp_path):
         a = tmp_path / "a"
