@@ -71,11 +71,12 @@ def _geometry(args):
                "focal_length_m": g.focal_length}
 
 
-def _linspace(start: float, stop: float, num: int) -> list:
-    """np.linspace(start, stop, num) by its own arithmetic, as floats:
-    start + i*step, the last point set to stop."""
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
+def _even_table(name: str, header: list, edge: float, m: int, f) -> tuple:
+    """The CSV table of an even f on i*(edge/m), i = -m..m, its ends exactly -edge and edge:
+    f runs on i >= 0 and is mirrored, so the grid is antisymmetric about 0 and f's column even."""
+    half = [i * (edge / m) for i in range(m)] + [edge]
+    values = f(half)
+    return name, header, [[-v for v in half[:0:-1]] + half, values[:0:-1] + values]
 
 
 def cmd_minstate(args):
@@ -89,15 +90,14 @@ def cmd_minstate(args):
     sigma_x = delta_x * math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi**2))
     report = core.build_report(sigma_x, sigma_p, delta_x)
 
-    x = _linspace(-delta_x / 2, delta_x / 2, 1001)
-    psi = core.eval_position_wavefunction(x, delta_x)
-    k = _linspace(-8 * math.pi / delta_x, 8 * math.pi / delta_x, 2001)
-    psik = core.eval_momentum_wavefunction(k, delta_x)
     tables = [
         ("minstate_coefficients.csv", ["n", "c_n"],
          [state.n_values, [c.real for c in state.coefficients]]),
-        ("minstate_position_density.csv", ["x_m", "density_per_m"], [x, [v * v for v in psi]]),
-        ("minstate_momentum_density.csv", ["k_per_m", "density_m"], [k, [v * v for v in psik]]),
+        _even_table("minstate_position_density.csv", ["x_m", "density_per_m"], delta_x / 2, 500,
+                    lambda x: [v * v for v in core.eval_position_wavefunction(x, delta_x)]),
+        _even_table("minstate_momentum_density.csv", ["k_per_m", "density_m"],
+                    8 * math.pi / delta_x, 1000,
+                    lambda k: [v * v for v in core.eval_momentum_wavefunction(k, delta_x)]),
     ]
     return tables, (
         "minstate_report.json",
@@ -120,18 +120,16 @@ def cmd_lanczos(args):
     gamma = special.lanczos_gamma()
     report = core.build_report(None, gamma * math.pi / delta_x, delta_x)
 
-    x = _linspace(-delta_x / 2, delta_x / 2, 1001)
-    phi = special.eval_lanczos_position(x, delta_x)
     k_max = 16 * math.pi / delta_x
-    k = _linspace(-k_max, k_max, 4001)
-    dens = special.eval_lanczos_momentum_density(k, delta_x)
     # what the momentum CSV leaves out beyond |k| = k_max; the second moment's
     # bound, about 0.34/delta_x^2, leaves the float range below a width of
     # about 4e-155 m and above about 4e161 m, and is then reported as null
     w_tail, m2_tail = special.lanczos_tail_bounds(delta_x, k_max)
     tables = [
-        ("lanczos_position_density.csv", ["x_m", "density_per_m"], [x, [v * v for v in phi]]),
-        ("lanczos_momentum_density.csv", ["k_per_m", "density_m"], [k, dens]),
+        _even_table("lanczos_position_density.csv", ["x_m", "density_per_m"], delta_x / 2, 500,
+                    lambda x: [v * v for v in special.eval_lanczos_position(x, delta_x)]),
+        _even_table("lanczos_momentum_density.csv", ["k_per_m", "density_m"], k_max, 2000,
+                    lambda k: special.eval_lanczos_momentum_density(k, delta_x)),
     ]
     return tables, (
         "lanczos_report.json",

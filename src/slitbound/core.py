@@ -71,8 +71,8 @@ class FourierState:
                 "with n_max >= 1"
             )
         norm2 = math.fsum([v * v for v in map(abs, c)])
-        if norm2 == 0.0:
-            raise InvalidArgument("cannot normalize a zero coefficient vector")
+        if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
+            raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
         norm = math.sqrt(norm2)
         self.slit_width = float(slit_width)
         self.coefficients = tuple([z / norm for z in c])

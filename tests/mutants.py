@@ -43,6 +43,7 @@ CAPS = "tests/test_cli.py::TestSizeCaps::"
 HARD_EXIT = "tests/test_cli.py::TestHardExit::"
 FUZZ = "tests/test_cli.py::TestArgumentFuzz"
 GAMMA_TRACE = "tests/test_diffraction.py::TestGammaTrace::"
+DENSITY_GRIDS = "tests/test_cli.py::TestDensityGrids::test_grids_antisymmetric_and_pinned"
 STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.0):\n"
 RESTART = ("tests/test_concentration.py::TestLambda0Solve::"
            "test_start_above_eigenvalue_restarts_from_zero")
@@ -134,6 +135,16 @@ MUTANTS = [
     Mutant("pixels-uncapped", DIFFRACTION,
            "        if num_pixels > reports.MAX_PIXELS:\n", "        if False:\n",
            [CAPS + "test_pixels_cap"]),
+    Mutant("grid-end-unpinned", CLI,
+           "    half = [i * (edge / m) for i in range(m)] + [edge]\n",
+           "    half = [i * (edge / m) for i in range(m + 1)]\n", [DENSITY_GRIDS]),
+    Mutant("mirror-repeats-centre", CLI,
+           "values[:0:-1] + values]\n", "values[::-1] + values]\n", [DENSITY_GRIDS]),
+    Mutant("fourier-norm-unchecked", "src/slitbound/core.py",
+           "        if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan\n",
+           "        if norm2 == 0.0:\n",
+           ["tests/test_core.py::TestFourierState::"
+            "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float"]),
 ]
 
 

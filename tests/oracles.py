@@ -222,10 +222,19 @@ def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:
     return 2.0 * np.sqrt(np.pi * delta_x) * np.where(near, limit, direct)
 
 
+def np_symmetric_grid(edge: float, m: int) -> np.ndarray:
+    """i*(edge/m), i = -m..m, with the ends set to -edge and edge and the
+    negative half the negated positive half: the density tables' grid."""
+    half = np.arange(m + 1) * (edge / m)
+    half[-1] = edge
+    return np.concatenate([-half[:0:-1], half])
+
+
 def np_minstate_tables(delta_x: float, n_max: int) -> list:
-    """The three `minstate` CSV tables from the numpy formulas and np.linspace grids."""
-    x = np.linspace(-delta_x / 2, delta_x / 2, 1001)
-    k = np.linspace(-8 * np.pi / delta_x, 8 * np.pi / delta_x, 2001)
+    """The three `minstate` CSV tables from the numpy formulas, each density
+    evaluated on every point of its grid, not mirrored."""
+    x = np_symmetric_grid(delta_x / 2, 500)
+    k = np_symmetric_grid(8 * np.pi / delta_x, 1000)
     return [
         ("minstate_coefficients.csv", ["n", "c_n"],
          [np.arange(-n_max, n_max + 1), np_cosine_coefficients(n_max).real]),

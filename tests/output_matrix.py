@@ -35,6 +35,12 @@ EXTRA = {
     "lpbound-saturated": [["lpbound", "--xi", "0.179", "32", "40", "1e300"]],
     "lpbound-negative-zero": [["lpbound", "--xi", "-0"]],
     "minstate-wide": [["minstate", "--nmax", "100000", "--slit-width", "1m"]],
+    # the density tables of both slit states at widths besides the README's,
+    # each command in its own directory; at 3 um m*(edge/m) overshoots the
+    # momentum edge that the grid pins
+    "slit-tables": [["minstate", "--slit-width", "1m", "--out", "1m"],
+                    ["minstate", "--slit-width", "3um", "--out", "3um"],
+                    ["lanczos", "--slit-width", "3um", "--out", "3um"]],
     "frame-noisy": [
         ["simulate", "--pixels", "2048", "--pixel-size", "7.5um", "--noise-sigma", "1e-3",
          "--quantize", "--seed", "3", *_NOISY_GEOMETRY],

@@ -486,6 +486,26 @@ class TestLanczos:
             assert (tmp_path / n).read_bytes() == blob
 
 
+class TestDensityGrids:
+    @pytest.mark.parametrize("width", ["477um", "3um", "1m", "1e-160m"])
+    def test_grids_antisymmetric_and_pinned(self, width):
+        # each density table of both slit states, as its command returns it:
+        # the grid is its own negated mirror with the centre exactly +0.0, its
+        # ends exactly -edge and edge (at 3 um m*(edge/m) overshoots the
+        # momentum edges) and the density column is exactly even
+        dx = parse_length(width)
+        for command, k_edge in (("minstate", 8 * np.pi / dx), ("lanczos", 16 * np.pi / dx)):
+            args = cli.build_parser().parse_args([command, "--slit-width", width])
+            tables = [t for t in args.func(args)[0] if t[0].endswith("_density.csv")]
+            assert len(tables) == 2, command
+            for (name, _, (grid, column)), edge in zip(tables, (dx / 2, k_edge)):
+                assert len(grid) % 2 == 1 and len(column) == len(grid), name
+                assert grid[0] == -edge and grid[-1] == edge, name
+                assert repr(grid[len(grid) // 2]) == "0.0", name
+                assert grid == [-v for v in reversed(grid)], name
+                assert column == column[::-1], name
+
+
 class TestLpbound:
     def test_values(self, tmp_path):
         assert run(tmp_path, "lpbound", "--xi", "0.179", "1.0") == 0

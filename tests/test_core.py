@@ -53,6 +53,22 @@ def coefficient_tails_exact(n_max: int):
     return s0, s2
 
 
+class TestFourierState:
+    def test_refuses_a_squared_norm_that_is_not_a_finite_normal_float(self):
+        # 1e200 squares to inf, which divided out leaves every coefficient 0;
+        # 1e-160 squares to a subnormal that leaves Parseval off by 1.1e-5;
+        # nan and inf leave a nan state
+        for raw in ([1e200] * 3, [1e-160] * 3, [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0],
+                    [0.0] * 3):
+            with pytest.raises(InvalidArgument, match="cannot normalize a coefficient vector"):
+                FourierState(1.0, raw)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_normalizes_far_from_unit_scale(self, scale):
+        state = FourierState(1.0, [scale, 2.0 * scale, scale])
+        assert verify_constraints(state).parseval <= 4 * np.finfo(float).eps
+
+
 class TestMinUncertaintyCoefficients:
     def test_raw_values(self):
         # before renormalization c_0 = sqrt(8)/pi, c_1 = sqrt(8)/(3 pi)

@@ -124,20 +124,24 @@ class TestSineIntegral:
 
 @pytest.mark.parametrize("dx", [1e-6, 477e-6, 1.0])
 def test_list_path_matches_array_path_bitwise(dx):
-    # the grids of cmd_lanczos: the float path gives every point the bits
-    # of the numpy formula, and the CSVs a list and an array encode agree;
-    # the position amplitude is checked against its numpy oracle, the
-    # density against its own array path, which diffraction.band_moments runs
-    x = cli._linspace(-dx / 2, dx / 2, 1001)
-    k = cli._linspace(-16 * np.pi / dx, 16 * np.pi / dx, 4001)
-    for fn, grid, numpy_path in (
-            (eval_lanczos_position, x, lambda a: np_lanczos_position(a, dx)),
-            (eval_lanczos_momentum_density, k, lambda a: eval_lanczos_momentum_density(a, dx))):
-        listed = fn(grid, dx)
-        assert isinstance(listed, list)
+    # the tables of cmd_lanczos, whose density columns the float path fills
+    # on |x| and mirrors: on the full grid each column has the bits of the
+    # numpy formula, so the CSVs a list and an array encode agree; the
+    # position density is checked against the square of its numpy oracle,
+    # the momentum density against its own array path, which
+    # diffraction.band_moments runs
+    args = cli.build_parser().parse_args(["lanczos", "--slit-width", f"{dx!r}m"])
+    tables, (_, parameters, *_) = args.func(args)
+    assert parameters["slit_width_m"] == dx
+    for (_, _, (grid, column)), fn, numpy_path in zip(
+            tables,
+            (eval_lanczos_position, eval_lanczos_momentum_density),
+            (lambda a: np_lanczos_position(a, dx) ** 2,
+             lambda a: eval_lanczos_momentum_density(a, dx))):
+        assert isinstance(column, list)
         array = numpy_path(np.array(grid))
         assert isinstance(array, np.ndarray)
-        assert np.array_equal(np.array(listed).view(np.int64), array.view(np.int64))
+        assert np.array_equal(np.array(column).view(np.int64), array.view(np.int64))
         assert all(type(fn(v, dx)) is float for v in grid[:3])
 
 
