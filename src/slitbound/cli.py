@@ -34,7 +34,7 @@ import os
 import sys
 import warnings
 
-from .errors import InvalidArgument, NumericFailure
+from . import InvalidArgument, NumericFailure
 from .reports import atomic_write_text, format_csv, format_report, parse_length, read_frame_csv
 
 EXIT_OK = 0
@@ -59,10 +59,10 @@ def _flag(flag: str, fn, *args, **kwargs):
 
 def _geometry(args):
     """The SlitGeometry of the three geometry flags, and its report parameters."""
-    from . import core
+    from . import diffraction
 
     g = _flag(
-        "--slit-width, --wavelength, --focal-length", core.SlitGeometry,
+        "--slit-width, --wavelength, --focal-length", diffraction.SlitGeometry,
         slit_width=_flag("--slit-width", parse_length, args.slit_width),
         wavelength=_flag("--wavelength", parse_length, args.wavelength),
         focal_length=_flag("--focal-length", parse_length, args.focal_length),

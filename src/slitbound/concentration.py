@@ -26,7 +26,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import InvalidArgument, NumericFailure
+from . import InvalidArgument, NumericFailure
 
 # a momentum uncertainty is well defined when its window can hold at least
 # this probability weight

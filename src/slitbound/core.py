@@ -21,34 +21,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidArgument
+from . import InvalidArgument
 
 # the most modes per side, checked before the 2*n_max+1 modes are built
 MAX_NMAX = 1_000_000
-
-
-class SlitGeometry:
-    """Slit width, laser wavelength and focal length of the imaging lens."""
-
-    __slots__ = ("slit_width", "wavelength", "focal_length", "scale")
-
-    def __init__(self, slit_width: float, wavelength: float, focal_length: float):
-        self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
-        for name in self.__slots__[:3]:
-            if not getattr(self, name) > 0:
-                raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
-        # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
-        lf = self.wavelength * self.focal_length
-        self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
-        for name, value in (("k0 = 2*pi/wavelength", self.k0),
-                            ("scale = pi*slit_width/(wavelength*focal_length)", self.scale)):
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidArgument(f"{name} must be finite and positive, got {value}")
-
-    @property
-    def k0(self) -> float:
-        """Vacuum wavenumber 2*pi/wavelength."""
-        return 2.0 * math.pi / self.wavelength
 
 
 class FourierState:
@@ -65,12 +41,17 @@ class FourierState:
             c = tuple(map(complex, coefficients))
         except (TypeError, ValueError):
             c = ()
+        except OverflowError:  # an int beyond the float range, whose square is inf
+            c = (math.inf,) * 3
         if len(c) % 2 == 0 or len(c) < 3:
             raise InvalidArgument(
                 "coefficients must be a 1-d odd-length vector covering n=-n_max..n_max "
                 "with n_max >= 1"
             )
-        norm2 = math.fsum([v * v for v in map(abs, c)])
+        try:
+            norm2 = math.fsum([v * v for v in map(abs, c)])
+        except OverflowError:  # a modulus or the sum beyond the float range
+            norm2 = math.inf
         if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
             raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
         norm = math.sqrt(norm2)
@@ -164,7 +145,7 @@ def eval_position_wavefunction(x, delta_x: float):
     def psi(v):
         if abs(v) > delta_x / 2 * (1 + 1e-12):
             raise InvalidArgument("x outside the slit: the prepared state vanishes there")
-        return amp * _cos(math.pi * v / delta_x)
+        return amp * _cos(math.pi * (v / delta_x))
 
     return _over(psi, x)
 
@@ -187,7 +168,7 @@ def eval_momentum_wavefunction(k, delta_x: float):
     limit sqrt(delta_x/pi)/2.  A float for a number k, a list for a sequence.
     """
     _check_width(delta_x)
-    amp = 2.0 * math.sqrt(math.pi * delta_x)
+    amp = 2.0 * math.sqrt(math.pi) * math.sqrt(delta_x)
     return _over(lambda v: amp * _momentum_shape(v * delta_x), k)
 
 

@@ -1,6 +1,6 @@
-"""4f single-slit diffraction bench: detector-plane intensity, synthetic
-line-CCD frames, and the accumulative estimator of the uncertainty excess
-factor gamma.
+"""4f single-slit diffraction bench: its optics, detector-plane intensity,
+synthetic line-CCD frames, and the accumulative estimator of the
+uncertainty excess factor gamma.
 
 The focal-plane mapping y/f = k/k0 samples the prepared state's wavenumber
 density.  In u = delta_x*k/2 = s*y, with the fringe scale s = pi*delta_x/(lambda*f)
@@ -24,9 +24,7 @@ import math
 
 import numpy as np
 
-from . import reports
-from .core import SlitGeometry
-from .errors import InvalidArgument
+from . import InvalidArgument, reports
 from .special import eval_lanczos_momentum_density
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
@@ -46,6 +44,30 @@ _GL8_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
 _GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
                 0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
                 0.22238103445337443, 0.10122853629037706)
+
+
+class SlitGeometry:
+    """Slit width, laser wavelength and focal length of the imaging lens."""
+
+    __slots__ = ("slit_width", "wavelength", "focal_length", "scale")
+
+    def __init__(self, slit_width: float, wavelength: float, focal_length: float):
+        self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
+        for name in self.__slots__[:3]:
+            if not getattr(self, name) > 0:
+                raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
+        # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
+        lf = self.wavelength * self.focal_length
+        self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
+        for name, value in (("k0 = 2*pi/wavelength", self.k0),
+                            ("scale = pi*slit_width/(wavelength*focal_length)", self.scale)):
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgument(f"{name} must be finite and positive, got {value}")
+
+    @property
+    def k0(self) -> float:
+        """Vacuum wavenumber 2*pi/wavelength."""
+        return 2.0 * math.pi / self.wavelength
 
 
 class DetectorSpec:

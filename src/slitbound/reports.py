@@ -9,7 +9,7 @@ import json
 import math
 import os
 
-from .errors import InvalidArgument, NumericFailure
+from . import InvalidArgument, NumericFailure
 
 CSV_FLOAT_FORMAT = "%.9g"
 # the most pixels a frame may hold, checked before a frame is allocated or read

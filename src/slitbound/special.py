@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 
+from . import InvalidArgument
 from .core import _check_width, _cos, _over, _sin, _sinc
-from .errors import InvalidArgument
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
 # the small-argument Pade form of Si (Cephes/Boost lineage, |x| >= 4 resp.
@@ -136,9 +136,7 @@ def eval_lanczos_position(x, delta_x: float):
     def phi(v):
         if not abs(v) <= delta_x / 2.0:
             return 0.0
-        # np.sinc(z) at z = (2 pi x/dx)/pi is sin(t)/t at t = pi*z
-        t = math.pi * (2.0 * math.pi * v / delta_x / math.pi)
-        return amp * _sinc(t)
+        return amp * _sinc(2.0 * math.pi * (v / delta_x))
 
     return _over(phi, x)
 

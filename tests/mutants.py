@@ -45,6 +45,9 @@ FUZZ = "tests/test_cli.py::TestArgumentFuzz"
 GAMMA_TRACE = "tests/test_diffraction.py::TestGammaTrace::"
 DENSITY_GRIDS = "tests/test_cli.py::TestDensityGrids::test_grids_antisymmetric_and_pinned"
 STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.0):\n"
+FOURIER_NORM = ("tests/test_core.py::TestFourierState::"
+                "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float")
+FLOAT_MAXIMUM = STRICT + "test_float_maximum_width_computes"
 RESTART = ("tests/test_concentration.py::TestLambda0Solve::"
            "test_start_above_eigenvalue_restarts_from_zero")
 
@@ -143,8 +146,19 @@ MUTANTS = [
     Mutant("fourier-norm-unchecked", "src/slitbound/core.py",
            "        if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan\n",
            "        if norm2 == 0.0:\n",
-           ["tests/test_core.py::TestFourierState::"
-            "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float"]),
+           [FOURIER_NORM]),
+    Mutant("fourier-overflow-unmapped", "src/slitbound/core.py",
+           "        try:\n"
+           "            norm2 = math.fsum([v * v for v in map(abs, c)])\n"
+           "        except OverflowError:  # a modulus or the sum beyond the float range\n"
+           "            norm2 = math.inf\n",
+           "        norm2 = math.fsum([v * v for v in map(abs, c)])\n", [FOURIER_NORM]),
+    Mutant("position-phase-overflows", "src/slitbound/core.py",
+           "        return amp * _cos(math.pi * (v / delta_x))\n",
+           "        return amp * _cos(math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
+    Mutant("lanczos-phase-overflows", "src/slitbound/special.py",
+           "        return amp * _sinc(2.0 * math.pi * (v / delta_x))\n",
+           "        return amp * _sinc(2.0 * math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
 ]
 
 

@@ -193,11 +193,13 @@ def np_position_wavefunction(x, delta_x: float) -> np.ndarray:
 
 
 def np_lanczos_position(x, slit_width: float) -> np.ndarray:
-    """sqrt(pi/(Si(2pi)*dx)) * sinc(2pi x/dx) on an array of x, 0 outside the
-    slit, by np.sinc."""
+    """sqrt(pi/(Si(2pi)*dx)) * sin(t)/t, t = 2pi*(x/dx), on an array of x:
+    1 at t = 0 and 0 outside the slit."""
     xa = np.asarray(x, dtype=float)
     amp = math.sqrt(math.pi / (SI_2PI * slit_width))
-    sinc = np.sinc(2.0 * np.pi * xa / slit_width / np.pi)
+    t = 2.0 * np.pi * (xa / slit_width)
+    safe = np.where(t == 0.0, 1.0, t)
+    sinc = np.where(t == 0.0, 1.0, np.sin(safe) / safe)
     return np.where(np.abs(xa) <= slit_width / 2.0, amp * sinc, 0.0)
 
 

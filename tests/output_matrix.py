@@ -67,9 +67,12 @@ EXTRA = {
              ["simulate", "--pixels", "65538", "--pixel-size", "0"]],
     "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
     "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
-    # both reach nan at an infinite argument inside the command: exit 3, one
+    # both slit commands at the float maximum, where every value they write
+    # is finite: exit 0 and every file
+    "float-maximum-width": [["minstate", "--slit-width", "1.7e308m"],
+                            ["lanczos", "--slit-width", "1.7e308m"]],
+    # at a subnormal width the position density overflows: exit 3, one
     # stderr line and no file
-    "minstate-overflow": [["minstate", "--slit-width", "1.7e308m"]],
     "lanczos-subnormal": [["lanczos", "--slit-width", "1e-310m"]],
 }
 

@@ -62,6 +62,11 @@ class TestFourierState:
                     [0.0] * 3):
             with pytest.raises(InvalidArgument, match="cannot normalize a coefficient vector"):
                 FourierState(1.0, raw)
+        # Python raises OverflowError where these reach inf: the squares'
+        # fsum, the modulus of a huge complex, an int beyond the float range
+        for raw in ([1.2e154] * 3, [complex(1.7e308, 1.7e308), 1, 1], [10**400, 1, 1]):
+            with pytest.raises(InvalidArgument, match="of squared norm inf$"):
+                FourierState(1.0, raw)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_normalizes_far_from_unit_scale(self, scale):
