@@ -38,11 +38,12 @@ class FourierState:
     def __init__(self, slit_width: float, coefficients):
         _check_width(slit_width)
         try:
-            c = tuple(map(complex, coefficients))
+            raw = tuple(coefficients)
+            c = tuple(map(complex, raw))
         except (TypeError, ValueError):
             c = ()
         except OverflowError:  # an int beyond the float range, whose square is inf
-            c = (math.inf,) * 3
+            c = (math.inf,) * len(raw)
         if len(c) % 2 == 0 or len(c) < 3:
             raise InvalidArgument(
                 "coefficients must be a 1-d odd-length vector covering n=-n_max..n_max "

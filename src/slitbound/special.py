@@ -131,7 +131,7 @@ def eval_lanczos_position(x, delta_x: float):
     for a number, a list for a sequence.
     """
     _check_width(delta_x)
-    amp = math.sqrt(math.pi / (SI_2PI * delta_x))
+    amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)
 
     def phi(v):
         if not abs(v) <= delta_x / 2.0:

@@ -159,6 +159,15 @@ MUTANTS = [
     Mutant("lanczos-phase-overflows", "src/slitbound/special.py",
            "        return amp * _sinc(2.0 * math.pi * (v / delta_x))\n",
            "        return amp * _sinc(2.0 * math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
+    Mutant("momentum-amplitude-overflows", "src/slitbound/core.py",
+           "    amp = 2.0 * math.sqrt(math.pi) * math.sqrt(delta_x)\n",
+           "    amp = 2.0 * math.sqrt(math.pi * delta_x)\n", [FLOAT_MAXIMUM]),
+    Mutant("lanczos-amplitude-overflows", "src/slitbound/special.py",
+           "    amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)\n",
+           "    amp = math.sqrt(math.pi / (SI_2PI * delta_x))\n", [FLOAT_MAXIMUM]),
+    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py",
+           "            c = (math.inf,) * len(raw)\n", "            c = (math.inf,) * 3\n",
+           ["tests/test_core.py::TestFourierState::test_refuses_a_vector_of_the_wrong_shape"]),
 ]
 
 

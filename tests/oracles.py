@@ -188,15 +188,15 @@ def np_constraint_residuals(c: np.ndarray) -> tuple[float, float]:
 
 
 def np_position_wavefunction(x, delta_x: float) -> np.ndarray:
-    """sqrt(2/delta_x) * cos(pi*x/delta_x) on an array of x."""
-    return np.sqrt(2.0 / delta_x) * np.cos(np.pi * np.asarray(x, dtype=float) / delta_x)
+    """sqrt(2/delta_x) * cos(pi*(x/delta_x)) on an array of x."""
+    return np.sqrt(2.0 / delta_x) * np.cos(np.pi * (np.asarray(x, dtype=float) / delta_x))
 
 
 def np_lanczos_position(x, slit_width: float) -> np.ndarray:
     """sqrt(pi/(Si(2pi)*dx)) * sin(t)/t, t = 2pi*(x/dx), on an array of x:
     1 at t = 0 and 0 outside the slit."""
     xa = np.asarray(x, dtype=float)
-    amp = math.sqrt(math.pi / (SI_2PI * slit_width))
+    amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(slit_width)
     t = 2.0 * np.pi * (xa / slit_width)
     safe = np.where(t == 0.0, 1.0, t)
     sinc = np.where(t == 0.0, 1.0, np.sin(safe) / safe)
@@ -212,7 +212,7 @@ def np_intensity_profile(geometry, y) -> np.ndarray:
 
 
 def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:
-    """2*sqrt(pi*delta_x) * cos(delta_x*k/2) / (pi^2 - delta_x^2 k^2) on an array
+    """2*sqrt(pi)*sqrt(delta_x) * cos(delta_x*k/2) / (pi^2 - delta_x^2 k^2) on an array
     of k, within 1e-4 of delta_x*k = +/- pi by the limit form
     sinc(s/(2 pi))/(2*(2 pi + s)), s = |delta_x*k| - pi."""
     u = np.asarray(k, dtype=float) * delta_x
@@ -221,7 +221,7 @@ def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:
     direct = np.cos(safe / 2.0) / (np.pi**2 - safe**2)
     s = np.abs(u) - np.pi
     limit = 0.5 * np.sinc(s / (2.0 * np.pi)) / (2.0 * np.pi + s)
-    return 2.0 * np.sqrt(np.pi * delta_x) * np.where(near, limit, direct)
+    return 2.0 * np.sqrt(np.pi) * np.sqrt(delta_x) * np.where(near, limit, direct)
 
 
 def np_symmetric_grid(edge: float, m: int) -> np.ndarray:

@@ -209,8 +209,10 @@ class TestStrictReports:
     @pytest.mark.parametrize("command", ["minstate", "lanczos"])
     def test_float_maximum_width_computes(self, tmp_path, command):
         # at 1.7e308 m every value a slit command writes is finite, so no
-        # intermediate such as pi*x or pi*delta_x may overflow: exit 0, each
-        # file written and every CSV cell and report number finite
+        # intermediate such as pi*x, pi*delta_x or Si(2pi)*delta_x may
+        # overflow: exit 0, each file written, every CSV cell and report
+        # number finite, and each density positive at its centre and
+        # normalized over its grid (the momentum grids cut a small tail)
         proc = run_python("-m", "slitbound.cli", command, "--slit-width", "1.7e308m",
                           "--out", str(tmp_path))
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -218,14 +220,23 @@ class TestStrictReports:
         assert {p.name for p in tmp_path.iterdir()} == names
         numbers = []
         keep = lambda literal: numbers.append(float(literal))
+        densities = 0
         for name in names:
             text = (tmp_path / name).read_text()
             if name.endswith(".csv"):
                 rows = [line for line in text.splitlines() if not line.startswith("#")]
-                numbers += [float(cell) for line in rows[1:] for cell in line.split(",")]
+                table = [[float(cell) for cell in line.split(",")] for line in rows[1:]]
+                numbers += [cell for row in table for cell in row]
+                if name.endswith("_density.csv"):
+                    x, density = np.array(table).T
+                    assert density[density.size // 2] > 0, name
+                    trapezoid = float(np.sum((density[1:] + density[:-1]) * np.diff(x))) / 2
+                    assert trapezoid == pytest.approx(1.0, abs=1e-3), name
+                    densities += 1
             else:  # every float literal of the report, NaN and Infinity too
                 json.loads(text, parse_float=keep, parse_constant=keep)
         assert len(numbers) > 1000 and np.isfinite(numbers).all()
+        assert densities == 2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_csv_cell_is_numeric_failure(self, bad):

@@ -68,6 +68,14 @@ class TestFourierState:
             with pytest.raises(InvalidArgument, match="of squared norm inf$"):
                 FourierState(1.0, raw)
 
+    def test_refuses_a_vector_of_the_wrong_shape(self):
+        # the shape is checked first, so an int beyond the float range in a
+        # vector of even or short length still names the shape
+        for raw in ([], [1.0], [1.0, 2.0], [[1.0, 2.0, 3.0]], 3.0, ["a", "b", "c"],
+                    [10**400], [10**400, 1]):
+            with pytest.raises(InvalidArgument, match="1-d odd-length vector"):
+                FourierState(1.0, raw)
+
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_normalizes_far_from_unit_scale(self, scale):
         state = FourierState(1.0, [scale, 2.0 * scale, scale])
