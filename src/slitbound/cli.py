@@ -151,7 +151,7 @@ def cmd_lanczos(args):
 def cmd_lpbound(args):
     from .concentration import lp_lambda0
 
-    results = [lp_lambda0(xi) for xi in args.xi]
+    results = [_flag("--xi", lp_lambda0, xi) for xi in args.xi]
     header = ["xi", "lambda0"]
     tables = [("lpbound.csv", header, [[getattr(r, f) for r in results] for f in header])]
     return tables, (
@@ -168,7 +168,7 @@ def cmd_lpbound(args):
 def cmd_reanalyze(args):
     from . import concentration
 
-    rows = concentration.reanalyze_products(args.a)
+    rows = _flag("--a", concentration.reanalyze_products, args.a)
     header = ["a", "xi", "lambda0", "well_defined"]
     tables = [("reanalysis.csv", header, [[getattr(r, f) for r in rows] for f in header])]
     return tables, (

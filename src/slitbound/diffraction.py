@@ -12,10 +12,10 @@ over pixels i = N/2-n+1 .. N/2+n of the frame, and converges to gamma (minus
 the off-detector tail) as n -> N/2; it and the theory depend on s alone.
 
 In u every truncated-sinc state is the one of width 2, whose wavenumber is u.
-``band_moments`` integrates its density for the theory trace on the detector's
-pixel grid, the edges u = n*scale*pixel_size: each pixel interval is cut into
-the same number of equal panels of at most pi/2, with 8-point Gauss-Legendre
-on every panel, at most MAX_PANELS panels per call.
+``band_moments`` integrates an even function of u, u^2 times its density for
+the theory trace, on the detector's pixel grid, the edges u = n*scale*pixel_size:
+each pixel interval is cut into the same number of equal panels of at most
+pi/2, with 8-point Gauss-Legendre on every panel, at most MAX_PANELS per call.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
 class SlitGeometry:
     """Slit width, laser wavelength and focal length of the imaging lens."""
 
-    __slots__ = ("slit_width", "wavelength", "focal_length", "scale")
+    __slots__ = ("slit_width", "wavelength", "focal_length", "scale", "k0")
 
     def __init__(self, slit_width: float, wavelength: float, focal_length: float):
         self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
@@ -59,15 +59,11 @@ class SlitGeometry:
         # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
         lf = self.wavelength * self.focal_length
         self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
+        self.k0 = 2.0 * math.pi / self.wavelength  # the vacuum wavenumber
         for name, value in (("k0 = 2*pi/wavelength", self.k0),
                             ("scale = pi*slit_width/(wavelength*focal_length)", self.scale)):
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgument(f"{name} must be finite and positive, got {value}")
-
-    @property
-    def k0(self) -> float:
-        """Vacuum wavenumber 2*pi/wavelength."""
-        return 2.0 * math.pi / self.wavelength
 
 
 class DetectorSpec:
@@ -170,12 +166,13 @@ def gamma_trace(
     return n, y_extent, gamma_hat
 
 
-def band_moments(width: float, count: int, power: int) -> np.ndarray:
-    """Cumulative band moments int_{|u| <= j*width} |u|^power * density(u) du
-    of the width-2 truncated-sinc state at the edges j*width, j = 1..count.
+def band_moments(f, width: float, count: int) -> np.ndarray:
+    """Cumulative integrals int_{|u| <= j*width} f(u) du of the even array
+    function f at the edges j*width, j = 1..count.
 
     Every interval is tiled by the same number of equal panels of at most
-    pi/2, with 8-point Gauss-Legendre on every panel.
+    pi/2, with 8-point Gauss-Legendre on every panel; f takes the nodes u > 0
+    of up to _BLOCK panels at once, as a (panels, 8) array.
     """
     if not width > 0 or count < 0:
         raise InvalidArgument(f"band_moments needs width > 0 and count >= 0, got {width}, {count}")
@@ -190,9 +187,7 @@ def band_moments(width: float, count: int, power: int) -> np.ndarray:
     nodes_gl, weights_gl = np.array(_GL8_NODES), np.array(_GL8_WEIGHTS)
     for b in range(0, panels.size, _BLOCK):
         mid = (2.0 * np.arange(b, min(b + _BLOCK, panels.size)) + 1.0) * h
-        u = mid[:, None] + h * nodes_gl
-        vals = u**power * eval_lanczos_momentum_density(u, 2.0)
-        panels[b:b + _BLOCK] = vals @ (h * weights_gl)
+        panels[b:b + _BLOCK] = f(mid[:, None] + h * nodes_gl) @ (h * weights_gl)
     return np.cumsum(2.0 * panels.reshape(count, per).sum(axis=1))
 
 
@@ -200,5 +195,6 @@ def theory_trace(geometry: SlitGeometry, detector: DetectorSpec) -> np.ndarray:
     """Band-limited excess factor (2/pi) * sqrt(int_{|u| <= scale*y} u^2 |phi~(u)|^2 du)
     at the outer |y| = n*pixel_size of pixel pairs n = 1..N/2, the y_extent of
     ``gamma_trace``, by ``band_moments``.  Nondecreasing with limit gamma."""
-    width = geometry.scale * detector.pixel_size
-    return 2.0 / np.pi * np.sqrt(band_moments(width, detector.num_pixels // 2, 2))
+    m2 = band_moments(lambda u: u * u * eval_lanczos_momentum_density(u, 2.0),
+                      geometry.scale * detector.pixel_size, detector.num_pixels // 2)
+    return 2.0 / np.pi * np.sqrt(m2)

@@ -50,6 +50,7 @@ FOURIER_NORM = ("tests/test_core.py::TestFourierState::"
 FLOAT_MAXIMUM = STRICT + "test_float_maximum_width_computes"
 RESTART = ("tests/test_concentration.py::TestLambda0Solve::"
            "test_start_above_eigenvalue_restarts_from_zero")
+SOLVE = "tests/test_concentration.py::TestLambda0Solve::"
 
 MUTANTS = [
     Mutant("csv-no-finiteness-check", REPORTS,
@@ -77,7 +78,8 @@ MUTANTS = [
            "    nodes_gl, weights_gl = np.array(_GL8_NODES), np.array(_GL8_WEIGHTS)\n",
            "    nodes_gl, weights_gl = (np.array(v)\n"
            "                            for v in np.polynomial.legendre.leggauss(6))\n",
-           ["tests/test_diffraction.py::TestBandMoments::test_matches_32_node_reference"]),
+           ["tests/test_diffraction.py::TestBandMoments::test_matches_32_node_reference",
+            "tests/test_diffraction.py::TestBandMoments::test_even_monomials_exact"]),
     Mutant("uniform-one-panel", DIFFRACTION,
            "    per = math.ceil(width / _PANEL) if width < math.inf else math.inf\n",
            "    per = 1\n",
@@ -168,6 +170,32 @@ MUTANTS = [
     Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py",
            "            c = (math.inf,) * len(raw)\n", "            c = (math.inf,) * 3\n",
            ["tests/test_core.py::TestFourierState::test_refuses_a_vector_of_the_wrong_shape"]),
+    Mutant("geometry-sign-unchecked", DIFFRACTION,
+           "            if not getattr(self, name) > 0:\n", "            if False:\n",
+           ["tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),
+    Mutant("temp-file-kept", REPORTS,
+           "            os.unlink(tmp)\n", "            pass\n",
+           [STRICT + "test_failed_write_leaves_no_temp_file"]),
+    Mutant("report-allows-nan", REPORTS,
+           "allow_nan=False)\n", "allow_nan=True)\n",
+           [STRICT + "test_non_finite_report_value_is_numeric_failure"]),
+    Mutant("tail-bound-any-band", "src/slitbound/special.py",
+           "    if U <= 2.0 * math.pi:\n", "    if False:\n",
+           ["tests/test_special.py::TestLanczosMomentumDensity::"
+            "test_tail_bounds_need_a_band_past_two_pi"]),
+    Mutant("lambda0-tail-unchecked", "src/slitbound/concentration.py",
+           "    if tail > _TAIL_TOL:\n", "    if False:\n",
+           [SOLVE + "test_uncertified_tail_is_numeric_failure"]),
+    Mutant("lambda0-excess-unchecked", "src/slitbound/concentration.py",
+           "    if lam - 1.0 > _LAMBDA_EXCESS_TOL:\n", "    if False:\n",
+           [SOLVE + "test_lambda0_above_one_is_numeric_failure"]),
+    Mutant("xi-flag-unnamed", CLI,
+           '_flag("--xi", lp_lambda0, xi)', "lp_lambda0(xi)",
+           ["tests/test_cli.py::TestLpbound::test_refusal_names_the_flag"]),
+    Mutant("a-flag-unnamed", CLI,
+           '_flag("--a", concentration.reanalyze_products, args.a)',
+           "concentration.reanalyze_products(args.a)",
+           ["tests/test_cli.py::TestReanalyze::test_refusal_names_the_flag"]),
 ]
 
 

@@ -65,6 +65,10 @@ EXTRA = {
     "caps": [["minstate", "--nmax", "0"], ["minstate", "--nmax", "1000001"],
              ["simulate", "--pixels", "65537"], ["simulate", "--pixels", "65538"],
              ["simulate", "--pixels", "65538", "--pixel-size", "0"]],
+    # a refused value of a flag: exit 2, one stderr line naming the flag and
+    # no file
+    "errors": [["lpbound", "--xi", "nan"], ["reanalyze", "--a", "inf"],
+               ["simulate", "--seed", "-1"], ["simulate", "--noise-sigma", "nan"]],
     "lanczos-narrow": [["lanczos", "--slit-width", "1e-160m"]],
     "lanczos-wide": [["lanczos", "--slit-width", "1e170m"]],
     # both slit commands at the float maximum, where every value they write

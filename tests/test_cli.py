@@ -259,6 +259,22 @@ class TestStrictReports:
         # the first few mismatched lines, not a diff of the whole table
         assert [(a, b) for a, b in zip(lines, expected) if a != b][:3] == []
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_report_value_is_numeric_failure(self, bad):
+        # the report is strict JSON: no NaN or Infinity literal, at any depth
+        for results in ({"value": bad}, {"rows": [{"a": 1.0, "b": bad}]}):
+            with pytest.raises(NumericFailure, match="^estimate report holds a non-finite value$"):
+                reports.format_report("estimate", {"n": 1}, results)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # the rename onto a directory fails after the temp file is written;
+        # the temp file goes, and the directory is untouched
+        (tmp_path / "out.csv").mkdir()
+        with pytest.raises(OSError):
+            reports.atomic_write_text(str(tmp_path / "out.csv"), "x,y\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert list((tmp_path / "out.csv").iterdir()) == []
+
     def test_report_written_last_by_main(self, tmp_path, monkeypatch):
         written = []
         monkeypatch.setattr(cli, "atomic_write_text",
@@ -561,6 +577,11 @@ class TestLpbound:
             assert run(tmp_path, "lpbound", "--xi", "1.0", bad) == 2
             assert not (tmp_path / "lpbound.csv").exists()
 
+    def test_refusal_names_the_flag(self, tmp_path, capsys):
+        assert run(tmp_path, "lpbound", "--xi", "nan") == 2
+        assert capsys.readouterr().err == ("slitbound: configuration error: --xi: "
+                                           "xi must be finite and nonnegative, got nan\n")
+
     def test_far_saturated_xi(self, tmp_path):
         assert run(tmp_path, "lpbound", "--xi", "400", "1000") == 0
         rows = load_report(tmp_path, "lpbound_report.json")["results"]["rows"]
@@ -609,6 +630,11 @@ class TestReanalyze:
         for bad in ("nan", "inf"):
             assert run(tmp_path, "reanalyze", "--a", "1.128", bad) == 2
             assert not (tmp_path / "reanalysis.csv").exists()
+
+    def test_refusal_names_the_flag(self, tmp_path, capsys):
+        assert run(tmp_path, "reanalyze", "--a", "inf") == 2
+        assert capsys.readouterr().err == ("slitbound: configuration error: --a: "
+                                           "all products a must be finite and positive\n")
 
     def test_empty_a_rejected(self, tmp_path):
         # argparse exits the process with status 2 for a missing required flag

@@ -16,6 +16,7 @@ from oracles import (
 )
 from slitbound import (
     InvalidArgument,
+    NumericFailure,
     eval_lanczos_momentum_density,
     eval_momentum_wavefunction,
     lp_lambda0,
@@ -232,6 +233,20 @@ class TestLambda0Solve:
                 monkeypatch.setattr(concentration, "_start", lambda c, mu=mu: mu)
                 solves.append(float_bits(*concentration._solve(xi)))
             assert solves[1] == solves[0] and solves[2] == solves[0], xi
+
+    def test_uncertified_tail_is_numeric_failure(self, monkeypatch):
+        # a solve whose Legendre tail exceeds _TAIL_TOL is not returned;
+        # 1.0's tail is 1.8e-31
+        monkeypatch.setattr(concentration, "_TAIL_TOL", 1e-32)
+        with pytest.raises(NumericFailure, match="Legendre expansion tail .* at xi=1.0"):
+            lp_lambda0(1.0)
+
+    def test_lambda0_above_one_is_numeric_failure(self, monkeypatch):
+        # lambda0 more than _LAMBDA_EXCESS_TOL above 1 is a fault, not rounding;
+        # 1.0's lambda0 is 0.783, so a tolerance of -0.3 flags it
+        monkeypatch.setattr(concentration, "_LAMBDA_EXCESS_TOL", -0.3)
+        with pytest.raises(NumericFailure, match="lambda0 = 0.78.* exceeds 1 at xi=1.0"):
+            lp_lambda0(1.0)
 
     @pytest.mark.parametrize("xi", [-0.0, 0.0, 5e-324, 1e-300, 1e-160, 1e-150, 1e-20, 1e-10,
                                     1e-5])

@@ -21,6 +21,11 @@ GEOMETRY = SlitGeometry(slit_width=477e-6, wavelength=632.82e-9, focal_length=0.
 DETECTOR = DetectorSpec(num_pixels=3648, pixel_size=8e-6)
 
 
+def sinc_moment(power):
+    """The integrand u^power * density(u) of the width-2 state's band moment."""
+    return lambda u: u**power * eval_lanczos_momentum_density(u, 2.0)
+
+
 def band_moments_reference(u_edges, power):
     """Independent oracle for band_moments: edge by edge, equal panels of at
     most pi/2 in u with 32-point Gauss-Legendre on each, on the width-2 state."""
@@ -70,6 +75,17 @@ class TestIntensityProfile:
         assert np.allclose(synthesize_frame(wide, DetectorSpec(512, 8e-6)),
                            s * synthesize_frame(GEOMETRY, DetectorSpec(512, s * 8e-6)),
                            rtol=1e-12)
+
+
+class TestSlitGeometry:
+    @pytest.mark.parametrize("field", ["slit_width", "wavelength", "focal_length"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_fields_must_be_positive(self, field, bad):
+        # each field is refused by name, before the derived k0 and scale
+        # (which would refuse a zero slit width with another message) exist
+        fields = {"slit_width": 477e-6, "wavelength": 632.82e-9, "focal_length": 0.150}
+        with pytest.raises(InvalidArgument, match=f"^{field} must be positive, got {bad}$"):
+            SlitGeometry(**{**fields, field: bad})
 
 
 class TestDetectorSpec:
@@ -269,10 +285,9 @@ class TestBandMoments:
     def test_cumulative_moments_match_adaptive_quadrature(self):
         for width in (0.3, 2.0, 17.5):
             for power in (0, 2):
-                got = band_moments(width, 3, power)
+                got = band_moments(sinc_moment(power), width, 3)
                 want = [
-                    2 * quad(lambda u: u**power * eval_lanczos_momentum_density(u, 2.0),
-                             0.0, e, limit=200, epsabs=1e-14)[0]
+                    2 * quad(sinc_moment(power), 0.0, e, limit=200, epsabs=1e-14)[0]
                     for e in width * np.arange(1, 4)
                 ]
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -280,8 +295,8 @@ class TestBandMoments:
     def test_single_edge_helpers_agree(self):
         # 40 intervals of 5 panels each against one interval of 191 panels
         for power in (0, 2):
-            assert band_moments(7.5, 40, power)[-1] == pytest.approx(
-                band_moments(300.0, 1, power)[0], rel=1e-13)
+            assert band_moments(sinc_moment(power), 7.5, 40)[-1] == pytest.approx(
+                band_moments(sinc_moment(power), 300.0, 1)[0], rel=1e-13)
 
     @pytest.mark.parametrize("dx", [1.0, 477e-6])
     def test_matches_32_node_reference(self, dx):
@@ -291,7 +306,7 @@ class TestBandMoments:
         # Every panel the cap width, out to u = 2000
         width = np.pi / dx * (dx / 2)
         for power in (0, 2):
-            got = band_moments(width, 1273, power)
+            got = band_moments(sinc_moment(power), width, 1273)
             want = band_moments_reference(width * np.arange(1, 1274), power)
             assert np.max(np.abs(got / want - 1.0)) <= 4e-15, power
 
@@ -301,9 +316,21 @@ class TestBandMoments:
         # 1, 2, 2 and 21 panels per interval
         count = 40
         for power in (0, 2):
-            got = band_moments(width, count, power)
+            got = band_moments(sinc_moment(power), width, count)
             want = band_moments_reference(width * np.arange(1, count + 1), power)
             assert np.max(np.abs(got / want - 1.0)) <= 4e-15, power
+
+    @pytest.mark.parametrize("width", [0.3, np.pi / 2, np.nextafter(np.pi / 2, 4), 2.0, 31.6],
+                             ids=["0.3", "pi/2", "above-pi/2", "2.0", "31.6"])
+    def test_even_monomials_exact(self, width):
+        # 8-point Gauss-Legendre is exact to degree 15, so the integrals of
+        # u^0 .. u^14 are 2*U^(p+1)/(p+1) at every edge U to rounding
+        for count in (1, 7, 40):
+            edges = width * np.arange(1, count + 1)
+            for p in range(0, 16, 2):
+                got = band_moments(lambda u: u**p, width, count)
+                want = 2.0 * edges ** (p + 1) / (p + 1)
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-14, (count, p)
 
     def test_gauss_legendre_constants(self):
         # the 8-point rule is written out; it must stay numpy's, to 1 ulp
@@ -313,24 +340,24 @@ class TestBandMoments:
             assert isinstance(const, tuple)
 
     def test_count_zero_is_empty(self):
-        assert band_moments(2.0, 0, 2).shape == (0,)
+        assert band_moments(sinc_moment(2), 2.0, 0).shape == (0,)
 
     def test_invalid_arguments(self):
         for width in (0.0, -1.0, np.nan):
             with pytest.raises(InvalidArgument, match="width > 0"):
-                band_moments(width, 3, 2)
+                band_moments(sinc_moment(2), width, 3)
         with pytest.raises(InvalidArgument, match="count >= 0"):
-            band_moments(1.0, -1, 2)
+            band_moments(sinc_moment(2), 1.0, -1)
         with pytest.raises(InvalidArgument, match=f"needs inf panels.*{MAX_PANELS}"):
-            band_moments(np.inf, 3, 2)
+            band_moments(sinc_moment(2), np.inf, 3)
 
     @pytest.mark.parametrize("width,per", [(1.0, 1), (4.0, 3)])
     def test_panel_cap_boundary(self, monkeypatch, width, per):
         # count * per panels: at the cap passes, one interval more is refused
         monkeypatch.setattr(diffraction, "MAX_PANELS", 12)
-        assert band_moments(width, 12 // per, 2).shape == (12 // per,)
+        assert band_moments(sinc_moment(2), width, 12 // per).shape == (12 // per,)
         with pytest.raises(InvalidArgument, match=f"needs {12 + per} panels.*more than 12"):
-            band_moments(width, 12 // per + 1, 2)
+            band_moments(sinc_moment(2), width, 12 // per + 1)
 
 
 class TestNoiseBehavior:

@@ -49,7 +49,8 @@ SI_REFERENCES = [
 def band_moment(dx, k_max, power):
     """int_{|k| <= k_max} |k|^power * density(k) dk at a single edge, from the
     width-2 moment in u = dx*k/2: (2/dx)^power * M(dx*k_max/2)."""
-    return (2.0 / dx) ** power * band_moments(dx * k_max / 2.0, 1, power)[0]
+    return (2.0 / dx) ** power * band_moments(
+        lambda u: u**power * eval_lanczos_momentum_density(u, 2.0), dx * k_max / 2.0, 1)[0]
 
 
 def averaged_tail_integrand(u):
@@ -234,6 +235,15 @@ class TestLanczosMomentumDensity:
         dx = 1.0
         sigma_k = sigma_k_by_quadrature(dx)
         assert sigma_k * dx == pytest.approx(lanczos_gamma() * np.pi, rel=1e-7)
+
+    @pytest.mark.parametrize("dx", [1.0, 477e-6])
+    def test_tail_bounds_need_a_band_past_two_pi(self, dx):
+        # the Si asymptotics hold for u = dx*k_max/2 > 2*pi: at and below it
+        # the bound is refused
+        for k_max in (4.0 * np.pi / dx, 1.0 / dx, 0.0):
+            with pytest.raises(InvalidArgument, match="requires dx\\*k_max/2 > 2\\*pi"):
+                lanczos_tail_bounds(dx, k_max)
+        assert all(np.isfinite(lanczos_tail_bounds(dx, 4.0 * np.nextafter(np.pi, 4) / dx)))
 
     def test_tail_bounds_certify(self):
         # bounds must dominate the numerically integrated remainder
