@@ -4,8 +4,9 @@ Subcommands: minstate, lanczos, lpbound, reanalyze, simulate, estimate.
 Every command is deterministic given its flags (fixed default seed 42) and
 writes plot-ready CSV plus a strict JSON report.  A ``cmd_*`` function
 computes and returns its files without writing any: a list of CSV tables
-``(file name, header, columns[, comments])``, each column a list or an
-array, and the report ``(file name, parameters, results, display)``.
+``(file name, header, columns[, comments[, even]])``, ``format_csv``'s
+arguments, each column a list or an array, an even table given by its rows
+i >= 0, and the report ``(file name, parameters, results, display)``.
 ``main`` takes the report's command from the parser, encodes every file in
 memory, each table a column at a time, checking that every value is finite,
 and only then writes them, the report last.  So exit 2 or 3 leaves no new
@@ -73,10 +74,10 @@ def _geometry(args):
 
 def _even_table(name: str, header: list, edge: float, m: int, f) -> tuple:
     """The CSV table of an even f on i*(edge/m), i = -m..m, its ends exactly -edge and edge:
-    f runs on i >= 0 and is mirrored, so the grid is antisymmetric about 0 and f's column even."""
+    f runs on i >= 0 and format_csv mirrors the rows, so the grid is antisymmetric about 0
+    and f's column even."""
     half = [i * (edge / m) for i in range(m)] + [edge]
-    values = f(half)
-    return name, header, [[-v for v in half[:0:-1]] + half, values[:0:-1] + values]
+    return name, header, [half, f(half)], None, True
 
 
 def cmd_minstate(args):
@@ -91,8 +92,9 @@ def cmd_minstate(args):
     report = core.build_report(sigma_x, sigma_p, delta_x)
 
     tables = [
+        # c_-n is c_n bit for bit, so the table is even in n
         ("minstate_coefficients.csv", ["n", "c_n"],
-         [state.n_values, [c.real for c in state.coefficients]]),
+         [range(state.n_max + 1), [c.real for c in state.coefficients[state.n_max:]]], None, True),
         _even_table("minstate_position_density.csv", ["x_m", "density_per_m"], delta_x / 2, 500,
                     lambda x: [v * v for v in core.eval_position_wavefunction(x, delta_x)]),
         _even_table("minstate_momentum_density.csv", ["k_per_m", "density_m"],

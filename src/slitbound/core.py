@@ -19,6 +19,7 @@ math.fsum.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from . import InvalidArgument
@@ -32,7 +33,8 @@ class FourierState:
 
     Coefficients are renormalized at construction so that sum |c_n|^2 = 1
     holds to machine precision (Parseval).  ``coefficients`` is a tuple of
-    complex and ``n_values`` the matching range of n.
+    complex, ``weights`` the tuple of their |c_n|^2, formed once for every
+    moment and check, and ``n_values`` the matching range of n.
     """
 
     def __init__(self, slit_width: float, coefficients):
@@ -58,6 +60,7 @@ class FourierState:
         norm = math.sqrt(norm2)
         self.slit_width = float(slit_width)
         self.coefficients = tuple([z / norm for z in c])
+        self.weights = tuple([v * v for v in map(abs, self.coefficients)])
 
     @property
     def n_max(self) -> int:
@@ -96,13 +99,13 @@ def momentum_moments(state: FourierState):
 
     Returns (mean, sigma_p) with mean = (2*pi/delta_x) * sum n |c_n|^2.
     """
-    w = [v * v for v in map(abs, state.coefficients)]
+    w = state.weights
     if abs(math.fsum(w) - 1.0) > 1e-8:
         raise InvalidArgument("state does not satisfy Parseval within tolerance")
     n = state.n_values
     scale = 2.0 * math.pi / state.slit_width
-    m1 = math.fsum([k * x for k, x in zip(n, w)])
-    m2 = math.fsum([k * k * x for k, x in zip(n, w)])
+    m1 = math.fsum(map(operator.mul, n, w))
+    m2 = math.fsum(map(operator.mul, map(operator.mul, n, n), w))  # each term (k*k)*x
     var = m2 - m1 * m1
     mean = scale * m1
     sigma_p = scale * math.sqrt(max(var, 0.0))
@@ -185,7 +188,7 @@ def verify_constraints(state: FourierState) -> ConstraintResiduals:
     amplitude left at the slit edges.
     """
     c = state.coefficients
-    parseval = abs(math.fsum([v * v for v in map(abs, c)]) - 1.0)
+    parseval = abs(math.fsum(state.weights) - 1.0)
     # index i holds n = i - n_max, so the even n start at index n_max % 2
     even, odd = c[state.n_max % 2::2], c[1 - state.n_max % 2::2]
     real = math.fsum([z.real for z in even] + [-z.real for z in odd])

@@ -106,7 +106,8 @@ class NoiseSpec:
             )
         if not hasattr(type(seed), "__index__") or seed < 0:
             raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
-        self.additive_sigma, self.seed, self.quantize = additive_sigma, seed, quantize
+        # -0.0 as +0.0, so no report echoes a negative zero
+        self.additive_sigma, self.seed, self.quantize = abs(additive_sigma), seed, quantize
 
 
 def synthesize_frame(

@@ -62,11 +62,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def format_csv(name: str, header: list[str], columns,
-               comments: list[str] | None = None) -> str:
+               comments: list[str] | None = None, even: bool = False) -> str:
     """Encode the CSV table `name` from one array or list per column:
     booleans as true/false, floats at 9 significant digits, integers in
     full.  A NaN or infinity in a float column raises NumericFailure naming
-    the file."""
+    the file.  An even table is given by its rows i >= 0 alone: a first
+    column of numbers >= 0, whose negation is the table's other half, and
+    even value columns.  Those rows are encoded once, and each row i > 0 is
+    written again before them, last first, after a "-"."""
     codes, cells = [], []
     for column in columns:
         if hasattr(column, "dtype"):
@@ -87,6 +90,9 @@ def format_csv(name: str, header: list[str], columns,
     # float, %d integer or true/false does
     if "n" in body:
         raise NumericFailure(f"{name} holds a non-finite value")
+    if even and len(rows) > 1:
+        # %.9g of -v is "-" then %.9g of v, for every float v >= 0 (+0.0 gives "-0")
+        body = "-" + "-".join(body.splitlines(True)[:0:-1]) + body
     return "".join(f"# {c}\n" for c in comments or []) + ",".join(header) + "\n" + body
 
 

@@ -17,9 +17,11 @@ below 1e-16 on their range).
 
 The module loads no numpy, so ``lanczos`` starts without it: on a number
 or a sequence every formula is Python float arithmetic.  Si and the
-momentum density also take an array through numpy, imported there, and
-run the same formula functions on it, so an array and a list of the same
-points give the same bits.  The slit width is a float, as in ``core``.
+momentum density also take an array through numpy, imported there.  Si
+evaluates each polynomial on a float as one nested Horner expression and
+on an array with a loop over the same coefficients, the same operations in
+the same order, so an array and a list of the same points give the same
+bits.  The slit width is a float, as in ``core``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 
 from . import InvalidArgument
-from .core import _check_width, _cos, _over, _sin, _sinc
+from .core import _check_width, _over, _sinc
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
 # the small-argument Pade form of Si (Cephes/Boost lineage, |x| >= 4 resp.
@@ -74,9 +76,8 @@ _SI_DEN = (
 
 
 def _poly(coeffs, y):
-    # Horner's rule as a multiply and an add per step, each rounded, so a
-    # float and an array element get the same bits.  The first step makes
-    # acc a new float or array; an array is then updated in place
+    # Horner's rule on an array, as a multiply and an add per step, each
+    # rounded.  The first step makes acc a new array, then updated in place
     acc = coeffs[-1] * y + coeffs[-2]
     for c in coeffs[-3::-1]:
         acc *= y
@@ -84,22 +85,35 @@ def _poly(coeffs, y):
     return acc
 
 
-def _si_pade(ax):
-    # Si(|x|) for x^2 <= 16, on a float or an array
-    return ax * _poly(_SI_NUM, ax * ax) / _poly(_SI_DEN, ax * ax)
-
-
-def _si_asymptotic(ax, cos, sin):
-    # Si(|x|) for x^2 > 16 with the path's cos and sin; at inf, 0 * nan = nan
-    y = 1.0 / (ax * ax)
-    f = _poly(_F_NUM, y) / (ax * _poly(_F_DEN, y))
-    g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
-    return math.pi / 2.0 - f * cos(ax) - g * sin(ax)
-
-
 def _si(x: float) -> float:
+    # Si on a float: every _poly of the array path written out as one nested
+    # Horner expression, the same operations in the same order, so a float
+    # and an array element get the same bits
     ax = abs(x)
-    out = _si_pade(ax) if ax * ax <= 16.0 else _si_asymptotic(ax, _cos, _sin)
+    y = ax * ax
+    if y <= 16.0:  # the Pade form
+        p0, p1, p2, p3, p4, p5, p6, p7 = _SI_NUM
+        q0, q1, q2, q3, q4, q5, q6 = _SI_DEN
+        out = (ax * (((((((p7 * y + p6) * y + p5) * y + p4) * y + p3) * y + p2) * y + p1) * y + p0)
+               / ((((((q6 * y + q5) * y + q4) * y + q3) * y + q2) * y + q1) * y + q0))
+    else:  # the auxiliary functions f and g in y = 1/x^2
+        y = 1.0 / y
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _F_NUM
+        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _F_DEN
+        f = (((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y + p3)
+                 * y + p2) * y + p1) * y + p0)
+             / (ax * (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y
+                        + q2) * y + q1) * y + q0)))
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _G_NUM
+        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _G_DEN
+        g = (y * ((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y
+                      + p3) * y + p2) * y + p1) * y + p0)
+             / (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y + q2)
+                 * y + q1) * y + q0))
+        try:
+            out = math.pi / 2.0 - f * math.cos(ax) - g * math.sin(ax)
+        except ValueError:  # math.cos and math.sin raise at inf, where numpy gives nan
+            out = math.nan
     # np.sign's factor: Si(-0.0) is 0.0
     return out if x >= 0 else -out
 
@@ -115,8 +129,14 @@ def sine_integral(x):
     ax = np.abs(xa)
     small = ax * ax <= 16.0
     out = np.empty_like(ax)
-    out[small] = _si_pade(ax[small])
-    out[~small] = _si_asymptotic(ax[~small], np.cos, np.sin)
+    a = ax[small]
+    out[small] = a * _poly(_SI_NUM, a * a) / _poly(_SI_DEN, a * a)
+    a = ax[~small]
+    y = 1.0 / (a * a)
+    f = _poly(_F_NUM, y) / (a * _poly(_F_DEN, y))
+    g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
+    # at inf, 0 * nan = nan
+    out[~small] = math.pi / 2.0 - f * np.cos(a) - g * np.sin(a)
     out *= np.sign(xa)
     return float(out) if np.isscalar(x) else out
 

@@ -44,6 +44,8 @@ HARD_EXIT = "tests/test_cli.py::TestHardExit::"
 FUZZ = "tests/test_cli.py::TestArgumentFuzz"
 GAMMA_TRACE = "tests/test_diffraction.py::TestGammaTrace::"
 DENSITY_GRIDS = "tests/test_cli.py::TestDensityGrids::test_grids_antisymmetric_and_pinned"
+MIRRORED = "tests/test_cli.py::TestMirroredEncoding::"
+MIRROR = '        body = "-" + "-".join(body.splitlines(True)[:0:-1]) + body\n'
 STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.0):\n"
 FOURIER_NORM = ("tests/test_core.py::TestFourierState::"
                 "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float")
@@ -143,8 +145,19 @@ MUTANTS = [
     Mutant("grid-end-unpinned", CLI,
            "    half = [i * (edge / m) for i in range(m)] + [edge]\n",
            "    half = [i * (edge / m) for i in range(m + 1)]\n", [DENSITY_GRIDS]),
-    Mutant("mirror-repeats-centre", CLI,
-           "values[:0:-1] + values]\n", "values[::-1] + values]\n", [DENSITY_GRIDS]),
+    # the centre of an even table is the row 0 that format_csv encodes once:
+    # the same edit is checked on the commands' tables and on synthetic ones
+    Mutant("mirror-repeats-centre", REPORTS, MIRROR, MIRROR.replace("[:0:-1]", "[::-1]"),
+           [DENSITY_GRIDS]),
+    Mutant("mirror-repeats-row-0", REPORTS, MIRROR, MIRROR.replace("[:0:-1]", "[::-1]"),
+           [MIRRORED + "test_coefficient_table_rows",
+            MIRRORED + "test_underflowed_grid_mirrors_as_negative_zero"]),
+    Mutant("mirror-row-unsigned", REPORTS, MIRROR, MIRROR.replace('"-" + "-".join', '"".join'),
+           [DENSITY_GRIDS, MIRRORED + "test_coefficient_table_rows"]),
+    Mutant("si-kernel-swapped-coefficient", "src/slitbound/special.py",
+           "        out = (ax * (((((((p7 * y + p6) * y + p5)",
+           "        out = (ax * (((((((p7 * y + p5) * y + p6)",
+           ["tests/test_special.py::test_float_kernel_matches_array_path_bitwise"]),
     Mutant("fourier-norm-unchecked", "src/slitbound/core.py",
            "        if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan\n",
            "        if norm2 == 0.0:\n",

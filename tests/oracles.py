@@ -3,8 +3,9 @@ moments, generic truncated slit states, the Euler-Lagrange check of the
 variational problem, the numpy formulas of the cosine state that the
 pure-Python `core` replaced and of the truncated-sinc position amplitude
 that the pure-Python `special` replaced, the detector-plane intensity
-profile that `synthesize_frame` samples, a fixed-size lambda0 solve and one
-built by index writes, with that matrix's smallest eigenvalue.  None of this runs on the command line's path."""
+profile that `synthesize_frame` samples, the full columns of an even
+table, a fixed-size lambda0 solve and one built by index writes, with that
+matrix's smallest eigenvalue.  None of this runs on the command line's path."""
 
 from __future__ import annotations
 
@@ -230,6 +231,16 @@ def np_symmetric_grid(edge: float, m: int) -> np.ndarray:
     half = np.arange(m + 1) * (edge / m)
     half[-1] = edge
     return np.concatenate([-half[:0:-1], half])
+
+
+def mirrored(table: tuple) -> tuple:
+    """An even table of a command, given by its rows i >= 0, with its full
+    columns instead: the grid's rows i > 0 negated, last first, before it and
+    each value column mirrored the same way, which format_csv must encode."""
+    name, header, (grid, *values), comments, even = table
+    assert even is True
+    return (name, header, [[-v for v in grid[:0:-1]] + list(grid),
+                           *(column[:0:-1] + column for column in values)], comments)
 
 
 def np_minstate_tables(delta_x: float, n_max: int) -> list:

@@ -78,6 +78,16 @@ EXTRA = {
     # at a subnormal width the position density overflows: exit 3, one
     # stderr line and no file
     "lanczos-subnormal": [["lanczos", "--slit-width", "1e-310m"]],
+    # the even tables at both ends of the width range and at the fewest
+    # modes, each command in its own directory, and a negative-zero noise
+    # sigma, which the report echoes as +0.0
+    "slit-extremes": [
+        *([command, "--slit-width", width, "--out", f"{command}-{width}"]
+          for width in ("1e-160m", "1.7e308m") for command in ("minstate", "lanczos")),
+        ["minstate", "--nmax", "1", "--out", "nmax1"],
+        ["minstate", "--nmax", "2", "--out", "nmax2"],
+        ["simulate", "--noise-sigma", "-0"],
+    ],
 }
 
 

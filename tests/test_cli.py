@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from oracles import mirrored
 import slitbound
 from slitbound import InvalidArgument, NumericFailure, cli, core, diffraction, reports
 from slitbound.reports import format_csv, parse_length, read_frame_csv
@@ -536,21 +537,71 @@ class TestLanczos:
 class TestDensityGrids:
     @pytest.mark.parametrize("width", ["477um", "3um", "1m", "1e-160m"])
     def test_grids_antisymmetric_and_pinned(self, width):
-        # each density table of both slit states, as its command returns it:
-        # the grid is its own negated mirror with the centre exactly +0.0, its
-        # ends exactly -edge and edge (at 3 um m*(edge/m) overshoots the
-        # momentum edges) and the density column is exactly even
+        # each density table of both slit states, as format_csv writes it from
+        # the rows i >= 0 that its command returns: the full grid is its own
+        # negated mirror with the centre exactly +0.0, its ends exactly -edge
+        # and edge (at 3 um m*(edge/m) overshoots the momentum edges) and the
+        # density column is exactly even
         dx = parse_length(width)
         for command, k_edge in (("minstate", 8 * np.pi / dx), ("lanczos", 16 * np.pi / dx)):
             args = cli.build_parser().parse_args([command, "--slit-width", width])
             tables = [t for t in args.func(args)[0] if t[0].endswith("_density.csv")]
             assert len(tables) == 2, command
-            for (name, _, (grid, column)), edge in zip(tables, (dx / 2, k_edge)):
+            for table, edge in zip(tables, (dx / 2, k_edge)):
+                full = mirrored(table)
+                assert format_csv(*table) == format_csv(*full), table[0]
+                name, _, (grid, column), _ = full
                 assert len(grid) % 2 == 1 and len(column) == len(grid), name
                 assert grid[0] == -edge and grid[-1] == edge, name
                 assert repr(grid[len(grid) // 2]) == "0.0", name
                 assert grid == [-v for v in reversed(grid)], name
                 assert column == column[::-1], name
+
+
+class TestMirroredEncoding:
+    """format_csv writes an even table from its rows i >= 0 with the bytes of
+    the explicitly mirrored full columns."""
+
+    @staticmethod
+    def even_tables(command, *argv):
+        args = cli.build_parser().parse_args([command, *argv])
+        tables = [t for t in args.func(args)[0] if len(t) == 5]
+        assert len(tables) == {"minstate": 3, "lanczos": 2}[command]
+        return tables
+
+    @pytest.mark.parametrize("width", ["477um", "3um", "1m", "1e-160m", "1.7e308m"])
+    @pytest.mark.parametrize("command,nmax", [("minstate", "1"), ("minstate", "2"),
+                                              ("minstate", "4096"), ("lanczos", None)])
+    def test_matches_the_mirrored_columns(self, width, command, nmax):
+        argv = ["--slit-width", width, *(["--nmax", nmax] if nmax else [])]
+        for table in self.even_tables(command, *argv):
+            assert format_csv(*table) == format_csv(*mirrored(table)), table[0]
+
+    def test_coefficient_table_rows(self):
+        # n = -2..2: the mirrored rows carry their sign, the centre row is once
+        table = self.even_tables("minstate", "--nmax", "2")[0]
+        lines = format_csv(*table).splitlines()
+        assert lines[0] == "n,c_n"
+        assert [line.split(",")[0] for line in lines[1:]] == ["-2", "-1", "0", "1", "2"]
+        assert lines[1][1:] == lines[5] and lines[2][1:] == lines[4]
+
+    def test_underflowed_grid_mirrors_as_negative_zero(self):
+        # edge/m underflows to +0.0, so rows 0..m-1 of the half sit at +0.0
+        # and their mirrors at -0.0, which %.9g writes as -0
+        table = cli._even_table("t.csv", ["x", "y"], 5e-324, 4, lambda x: [1.0] * len(x))
+        assert table[2][0] == [0.0, 0.0, 0.0, 0.0, 5e-324]
+        text = format_csv(*table)
+        assert text == format_csv(*mirrored(table))
+        assert text.splitlines()[1:] == ["-4.94065646e-324,1", "-0,1", "-0,1", "-0,1", "0,1",
+                                         "0,1", "0,1", "0,1", "4.94065646e-324,1"]
+
+    def test_single_row_is_not_mirrored(self):
+        assert format_csv("t.csv", ["x"], [[0.0]], None, True) == "x\n0\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_half_is_numeric_failure(self, bad):
+        with pytest.raises(NumericFailure, match="t.csv holds a non-finite value"):
+            format_csv("t.csv", ["x", "y"], [[0.0, 1.0], [1.0, bad]], None, True)
 
 
 class TestLpbound:
@@ -674,6 +725,16 @@ class TestSimulateAndEstimate:
         assert run(tmp_path, "simulate", "--seed", "-1", "--noise-sigma", "1e-3") == 2
         assert "configuration error: --seed: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_zero_noise_sigma_reported_as_zero(self, tmp_path):
+        # -0 passes the sigma >= 0 check; the report echoes +0.0, and the
+        # frame is the one --noise-sigma 0 writes
+        assert run(tmp_path / "neg", "simulate", "--noise-sigma", "-0") == 0
+        assert run(tmp_path / "pos", "simulate", "--noise-sigma", "0") == 0
+        sigma = load_report(tmp_path / "neg", "simulate_report.json")["parameters"]["noise_sigma"]
+        assert sigma == 0.0 and not np.signbit(sigma)
+        assert (tmp_path / "neg" / "frame.csv").read_bytes() == \
+            (tmp_path / "pos" / "frame.csv").read_bytes()
 
     @pytest.mark.parametrize("flag,bad", [("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
                                           ("--wavelength", "inf")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import np_lanczos_position
+from oracles import mirrored, np_lanczos_position
 from slitbound import cli
 from slitbound import (
     InvalidArgument,
@@ -14,8 +14,10 @@ from slitbound import (
     sine_integral,
 )
 from slitbound.diffraction import band_moments
+from slitbound.reports import format_csv
 from slitbound.special import (
     SI_2PI,
+    _si,
     lanczos_tail_bounds,
 )
 
@@ -126,24 +128,42 @@ class TestSineIntegral:
 @pytest.mark.parametrize("dx", [1e-6, 477e-6, 1.0])
 def test_list_path_matches_array_path_bitwise(dx):
     # the tables of cmd_lanczos, whose density columns the float path fills
-    # on |x| and mirrors: on the full grid each column has the bits of the
-    # numpy formula, so the CSVs a list and an array encode agree; the
-    # position density is checked against the square of its numpy oracle,
-    # the momentum density against its own array path, which
+    # on |x| and format_csv mirrors: on the full grid each column has the
+    # bits of the numpy formula, so the CSVs a list and an array encode
+    # agree; the position density is checked against the square of its
+    # numpy oracle, the momentum density against its own array path, which
     # diffraction.band_moments runs
     args = cli.build_parser().parse_args(["lanczos", "--slit-width", f"{dx!r}m"])
     tables, (_, parameters, *_) = args.func(args)
     assert parameters["slit_width_m"] == dx
-    for (_, _, (grid, column)), fn, numpy_path in zip(
+    for table, fn, numpy_path in zip(
             tables,
             (eval_lanczos_position, eval_lanczos_momentum_density),
             (lambda a: np_lanczos_position(a, dx) ** 2,
              lambda a: eval_lanczos_momentum_density(a, dx))):
-        assert isinstance(column, list)
+        assert isinstance(table[2][1], list)
+        full = mirrored(table)
+        assert format_csv(*table) == format_csv(*full)
+        _, _, (grid, column), _ = full
         array = numpy_path(np.array(grid))
         assert isinstance(array, np.ndarray)
         assert np.array_equal(np.array(column).view(np.int64), array.view(np.int64))
         assert all(type(fn(v, dx)) is float for v in grid[:3])
+
+
+def test_float_kernel_matches_array_path_bitwise():
+    # special._si, the nested Horner form that lists and numbers take, has
+    # the bits of the array path's _poly loop on both sides of x^2 = 16, at
+    # +-0, a subnormal and far out; past every finite x both give nan
+    four = [np.nextafter(4.0, np.inf), np.nextafter(4.0, -np.inf)]
+    points = [0.0, -0.0, *four, 4.0, 2 * np.pi, 1e300, 5e-324, 2.5e-310, 1.7976931348623157e308]
+    points += [-x for x in points]
+    with np.errstate(over="ignore", invalid="ignore"):  # x*x overflows past 1.3e154
+        for x in points:
+            want = sine_integral(np.array([x]))[0]
+            assert np.float64(_si(x)).view(np.int64) == want.view(np.int64), x
+        for x in (np.inf, -np.inf, np.nan):
+            assert np.isnan(_si(x)) and np.isnan(sine_integral(np.array([x]))[0]), x
 
 
 @pytest.mark.parametrize("dx", [0.0, -0.0, -1.0, np.nan])
