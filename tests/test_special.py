@@ -155,7 +155,7 @@ def test_float_kernel_matches_array_path_bitwise():
     # special._si, the nested Horner form that lists and numbers take, has
     # the bits of the array path's _poly loop on both sides of x^2 = 16, at
     # +-0, a subnormal and far out; past every finite x both give nan
-    four = [np.nextafter(4.0, np.inf), np.nextafter(4.0, -np.inf)]
+    four = [float(np.nextafter(4.0, np.inf)), float(np.nextafter(4.0, -np.inf))]
     points = [0.0, -0.0, *four, 4.0, 2 * np.pi, 1e300, 5e-324, 2.5e-310, 1.7976931348623157e308]
     points += [-x for x in points]
     with np.errstate(over="ignore", invalid="ignore"):  # x*x overflows past 1.3e154
