@@ -4,12 +4,14 @@ standard-deviation inequality checks.
 A particle prepared by a slit of width ``delta_x`` lives on the interval
 [-delta_x/2, delta_x/2].  The momentum point-spectrum on that interval is
 p_n = hbar * 2*pi*n/delta_x, and any slit state is a coefficient vector c_n
-over those modes.  The variational minimum of sigma_p subject to
-normalization and a vanishing boundary amplitude is the half-period cosine
-state; its coefficients and moments are provided here together with the
-inequality verdicts (Kennard, delta_x * delta_p against 2 hbar and h, and
-the sharp bound sigma_p * delta_x >= pi * hbar).  Units are natural,
-hbar = 1, so a momentum is a wavenumber.
+over those modes: the numbers given, divided by their norm, with a numpy
+array read as Python numbers and a non-number refused.  The variational
+minimum of sigma_p subject to normalization and a vanishing boundary
+amplitude is the half-period cosine state; its coefficients and moments
+are provided here together with the inequality verdicts (Kennard,
+delta_x * delta_p against 2 hbar and h, and the sharp bound
+sigma_p * delta_x >= pi * hbar).  Units are natural, hbar = 1, so a
+momentum is a wavenumber.
 
 The module is pure Python on floats and loads no numpy, so ``minstate``,
 like ``lpbound`` and ``reanalyze``, starts without it.  Every sum is a
@@ -31,29 +33,24 @@ MAX_NMAX = 1_000_000
 class FourierState:
     """Slit state as a truncated coefficient vector c_n, n = -n_max..n_max.
 
-    Coefficients are renormalized at construction so that sum |c_n|^2 = 1
-    holds to machine precision (Parseval).  ``coefficients`` is a tuple of
-    complex, ``weights`` the tuple of their |c_n|^2, formed once for every
-    moment and check, and ``n_values`` the matching range of n.
+    ``coefficients`` is the tuple of the given numbers divided by their norm,
+    so sum |c_n|^2 = 1 holds to machine precision (Parseval) and a real input
+    stays real; a numpy array is read as Python numbers, a non-number refused.
+    ``weights`` holds the |c_n|^2, formed once for every moment and check.
     """
 
     def __init__(self, slit_width: float, coefficients):
         _check_width(slit_width)
         try:
-            raw = tuple(coefficients)
-            c = tuple(map(complex, raw))
-        except (TypeError, ValueError):
-            c = ()
-        except OverflowError:  # an int beyond the float range, whose square is inf
-            c = (math.inf,) * len(raw)
-        if len(c) % 2 == 0 or len(c) < 3:
-            raise InvalidArgument(
-                "coefficients must be a 1-d odd-length vector covering n=-n_max..n_max "
-                "with n_max >= 1"
-            )
-        try:
-            norm2 = math.fsum([v * v for v in map(abs, c)])
-        except OverflowError:  # a modulus or the sum beyond the float range
+            c = tuple(coefficients.tolist() if hasattr(coefficients, "tolist") else coefficients)
+            if len(c) % 2 == 0 or len(c) < 3:  # the shape first, before an overflowing entry
+                raise ValueError
+            # each modulus a float before it is squared, so no numpy integer square wraps
+            norm2 = math.fsum([v * v for v in map(float, map(abs, c))])
+        except (TypeError, ValueError):  # not a sequence, not numbers or the wrong length
+            raise InvalidArgument("coefficients must be a 1-d odd-length vector covering "
+                                  "n=-n_max..n_max with n_max >= 1") from None
+        except OverflowError:  # an entry, a modulus or the sum beyond the float range
             norm2 = math.inf
         if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
             raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
@@ -113,9 +110,9 @@ def momentum_moments(state: FourierState):
 
 
 def _check_width(delta_x: float) -> None:
-    """Refuse a slit width that is not positive: zero, negative or nan."""
-    if not delta_x > 0:
-        raise InvalidArgument(f"delta_x must be positive, got {delta_x}")
+    """Refuse a slit width that is not positive and finite: zero, negative, inf or nan."""
+    if not 0 < delta_x < math.inf:
+        raise InvalidArgument(f"delta_x must be positive and finite, got {delta_x}")
 
 
 def _over(f, x):
@@ -123,18 +120,9 @@ def _over(f, x):
     return [f(float(v)) for v in x] if hasattr(x, "__iter__") else f(float(x))
 
 
-def _nan_at_inf(f):
-    """The math function f with nan at an infinite argument, where math raises
-    and numpy gives nan: the output checks refuse the value as non-finite."""
-    return lambda t: f(t) if math.isfinite(t) else math.nan
-
-
-_cos, _sin = _nan_at_inf(math.cos), _nan_at_inf(math.sin)
-
-
 def _sinc(t: float) -> float:
-    """sin(t)/t as np.sinc forms it: 1 at t = 0, nan at an infinite t."""
-    return _sin(t) / t if t else 1.0
+    """sin(t)/t as np.sinc forms it, 1 at t = 0; each caller's |t| is at most pi."""
+    return math.sin(t) / t if t else 1.0
 
 
 def eval_position_wavefunction(x, delta_x: float):
@@ -149,7 +137,7 @@ def eval_position_wavefunction(x, delta_x: float):
     def psi(v):
         if abs(v) > delta_x / 2 * (1 + 1e-12):
             raise InvalidArgument("x outside the slit: the prepared state vanishes there")
-        return amp * _cos(math.pi * (v / delta_x))
+        return amp * math.cos(math.pi * (v / delta_x))
 
     return _over(psi, x)
 
@@ -161,7 +149,9 @@ def _momentum_shape(u: float) -> float:
     if abs(s) < 1e-4:
         y = math.pi * (s / (2.0 * math.pi))
         return 0.5 * _sinc(y) / (2.0 * math.pi + s)
-    return _cos(u / 2.0) / (math.pi**2 - u * u)
+    # the grids reach an infinite u below a width of about 1e-309 m, where
+    # math.cos raises: nan there, as numpy gives, refused as non-finite
+    return (math.cos(u / 2.0) if math.isfinite(u) else math.nan) / (math.pi**2 - u * u)
 
 
 def eval_momentum_wavefunction(k, delta_x: float):

@@ -78,8 +78,8 @@ class DetectorSpec:
             raise InvalidArgument(f"num_pixels must be <= {reports.MAX_PIXELS}, got {num_pixels}")
         if num_pixels < 2 or num_pixels % 2 != 0:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
-        if not pixel_size > 0:
-            raise InvalidArgument(f"pixel_size must be positive, got {pixel_size}")
+        if not 0 < pixel_size < math.inf:
+            raise InvalidArgument(f"pixel_size must be positive and finite, got {pixel_size}")
         self.num_pixels, self.pixel_size = num_pixels, pixel_size
 
     @property

@@ -47,8 +47,15 @@ DENSITY_GRIDS = "tests/test_cli.py::TestDensityGrids::test_grids_antisymmetric_a
 MIRRORED = "tests/test_cli.py::TestMirroredEncoding::"
 MIRROR = '        body = "-" + "-".join(body.splitlines(True)[:0:-1]) + body\n'
 STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.0):\n"
-FOURIER_NORM = ("tests/test_core.py::TestFourierState::"
-                "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float")
+FOURIER = "tests/test_core.py::TestFourierState::"
+FOURIER_NORM = FOURIER + "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float"
+FOURIER_SHAPE = FOURIER + "test_refuses_a_vector_of_the_wrong_shape"
+NORM_SUM = ("            # each modulus a float before it is squared, so no numpy integer square wraps\n"
+            "            norm2 = math.fsum([v * v for v in map(float, map(abs, c))])\n")
+SHAPE_CHECK = ("            if len(c) % 2 == 0 or len(c) < 3:"
+               "  # the shape first, before an overflowing entry\n"
+               "                raise ValueError\n")
+WIDTH_CHECK = "    if not 0 < delta_x < math.inf:\n"
 FLOAT_MAXIMUM = STRICT + "test_float_maximum_width_computes"
 RESTART = ("tests/test_concentration.py::TestLambda0Solve::"
            "test_start_above_eigenvalue_restarts_from_zero")
@@ -86,12 +93,17 @@ MUTANTS = [
            "    per = math.ceil(width / _PANEL) if width < math.inf else math.inf\n",
            "    per = 1\n",
            ["tests/test_diffraction.py::TestBandMoments::test_widths_match_32_node_reference"]),
-    Mutant("width-unchecked", "src/slitbound/core.py",
-           "    if not delta_x > 0:\n", "    if False:\n",
+    Mutant("width-unchecked", "src/slitbound/core.py", WIDTH_CHECK, "    if False:\n",
            ["tests/test_special.py::test_width_must_be_positive"]),
+    Mutant("width-infinite-accepted", "src/slitbound/core.py", WIDTH_CHECK,
+           "    if not 0 < delta_x:\n",
+           ["tests/test_core.py::test_infinite_width_refused",
+            "tests/test_special.py::test_width_must_be_positive"]),
+    # an infinite argument reaches only the momentum shape's cos(u/2)
     Mutant("trig-no-nan-at-inf", "src/slitbound/core.py",
-           "    return lambda t: f(t) if math.isfinite(t) else math.nan\n", "    return f\n",
-           [FUZZ]),
+           "(math.cos(u / 2.0) if math.isfinite(u) else math.nan)", "math.cos(u / 2.0)",
+           [STRICT + f"test_non_finite_result_is_numeric_failure[{case}]"
+            for case in ("minstate", "minstate-5e-324", "minstate-1e-320")]),
     Mutant("numeric-failure-two-lines", CLI,
            '        print(f"slitbound: numeric failure: {exc}", file=sys.stderr)\n',
            '        print(f"slitbound: numeric failure: {exc}", file=sys.stderr)\n'
@@ -139,6 +151,10 @@ MUTANTS = [
            '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max <= MAX_NMAX:\n',
            '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max:\n',
            [CAPS + "test_nmax_cap"]),
+    Mutant("pixel-size-infinite-accepted", DIFFRACTION,
+           "        if not 0 < pixel_size < math.inf:\n", "        if not 0 < pixel_size:\n",
+           ["tests/test_diffraction.py::TestDetectorSpec::"
+            "test_pixel_size_must_be_positive_and_finite"]),
     Mutant("pixels-uncapped", DIFFRACTION,
            "        if num_pixels > reports.MAX_PIXELS:\n", "        if False:\n",
            [CAPS + "test_pixels_cap"]),
@@ -163,14 +179,25 @@ MUTANTS = [
            "        if norm2 == 0.0:\n",
            [FOURIER_NORM]),
     Mutant("fourier-overflow-unmapped", "src/slitbound/core.py",
-           "        try:\n"
-           "            norm2 = math.fsum([v * v for v in map(abs, c)])\n"
-           "        except OverflowError:  # a modulus or the sum beyond the float range\n"
-           "            norm2 = math.inf\n",
-           "        norm2 = math.fsum([v * v for v in map(abs, c)])\n", [FOURIER_NORM]),
+           "        except OverflowError:  # an entry, a modulus or the sum beyond the float range\n"
+           "            norm2 = math.inf\n", "", [FOURIER_NORM]),
+    Mutant("fourier-non-number-escapes", "src/slitbound/core.py",
+           "        except (TypeError, ValueError):", "        except ValueError:",
+           [FOURIER_SHAPE]),
+    Mutant("fourier-integer-square-wraps", "src/slitbound/core.py", NORM_SUM,
+           NORM_SUM.replace("map(float, map(abs, c))", "map(abs, c)"),
+           [FOURIER + "test_integer_entries_square_as_floats"]),
+    Mutant("fourier-array-divided-by-numpy", "src/slitbound/core.py",
+           'coefficients.tolist() if hasattr(coefficients, "tolist") else coefficients',
+           "coefficients",
+           [FOURIER + "test_real_input_stores_floats",
+            FOURIER + "test_arrays_divide_as_python_numbers"]),
+    Mutant("parseval-unchecked", "src/slitbound/core.py",
+           "    if abs(math.fsum(w) - 1.0) > 1e-8:\n", "    if False:\n",
+           ["tests/test_core.py::TestMomentumMoments::test_refuses_a_state_off_parseval"]),
     Mutant("position-phase-overflows", "src/slitbound/core.py",
-           "        return amp * _cos(math.pi * (v / delta_x))\n",
-           "        return amp * _cos(math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
+           "        return amp * math.cos(math.pi * (v / delta_x))\n",
+           "        return amp * math.cos(math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
     Mutant("lanczos-phase-overflows", "src/slitbound/special.py",
            "        return amp * _sinc(2.0 * math.pi * (v / delta_x))\n",
            "        return amp * _sinc(2.0 * math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
@@ -180,9 +207,10 @@ MUTANTS = [
     Mutant("lanczos-amplitude-overflows", "src/slitbound/special.py",
            "    amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)\n",
            "    amp = math.sqrt(math.pi / (SI_2PI * delta_x))\n", [FLOAT_MAXIMUM]),
-    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py",
-           "            c = (math.inf,) * len(raw)\n", "            c = (math.inf,) * 3\n",
-           ["tests/test_core.py::TestFourierState::test_refuses_a_vector_of_the_wrong_shape"]),
+    # the norm summed before the shape is checked: an entry beyond the float
+    # range in a short vector is then refused for its norm
+    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + NORM_SUM,
+           NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
     Mutant("geometry-sign-unchecked", DIFFRACTION,
            "            if not getattr(self, name) > 0:\n", "            if False:\n",
            ["tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -70,9 +72,10 @@ class TestFourierState:
 
     def test_refuses_a_vector_of_the_wrong_shape(self):
         # the shape is checked first, so an int beyond the float range in a
-        # vector of even or short length still names the shape
+        # vector of even or short length still names the shape; strings are
+        # not numbers, though complex() would read "1" as one
         for raw in ([], [1.0], [1.0, 2.0], [[1.0, 2.0, 3.0]], 3.0, ["a", "b", "c"],
-                    [10**400], [10**400, 1]):
+                    [10**400], [10**400, 1], "111", ["1", "2", "1"]):
             with pytest.raises(InvalidArgument, match="1-d odd-length vector"):
                 FourierState(1.0, raw)
 
@@ -80,6 +83,47 @@ class TestFourierState:
     def test_normalizes_far_from_unit_scale(self, scale):
         state = FourierState(1.0, [scale, 2.0 * scale, scale])
         assert verify_constraints(state).parseval <= 4 * np.finfo(float).eps
+
+    def test_integer_entries_square_as_floats(self):
+        # 4e9 squared wraps in int64, so each modulus is a float before it is
+        # squared; an integer array is read as Python ints
+        want = FourierState(1.0, [4e9, 1, 1]).coefficients
+        for raw in ([np.int64(4_000_000_000), 1, 1], np.array([4_000_000_000, 1, 1])):
+            assert FourierState(1.0, raw).coefficients == want
+
+    def test_real_input_stores_floats(self):
+        for raw in ([1.0, 2.0, 1.0], [1, 2, 1], np.array([1.0, 2.0, 1.0]), np.array([1, 2, 1])):
+            state = FourierState(1.0, raw)
+            assert {type(c) for c in state.coefficients} == {float}
+            assert state.coefficients == tuple(v / math.sqrt(6.0) for v in (1.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_arrays_divide_as_python_numbers(self, dtype):
+        # an array is read through tolist(): numpy's complex128 division by a
+        # float differs from Python's in the last bit of many quotients
+        rng = np.random.default_rng(36)
+        raw = rng.standard_normal(41).astype(dtype)
+        if dtype is complex:
+            raw += 1j * rng.standard_normal(41)
+        norm = math.sqrt(math.fsum([abs(z) * abs(z) for z in raw.tolist()]))
+        got = [complex(c) for c in FourierState(1.0, raw).coefficients]
+        want = [complex(z) / norm for z in raw.tolist()]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+            [(z.real.hex(), z.imag.hex()) for z in want]
+
+
+@pytest.mark.parametrize("call", [
+    lambda dx: FourierState(dx, [1, 2, 1]),
+    lambda dx: eval_position_wavefunction([0.0, 0.5], dx),
+    lambda dx: eval_momentum_wavefunction([0.0, 1.0], dx),
+    lambda dx: build_report(None, 1.0, dx),
+], ids=["FourierState", "eval_position_wavefunction", "eval_momentum_wavefunction",
+        "build_report"])
+def test_infinite_width_refused(call):
+    # not a state with sigma_p = 0 and every verdict false, nor zero or nan
+    # amplitudes
+    with pytest.raises(InvalidArgument, match="^delta_x must be positive and finite, got inf$"):
+        call(math.inf)
 
 
 class TestMinUncertaintyCoefficients:
@@ -121,6 +165,17 @@ class TestMomentumMoments:
         state = min_uncertainty_coefficients(500, 1.0)
         mean, _ = momentum_moments(state)
         assert abs(mean) < 1e-13
+
+    def test_refuses_a_state_off_parseval(self):
+        # weights that sum to 1 within 1e-8 are taken, and further off refused
+        state = min_uncertainty_coefficients(16, 1.0)
+        weights = state.weights
+        state.weights = tuple(w * (1.0 + 5e-9) for w in weights)
+        momentum_moments(state)
+        state.weights = tuple(w * (1.0 + 2e-8) for w in weights)
+        with pytest.raises(InvalidArgument,
+                           match="^state does not satisfy Parseval within tolerance$"):
+            momentum_moments(state)
 
     def test_single_mode_zero_sigma(self):
         c = np.zeros(3)

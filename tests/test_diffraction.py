@@ -111,6 +111,13 @@ class TestDetectorSpec:
         with pytest.raises(InvalidArgument):
             NoiseSpec(seed=-1)
 
+    @pytest.mark.parametrize("bad", [0.0, -8e-6, np.nan, np.inf])
+    def test_pixel_size_must_be_positive_and_finite(self, bad):
+        # an infinite pitch would put every pixel at +-inf
+        with pytest.raises(InvalidArgument,
+                           match=f"^pixel_size must be positive and finite, got {bad}$"):
+            DetectorSpec(num_pixels=4, pixel_size=bad)
+
     def test_integer_fields(self):
         # a float count or seed is refused here, not deep inside numpy
         with pytest.raises(InvalidArgument, match="num_pixels must be an integer, got 4.0"):

@@ -166,7 +166,7 @@ def test_float_kernel_matches_array_path_bitwise():
             assert np.isnan(_si(x)) and np.isnan(sine_integral(np.array([x]))[0]), x
 
 
-@pytest.mark.parametrize("dx", [0.0, -0.0, -1.0, np.nan])
+@pytest.mark.parametrize("dx", [0.0, -0.0, -1.0, np.nan, np.inf])
 def test_width_must_be_positive(dx):
     # every entry point refuses the width itself, the density on each path
     calls = [lambda: eval_lanczos_position(0.0, dx),
@@ -175,7 +175,7 @@ def test_width_must_be_positive(dx):
              lambda: eval_lanczos_momentum_density(np.array([0.0]), dx),
              lambda: lanczos_tail_bounds(dx, 100.0)]
     for call in calls:
-        with pytest.raises(InvalidArgument, match="delta_x must be positive"):
+        with pytest.raises(InvalidArgument, match="^delta_x must be positive and finite, got "):
             call()
 
 
