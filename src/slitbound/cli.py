@@ -94,7 +94,7 @@ def cmd_minstate(args):
     tables = [
         # c_-n is c_n bit for bit, so the table is even in n
         ("minstate_coefficients.csv", ["n", "c_n"],
-         [range(state.n_max + 1), state.coefficients[state.n_max:]], None, True),
+         [range(state.n_max + 1), state.half], None, True),
         _even_table("minstate_position_density.csv", ["x_m", "density_per_m"], delta_x / 2, 500,
                     lambda x: [v * v for v in core.eval_position_wavefunction(x, delta_x)]),
         _even_table("minstate_momentum_density.csv", ["k_per_m", "density_m"],

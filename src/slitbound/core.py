@@ -3,9 +3,9 @@ standard-deviation inequality checks.
 
 A particle prepared by a slit of width ``delta_x`` lives on the interval
 [-delta_x/2, delta_x/2].  The momentum point-spectrum on that interval is
-p_n = hbar * 2*pi*n/delta_x, and any slit state is a coefficient vector c_n
-over those modes: the numbers given, divided by their norm, with a numpy
-array read as Python numbers and a non-number refused.  The variational
+p_n = hbar * 2*pi*n/delta_x, and a slit state is an even coefficient vector
+c_n = c_-n over those modes, kept as its half c_0..c_N divided by the norm;
+each sum over the modes takes c_0 once and c_1..c_N twice.  The variational
 minimum of sigma_p subject to normalization and a vanishing boundary
 amplitude is the half-period cosine state; its coefficients and moments
 are provided here together with the inequality verdicts (Kennard,
@@ -21,7 +21,6 @@ math.fsum.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
 from . import InvalidArgument
@@ -31,41 +30,42 @@ MAX_NMAX = 1_000_000
 
 
 class FourierState:
-    """Slit state as a truncated coefficient vector c_n, n = -n_max..n_max.
+    """Even slit state: the coefficient vector c_n = c_-n, n = -n_max..n_max.
 
-    ``coefficients`` is the tuple of the given numbers divided by their norm,
-    so sum |c_n|^2 = 1 holds to machine precision (Parseval) and a real input
-    stays real; a numpy array is read as Python numbers, a non-number refused.
-    ``weights`` holds the |c_n|^2, formed once for every moment and check.
+    It is given whole, real or complex; c_-n != c_n is refused, and so is a
+    non-number or a Decimal.  ``half`` holds c_0..c_n_max, a numpy scalar read
+    through tolist(), divided by the norm: Parseval holds to machine precision
+    and a real input stays real.  ``coefficients`` is that half mirrored, and
+    ``weights`` the half's |c_n|^2, formed once for every moment and check.
     """
 
     def __init__(self, slit_width: float, coefficients):
         _check_width(slit_width)
         try:
-            c = tuple(coefficients.tolist() if hasattr(coefficients, "tolist") else coefficients)
+            c = tuple(coefficients)
             if len(c) % 2 == 0 or len(c) < 3:  # the shape first, before an overflowing entry
                 raise ValueError
-            # each modulus a float before it is squared, so no numpy integer square wraps
-            norm2 = math.fsum([v * v for v in map(float, map(abs, c))])
+            half, even = c[len(c) // 2:], c == c[::-1]
+            if not {float, int, complex}.issuperset(map(type, half)):
+                # tolist() reads a numpy scalar as an array's entry; a Decimal refuses + 0.0
+                half = [z.tolist() if hasattr(z, "tolist") else z + 0.0 for z in half]
+            sq = [v * v for v in map(float, map(abs, half))]  # a float before it is squared
+            norm2 = math.fsum(sq + sq[1:])
         except (TypeError, ValueError):  # not a sequence, not numbers or the wrong length
             raise InvalidArgument("coefficients must be a 1-d odd-length vector covering "
                                   "n=-n_max..n_max with n_max >= 1") from None
         except OverflowError:  # an entry, a modulus or the sum beyond the float range
             norm2 = math.inf
+        if not even:
+            raise InvalidArgument("a slit state is even: c_-n must equal c_n for every n")
         if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
             raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
         norm = math.sqrt(norm2)
         self.slit_width = float(slit_width)
-        self.coefficients = tuple([z / norm for z in c])
-        self.weights = tuple([v * v for v in map(abs, self.coefficients)])
-
-    @property
-    def n_max(self) -> int:
-        return (len(self.coefficients) - 1) // 2
-
-    @property
-    def n_values(self) -> range:
-        return range(-self.n_max, self.n_max + 1)
+        self.n_max, self.n_values = len(half) - 1, range(1 - len(half), len(half))
+        self.half = tuple([z / norm for z in half])
+        self.coefficients = self.half[:0:-1] + self.half
+        self.weights = tuple([v * v for v in map(abs, self.half)])
 
 
 class UncertaintyReport(NamedTuple):
@@ -94,19 +94,14 @@ def min_uncertainty_coefficients(n_max: int, delta_x: float) -> FourierState:
 def momentum_moments(state: FourierState):
     """Mean and standard deviation of momentum from the coefficient series.
 
-    Returns (mean, sigma_p) with mean = (2*pi/delta_x) * sum n |c_n|^2.
-    """
+    Returns (mean, sigma_p): an even state's mean is 0, and sigma_p =
+    (2*pi/delta_x) * sqrt(sum n^2 |c_n|^2)."""
     w = state.weights
-    if abs(math.fsum(w) - 1.0) > 1e-8:
+    if abs(math.fsum(w + w[1:]) - 1.0) > 1e-8:
         raise InvalidArgument("state does not satisfy Parseval within tolerance")
-    n = state.n_values
-    scale = 2.0 * math.pi / state.slit_width
-    m1 = math.fsum(map(operator.mul, n, w))
-    m2 = math.fsum(map(operator.mul, map(operator.mul, n, n), w))  # each term (k*k)*x
-    var = m2 - m1 * m1
-    mean = scale * m1
-    sigma_p = scale * math.sqrt(max(var, 0.0))
-    return mean, sigma_p
+    # each n > 0 term doubled, exactly, for -n: m2 is the fsum over every mode
+    m2 = 2.0 * math.fsum([n * n * v for n, v in enumerate(w)])
+    return 0.0, 2.0 * math.pi / state.slit_width * math.sqrt(m2)
 
 
 def _check_width(delta_x: float) -> None:
@@ -177,13 +172,11 @@ def verify_constraints(state: FourierState) -> ConstraintResiduals:
     parseval = |sum |c_n|^2 - 1|; boundary = |sum (-1)^n conj(c_n)|, the
     amplitude left at the slit edges.
     """
-    c = state.coefficients
-    parseval = abs(math.fsum(state.weights) - 1.0)
-    # index i holds n = i - n_max, so the even n start at index n_max % 2
-    even, odd = c[state.n_max % 2::2], c[1 - state.n_max % 2::2]
-    real = math.fsum([z.real for z in even] + [-z.real for z in odd])
-    imag = math.fsum([z.imag for z in even] + [-z.imag for z in odd])
-    return ConstraintResiduals(parseval=parseval, boundary=math.hypot(real, imag))
+    h, w = state.half, state.weights
+    # (-1)^n c_n over every mode: -c_0, then 2 c_n for the even n >= 0 and -2 c_n for the odd
+    t = [-h[0]] + [2.0 * z for z in h[::2]] + [-2.0 * z for z in h[1::2]]
+    boundary = math.hypot(math.fsum([z.real for z in t]), math.fsum([z.imag for z in t]))
+    return ConstraintResiduals(parseval=abs(math.fsum(w + w[1:]) - 1.0), boundary=boundary)
 
 
 def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> UncertaintyReport:

@@ -154,7 +154,7 @@ def eval_lanczos_position(x, delta_x: float):
     amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)
 
     def phi(v):
-        if not abs(v) <= delta_x / 2.0:
+        if abs(v) > delta_x / 2.0:
             return 0.0
         return amp * _sinc(2.0 * math.pi * (v / delta_x))
 

@@ -50,8 +50,14 @@ STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.
 FOURIER = "tests/test_core.py::TestFourierState::"
 FOURIER_NORM = FOURIER + "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float"
 FOURIER_SHAPE = FOURIER + "test_refuses_a_vector_of_the_wrong_shape"
-NORM_SUM = ("            # each modulus a float before it is squared, so no numpy integer square wraps\n"
-            "            norm2 = math.fsum([v * v for v in map(float, map(abs, c))])\n")
+HALF = "            half, even = c[len(c) // 2:], c == c[::-1]\n"
+READ_NUMPY = '                half = [z.tolist() if hasattr(z, "tolist") else z + 0.0 for z in half]\n'
+NORM_SUM = ("            if not {float, int, complex}.issuperset(map(type, half)):\n"
+            "                # tolist() reads a numpy scalar as an array's entry; a Decimal refuses + 0.0\n"
+            + READ_NUMPY +
+            "            sq = [v * v for v in map(float, map(abs, half))]  # a float before it is squared\n"
+            "            norm2 = math.fsum(sq + sq[1:])\n")
+HALF_SUMS = "tests/test_core.py::TestHalfSums::"
 SHAPE_CHECK = ("            if len(c) % 2 == 0 or len(c) < 3:"
                "  # the shape first, before an overflowing entry\n"
                "                raise ValueError\n")
@@ -184,17 +190,44 @@ MUTANTS = [
     Mutant("fourier-non-number-escapes", "src/slitbound/core.py",
            "        except (TypeError, ValueError):", "        except ValueError:",
            [FOURIER_SHAPE]),
+    # numpy integers neither read as Python ints nor squared as floats
     Mutant("fourier-integer-square-wraps", "src/slitbound/core.py", NORM_SUM,
-           NORM_SUM.replace("map(float, map(abs, c))", "map(abs, c)"),
+           "            sq = [v * v for v in map(abs, half)]\n"
+           "            norm2 = math.fsum(sq + sq[1:])\n",
            [FOURIER + "test_integer_entries_square_as_floats"]),
-    Mutant("fourier-array-divided-by-numpy", "src/slitbound/core.py",
-           'coefficients.tolist() if hasattr(coefficients, "tolist") else coefficients',
-           "coefficients",
+    Mutant("fourier-int-squared-exactly", "src/slitbound/core.py",
+           "map(float, map(abs, half))", "map(abs, half)",
+           [FOURIER + "test_integer_entries_square_as_floats"]),
+    Mutant("fourier-array-divided-by-numpy", "src/slitbound/core.py", READ_NUMPY,
+           "                pass\n",
            [FOURIER + "test_real_input_stores_floats",
-            FOURIER + "test_arrays_divide_as_python_numbers"]),
+            FOURIER + "test_arrays_divide_as_python_numbers",
+            FOURIER + "test_numpy_scalars_in_a_list_read_as_python_numbers"]),
+    Mutant("fourier-decimal-divided", "src/slitbound/core.py", READ_NUMPY,
+           READ_NUMPY.replace("z + 0.0", "z"), [FOURIER + "test_decimal_entries_refused"]),
+    Mutant("fourier-evenness-unchecked", "src/slitbound/core.py",
+           "        if not even:\n", "        if False:\n",
+           [FOURIER + "test_refuses_a_vector_that_is_not_even"]),
     Mutant("parseval-unchecked", "src/slitbound/core.py",
-           "    if abs(math.fsum(w) - 1.0) > 1e-8:\n", "    if False:\n",
+           "    if abs(math.fsum(w + w[1:]) - 1.0) > 1e-8:\n", "    if False:\n",
            ["tests/test_core.py::TestMomentumMoments::test_refuses_a_state_off_parseval"]),
+    # each sum over the half must take c_1..c_N twice, once for c_-n
+    Mutant("moments-parseval-half-once", "src/slitbound/core.py",
+           "    if abs(math.fsum(w + w[1:]) - 1.0) > 1e-8:\n",
+           "    if abs(math.fsum(w) - 1.0) > 1e-8:\n", [HALF_SUMS + "test_cosine_state_frozen"]),
+    Mutant("constraints-parseval-half-once", "src/slitbound/core.py",
+           "parseval=abs(math.fsum(w + w[1:]) - 1.0)", "parseval=abs(math.fsum(w) - 1.0)",
+           [HALF_SUMS + "test_cosine_state_frozen", HALF_SUMS + "test_random_even_states"]),
+    Mutant("m2-half-once", "src/slitbound/core.py",
+           "    m2 = 2.0 * math.fsum(", "    m2 = math.fsum(",
+           [HALF_SUMS + "test_cosine_state_frozen", HALF_SUMS + "test_random_even_states"]),
+    Mutant("boundary-half-once", "src/slitbound/core.py",
+           "    t = [-h[0]] + [2.0 * z for z in h[::2]] + [-2.0 * z for z in h[1::2]]\n",
+           "    t = [-h[0]] + [z for z in h[::2]] + [-z for z in h[1::2]]\n",
+           [HALF_SUMS + "test_cosine_state_frozen", HALF_SUMS + "test_random_even_states"]),
+    Mutant("lanczos-nan-outside-slit", "src/slitbound/special.py",
+           "        if abs(v) > delta_x / 2.0:\n", "        if not abs(v) <= delta_x / 2.0:\n",
+           ["tests/test_special.py::TestLanczosPosition::test_nan_is_nan"]),
     Mutant("position-phase-overflows", "src/slitbound/core.py",
            "        return amp * math.cos(math.pi * (v / delta_x))\n",
            "        return amp * math.cos(math.pi * v / delta_x)\n", [FLOAT_MAXIMUM]),
@@ -209,8 +242,8 @@ MUTANTS = [
            "    amp = math.sqrt(math.pi / (SI_2PI * delta_x))\n", [FLOAT_MAXIMUM]),
     # the norm summed before the shape is checked: an entry beyond the float
     # range in a short vector is then refused for its norm
-    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + NORM_SUM,
-           NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
+    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + HALF + NORM_SUM,
+           HALF + NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
     Mutant("geometry-sign-unchecked", DIFFRACTION,
            "            if not getattr(self, name) > 0:\n", "            if False:\n",
            ["tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),

@@ -86,6 +86,9 @@ EXTRA = {
           for width in ("1e-160m", "1.7e308m") for command in ("minstate", "lanczos")),
         ["minstate", "--nmax", "1", "--out", "nmax1"],
         ["minstate", "--nmax", "2", "--out", "nmax2"],
+        # the boundary sum's signs follow the parity of n, so odd n_max at scale too
+        ["minstate", "--nmax", "3", "--out", "nmax3"],
+        ["minstate", "--nmax", "4095", "--out", "nmax4095"],
         ["simulate", "--noise-sigma", "-0"],
     ],
 }

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -60,13 +61,13 @@ class TestFourierState:
         # 1e200 squares to inf, which divided out leaves every coefficient 0;
         # 1e-160 squares to a subnormal that leaves Parseval off by 1.1e-5;
         # nan and inf leave a nan state
-        for raw in ([1e200] * 3, [1e-160] * 3, [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0],
+        for raw in ([1e200] * 3, [1e-160] * 3, [1.0, np.nan, 1.0], [1.0, np.inf, 1.0],
                     [0.0] * 3):
             with pytest.raises(InvalidArgument, match="cannot normalize a coefficient vector"):
                 FourierState(1.0, raw)
         # Python raises OverflowError where these reach inf: the squares'
         # fsum, the modulus of a huge complex, an int beyond the float range
-        for raw in ([1.2e154] * 3, [complex(1.7e308, 1.7e308), 1, 1], [10**400, 1, 1]):
+        for raw in ([1.2e154] * 3, [1, complex(1.7e308, 1.7e308), 1], [1, 10**400, 1]):
             with pytest.raises(InvalidArgument, match="of squared norm inf$"):
                 FourierState(1.0, raw)
 
@@ -75,7 +76,8 @@ class TestFourierState:
         # vector of even or short length still names the shape; strings are
         # not numbers, though complex() would read "1" as one
         for raw in ([], [1.0], [1.0, 2.0], [[1.0, 2.0, 3.0]], 3.0, ["a", "b", "c"],
-                    [10**400], [10**400, 1], "111", ["1", "2", "1"]):
+                    [10**400], [10**400, 1], "111", ["1", "2", "1"],
+                    [np.ones(2), 1.0, 1.0]):
             with pytest.raises(InvalidArgument, match="1-d odd-length vector"):
                 FourierState(1.0, raw)
 
@@ -85,11 +87,60 @@ class TestFourierState:
         assert verify_constraints(state).parseval <= 4 * np.finfo(float).eps
 
     def test_integer_entries_square_as_floats(self):
-        # 4e9 squared wraps in int64, so each modulus is a float before it is
-        # squared; an integer array is read as Python ints
-        want = FourierState(1.0, [4e9, 1, 1]).coefficients
-        for raw in ([np.int64(4_000_000_000), 1, 1], np.array([4_000_000_000, 1, 1])):
+        # 4e9 squared wraps in int64, so a numpy integer, in an array or a
+        # list, is read as a Python int
+        want = FourierState(1.0, [1, 4e9, 1]).coefficients
+        for raw in ([1, np.int64(4_000_000_000), 1], np.array([1, 4_000_000_000, 1])):
             assert FourierState(1.0, raw).coefficients == want
+        # an int is the float it rounds to in the norm as in the quotient:
+        # 2**53 + 3 rounds to 2**53 + 4, and its exact square would move the norm
+        big = 2**53 + 3
+        assert FourierState(1.0, [1, big, 1]).coefficients == \
+            FourierState(1.0, [1.0, float(big), 1.0]).coefficients
+
+    def test_numpy_scalars_in_a_list_read_as_python_numbers(self):
+        # float32 quotients would leave the state off Parseval beyond 1e-8
+        f32 = np.float32(0.1) * np.ones(3, np.float32)
+        state = FourierState(1.0, list(f32))
+        assert {type(c) for c in state.coefficients} == {float}
+        assert state.coefficients == FourierState(1.0, f32).coefficients
+        assert momentum_moments(state)[1] == pytest.approx(2 * math.pi * math.sqrt(2 / 3))
+
+    def test_decimal_entries_refused(self):
+        # a Decimal does not mix with float arithmetic
+        with pytest.raises(InvalidArgument, match="1-d odd-length vector"):
+            FourierState(1.0, [Decimal(1)] * 3)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_even_vectors_accepted_as_lists_and_arrays(self, dtype):
+        rng = np.random.default_rng(37)
+        half = rng.standard_normal(9).astype(dtype)
+        if dtype is complex:
+            half += 1j * rng.standard_normal(9)
+        raw = np.concatenate([half[:0:-1], half])
+        want = np_normalized(raw)
+        for given in (raw, raw.tolist(), tuple(raw)):
+            state = FourierState(1.0, given)
+            assert state.n_max == 8 and state.n_values == range(-8, 9)
+            assert state.coefficients == state.half[:0:-1] + state.half
+            assert len(state.half) == len(state.weights) == 9
+            assert_within_ulps(np.asarray(state.coefficients).real, want.real, 4)
+            assert_within_ulps(np.asarray(state.coefficients).imag, want.imag, 4)
+
+    def test_refuses_a_vector_that_is_not_even(self):
+        # the refusal comes before the norm's: [nan, 1, 1] names evenness
+        for raw in ([1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [1j, 1.0, -1j], [np.nan, 1.0, 1.0],
+                    np.array([1.0, 2.0, 3.0, 2.0, 1.0 + 2.0**-52]), [1, 2, 3, 2, 1, 0, 1]):
+            with pytest.raises(InvalidArgument,
+                               match="^a slit state is even: c_-n must equal c_n for every n$"):
+                FourierState(1.0, raw)
+
+    def test_signed_zero_pairs_are_even(self):
+        # -0.0 == 0.0, so the pair is even and both sides store c_n's sign
+        state = FourierState(1.0, [-0.0, 1.0, 0.0])
+        assert [math.copysign(1.0, c) for c in state.coefficients] == [1.0, 1.0, 1.0]
+        state = FourierState(1.0, [0.0, 1.0, -0.0])
+        assert [math.copysign(1.0, c) for c in state.coefficients] == [-1.0, 1.0, -1.0]
 
     def test_real_input_stores_floats(self):
         for raw in ([1.0, 2.0, 1.0], [1, 2, 1], np.array([1.0, 2.0, 1.0]), np.array([1, 2, 1])):
@@ -102,9 +153,10 @@ class TestFourierState:
         # an array is read through tolist(): numpy's complex128 division by a
         # float differs from Python's in the last bit of many quotients
         rng = np.random.default_rng(36)
-        raw = rng.standard_normal(41).astype(dtype)
+        half = rng.standard_normal(21).astype(dtype)
         if dtype is complex:
-            raw += 1j * rng.standard_normal(41)
+            half += 1j * rng.standard_normal(21)
+        raw = np.concatenate([half[:0:-1], half])
         norm = math.sqrt(math.fsum([abs(z) * abs(z) for z in raw.tolist()]))
         got = [complex(c) for c in FourierState(1.0, raw).coefficients]
         want = [complex(z) / norm for z in raw.tolist()]
@@ -303,15 +355,13 @@ class TestConstraints:
         assert verify_constraints(FourierState(1.0, c)).boundary == pytest.approx(1.0)
 
     def test_equal_superposition(self):
-        # c_0 = c_1 = 1/sqrt(2): boundary sum = (+1)c_0 + (-1)c_1 = 0
-        c = np.zeros(3)
-        c[1] = c[2] = 1.0 / np.sqrt(2)
+        # c_0 = 2/sqrt(6), c_-1 = c_1 = 1/sqrt(6): boundary sum = c_0 - c_-1 - c_1 = 0
+        c = np.array([1.0, 2.0, 1.0])
         assert verify_constraints(FourierState(1.0, c)).boundary == pytest.approx(0.0, abs=1e-15)
-        # c_0 = c_{-1} = 1/sqrt(2): boundary sum = c_0 - c_{-1} ... sign n=-1
-        c = np.zeros(3, dtype=complex)
-        c[1] = 1.0 / np.sqrt(2)
-        c[0] = 1.0j / np.sqrt(2)
-        expected = abs((-1) * np.conj(1.0j / np.sqrt(2)) + np.conj(1 / np.sqrt(2)))
+        # c_0 = 1/sqrt(3), c_-1 = c_1 = 1j/sqrt(3): the n = -1 and n = 1 terms
+        # both enter with sign -1
+        c = np.array([1.0j, 1.0, 1.0j]) / np.sqrt(3)
+        expected = abs(np.conj(c[1]) - np.conj(c[0]) - np.conj(c[2]))
         assert verify_constraints(FourierState(1.0, c)).boundary == pytest.approx(expected)
 
 
@@ -322,7 +372,7 @@ class TestStationarity:
         dx = 1.0
         state = min_uncertainty_coefficients(1000, dx)
         rep = verify_stationarity(state)
-        assert rep.symmetric
+        assert state.coefficients == state.coefficients[::-1]
         beta_expected = (np.pi / dx) ** 2
         assert rep.beta.real == pytest.approx(beta_expected, rel=1e-12)
         assert abs(rep.beta.imag) < 1e-12
@@ -334,21 +384,60 @@ class TestStationarity:
         rng = np.random.default_rng(3)
         state = random_symmetric_state(32, 1.0, rng)
         rep = verify_stationarity(state)
-        assert rep.symmetric
+        assert state.coefficients == state.coefficients[::-1]
         assert rep.max_residual > 1e-3
-
-    def test_non_symmetric_reported(self):
-        c = np.zeros(5)
-        c[3] = 1.0  # pure n = +1 mode, <p> != 0
-        rep = verify_stationarity(FourierState(1.0, c))
-        assert not rep.symmetric
-        assert rep.max_residual is None
 
 
 def assert_within_ulps(got, want, ulps):
     got, want = np.asarray(got), np.asarray(want)
     assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), np.max(
         np.abs(got - want) / np.spacing(np.abs(want)))
+
+
+def full_vector_sums(state):
+    """(sigma_p, parseval, boundary) by fsums over all 2 n_max + 1 modes of
+    ``coefficients``, m1 included: the sums the half's sums replace."""
+    c, n = state.coefficients, state.n_values
+    w = [abs(z) * abs(z) for z in c]
+    m1 = math.fsum([k * v for k, v in zip(n, w)])
+    m2 = math.fsum([(k * k) * v for k, v in zip(n, w)])
+    sigma_p = 2.0 * math.pi / state.slit_width * math.sqrt(max(m2 - m1 * m1, 0.0))
+    signed = [z if k % 2 == 0 else -z for k, z in zip(n, c)]
+    boundary = math.hypot(math.fsum([z.real for z in signed]), math.fsum([z.imag for z in signed]))
+    return sigma_p, abs(math.fsum(w) - 1.0), boundary
+
+
+class TestHalfSums:
+    """c_0 once and c_1..c_N doubled give the bits of the sums over every mode."""
+
+    # sigma_p, parseval and boundary of the cosine state at delta_x = 1, as
+    # the fsums over all 2 n_max + 1 modes gave them
+    FROZEN = {1: ("0x1.56eeb070d5afbp+1", "0x1.0000000000000p-52", "0x1.34bf63d156828p-2"),
+              2: ("0x1.70037fd5fcacep+1", "0x1.0000000000000p-52", "0x1.71283d1a038ecp-3"),
+              3: ("0x1.7a1b40e0f19fap+1", "0x0.0p+0", "0x1.07824fe6bb381p-3"),
+              4095: ("0x1.921a9d4725766p+1", "0x1.0000000000000p-52", "0x1.cd04aac13c1e5p-14"),
+              4096: ("0x1.921a9d98a3406p+1", "0x0.0p+0", "0x1.cce7db5d0a5cbp-14")}
+
+    @pytest.mark.parametrize("n_max", sorted(FROZEN))
+    def test_cosine_state_frozen(self, n_max):
+        state = min_uncertainty_coefficients(n_max, 1.0)
+        mean, sigma_p = momentum_moments(state)
+        res = verify_constraints(state)
+        assert mean == 0.0
+        assert (sigma_p.hex(), res.parseval.hex(), res.boundary.hex()) == self.FROZEN[n_max]
+        assert (sigma_p, *res) == full_vector_sums(state)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_even_states(self, dtype):
+        rng = np.random.default_rng(3700)
+        for i in range(60):
+            n_max = int(rng.integers(1, 40))
+            half = rng.standard_normal(n_max + 1) * 10.0 ** [-150, 0, 150][i % 3]
+            if dtype is complex:
+                half = half + 1j * half[::-1]
+            state = FourierState(0.3, np.concatenate([half[:0:-1], half]))
+            assert (momentum_moments(state)[1], *verify_constraints(state)) == \
+                full_vector_sums(state)
 
 
 class TestAgainstNumpyOracle:
@@ -376,7 +465,8 @@ class TestAgainstNumpyOracle:
     def test_complex_states(self, n_max):
         rng = np.random.default_rng(n_max)
         for _ in range(10):
-            raw = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
+            half = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+            raw = np.concatenate([half[:0:-1], half])
             state = FourierState(0.3, raw)
             want = np_normalized(raw)
             got = np.asarray(state.coefficients)
@@ -512,8 +602,7 @@ class TestInvariantsProperties:
         for _ in range(200):
             c = rng.normal(size=2 * n_max + 1) + 1j * rng.normal(size=2 * n_max + 1)
             c = c - v * (v @ c) / (v @ v)
-            state = FourierState(dx, c)
-            _, sigma_p = momentum_moments(state)
+            _, sigma_p = np_momentum_moments(np_normalized(c), dx)
             assert sigma_p * dx >= np.pi * (1 - 1e-6)
 
     def test_parseval_for_random_states(self):

@@ -194,6 +194,14 @@ class TestLanczosPosition:
     def test_outside_slit_is_zero(self):
         dx = 1.0
         assert eval_lanczos_position(0.6, dx) == 0.0
+        assert eval_lanczos_position([-np.inf, np.inf], dx) == [0.0, 0.0]
+
+    def test_nan_is_nan(self):
+        # a nan x is not outside the slit: it reaches the sinc, as it does
+        # in the other evaluators
+        assert np.isnan(eval_lanczos_position(np.nan, 1.0))
+        got = eval_lanczos_position([0.0, np.nan], 1.0)
+        assert got[0] == eval_lanczos_position(0.0, 1.0) and np.isnan(got[1])
 
     def test_normalization(self):
         dx = 1.3
