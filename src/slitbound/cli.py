@@ -26,8 +26,6 @@ handlers that other code registers (coverage.py's subprocess measurement,
 say) do not run.  ``main`` called from Python returns its exit code.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math
@@ -85,7 +83,7 @@ def cmd_minstate(args):
 
     delta_x = _flag("--slit-width", parse_length, args.slit_width)
     state = _flag("--nmax", core.min_uncertainty_coefficients, args.nmax, delta_x)
-    _, sigma_p = core.momentum_moments(state)
+    sigma_p = core.momentum_moments(state)
     residuals = core.verify_constraints(state)
     # cosine-state position spread: delta_x * sqrt(1/12 - 1/(2 pi^2))
     sigma_x = delta_x * math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi**2))

@@ -19,8 +19,6 @@ to the window parameter xi = a/(2*pi), and its momentum uncertainty is well
 defined when lambda0(xi) reaches the 70 % probability weight.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

@@ -4,7 +4,7 @@ standard-deviation inequality checks.
 A particle prepared by a slit of width ``delta_x`` lives on the interval
 [-delta_x/2, delta_x/2].  The momentum point-spectrum on that interval is
 p_n = hbar * 2*pi*n/delta_x, and a slit state is an even coefficient vector
-c_n = c_-n over those modes, kept as its half c_0..c_N divided by the norm;
+c_n = c_-n over those modes, given as its half c_0..c_N and kept normalized;
 each sum over the modes takes c_0 once and c_1..c_N twice.  The variational
 minimum of sigma_p subject to normalization and a vanishing boundary
 amplitude is the half-period cosine state; its coefficients and moments
@@ -18,8 +18,6 @@ like ``lpbound`` and ``reanalyze``, starts without it.  Every sum is a
 math.fsum.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -30,41 +28,36 @@ MAX_NMAX = 1_000_000
 
 
 class FourierState:
-    """Even slit state: the coefficient vector c_n = c_-n, n = -n_max..n_max.
+    """Even slit state c_n = c_-n, n = -n_max..n_max, given by its half.
 
-    It is given whole, real or complex; c_-n != c_n is refused, and so is a
-    non-number or a Decimal.  ``half`` holds c_0..c_n_max, a numpy scalar read
-    through tolist(), divided by the norm: Parseval holds to machine precision
-    and a real input stays real.  ``coefficients`` is that half mirrored, and
-    ``weights`` the half's |c_n|^2, formed once for every moment and check.
+    ``half`` is c_0..c_n_max with n_max >= 1, real or complex; a non-number
+    or a Decimal is refused.  It is kept divided by the norm, a numpy scalar
+    read through tolist(): Parseval holds to machine precision and a real
+    input stays real.  ``weights`` is the half's |c_n|^2, formed once for
+    every moment and check.
     """
 
-    def __init__(self, slit_width: float, coefficients):
+    def __init__(self, slit_width: float, *, half):
         _check_width(slit_width)
         try:
-            c = tuple(coefficients)
-            if len(c) % 2 == 0 or len(c) < 3:  # the shape first, before an overflowing entry
+            half = tuple(half)
+            if len(half) < 2:  # the length first, before an overflowing entry
                 raise ValueError
-            half, even = c[len(c) // 2:], c == c[::-1]
             if not {float, int, complex}.issuperset(map(type, half)):
                 # tolist() reads a numpy scalar as an array's entry; a Decimal refuses + 0.0
                 half = [z.tolist() if hasattr(z, "tolist") else z + 0.0 for z in half]
             sq = [v * v for v in map(float, map(abs, half))]  # a float before it is squared
             norm2 = math.fsum(sq + sq[1:])
-        except (TypeError, ValueError):  # not a sequence, not numbers or the wrong length
-            raise InvalidArgument("coefficients must be a 1-d odd-length vector covering "
-                                  "n=-n_max..n_max with n_max >= 1") from None
+        except (TypeError, ValueError):  # not a sequence, not numbers or too short
+            raise InvalidArgument("half must be a 1-d vector c_0..c_n_max "
+                                  "with n_max >= 1") from None
         except OverflowError:  # an entry, a modulus or the sum beyond the float range
             norm2 = math.inf
-        if not even:
-            raise InvalidArgument("a slit state is even: c_-n must equal c_n for every n")
         if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
             raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
         norm = math.sqrt(norm2)
-        self.slit_width = float(slit_width)
-        self.n_max, self.n_values = len(half) - 1, range(1 - len(half), len(half))
+        self.slit_width, self.n_max = float(slit_width), len(half) - 1
         self.half = tuple([z / norm for z in half])
-        self.coefficients = self.half[:0:-1] + self.half
         self.weights = tuple([v * v for v in map(abs, self.half)])
 
 
@@ -88,20 +81,19 @@ def min_uncertainty_coefficients(n_max: int, delta_x: float) -> FourierState:
         raise InvalidArgument(f"n_max must be an integer from 1 to {MAX_NMAX}, got {n_max!r}")
     a = math.sqrt(8.0) / math.pi
     half = [(-a if n % 2 else a) / (1.0 - 4.0 * n * n) for n in range(n_max + 1)]
-    return FourierState(delta_x, half[:0:-1] + half)
+    return FourierState(delta_x, half=half)
 
 
-def momentum_moments(state: FourierState):
-    """Mean and standard deviation of momentum from the coefficient series.
+def momentum_moments(state: FourierState) -> float:
+    """Standard deviation of momentum from the coefficient series.
 
-    Returns (mean, sigma_p): an even state's mean is 0, and sigma_p =
-    (2*pi/delta_x) * sqrt(sum n^2 |c_n|^2)."""
+    An even state's mean is 0, so sigma_p = (2*pi/delta_x) * sqrt(sum n^2 |c_n|^2)."""
     w = state.weights
     if abs(math.fsum(w + w[1:]) - 1.0) > 1e-8:
         raise InvalidArgument("state does not satisfy Parseval within tolerance")
     # each n > 0 term doubled, exactly, for -n: m2 is the fsum over every mode
     m2 = 2.0 * math.fsum([n * n * v for n, v in enumerate(w)])
-    return 0.0, 2.0 * math.pi / state.slit_width * math.sqrt(m2)
+    return 2.0 * math.pi / state.slit_width * math.sqrt(m2)
 
 
 def _check_width(delta_x: float) -> None:

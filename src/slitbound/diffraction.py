@@ -18,8 +18,6 @@ each pixel interval is cut into the same number of equal panels of at most
 pi/2, with 8-point Gauss-Legendre on every panel, at most MAX_PANELS per call.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

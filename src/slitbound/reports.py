@@ -2,8 +2,6 @@
 JSON report, unit parsing, atomic file writes and the frame CSV reader,
 which checks a frame's size and returns the pitch of its uniform grid."""
 
-from __future__ import annotations
-
 import itertools
 import json
 import math

@@ -24,8 +24,6 @@ the same order, so an array and a list of the same points give the same
 bits.  The slit width is a float, as in ``core``.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import InvalidArgument

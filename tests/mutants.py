@@ -50,7 +50,6 @@ STURM_CHECK = "        if mu == start != 0.0 and (p0 <= 0.0 or min(pivots) <= 0.
 FOURIER = "tests/test_core.py::TestFourierState::"
 FOURIER_NORM = FOURIER + "test_refuses_a_squared_norm_that_is_not_a_finite_normal_float"
 FOURIER_SHAPE = FOURIER + "test_refuses_a_vector_of_the_wrong_shape"
-HALF = "            half, even = c[len(c) // 2:], c == c[::-1]\n"
 READ_NUMPY = '                half = [z.tolist() if hasattr(z, "tolist") else z + 0.0 for z in half]\n'
 NORM_SUM = ("            if not {float, int, complex}.issuperset(map(type, half)):\n"
             "                # tolist() reads a numpy scalar as an array's entry; a Decimal refuses + 0.0\n"
@@ -58,8 +57,7 @@ NORM_SUM = ("            if not {float, int, complex}.issuperset(map(type, half)
             "            sq = [v * v for v in map(float, map(abs, half))]  # a float before it is squared\n"
             "            norm2 = math.fsum(sq + sq[1:])\n")
 HALF_SUMS = "tests/test_core.py::TestHalfSums::"
-SHAPE_CHECK = ("            if len(c) % 2 == 0 or len(c) < 3:"
-               "  # the shape first, before an overflowing entry\n"
+SHAPE_CHECK = ("            if len(half) < 2:  # the length first, before an overflowing entry\n"
                "                raise ValueError\n")
 WIDTH_CHECK = "    if not 0 < delta_x < math.inf:\n"
 FLOAT_MAXIMUM = STRICT + "test_float_maximum_width_computes"
@@ -205,9 +203,14 @@ MUTANTS = [
             FOURIER + "test_numpy_scalars_in_a_list_read_as_python_numbers"]),
     Mutant("fourier-decimal-divided", "src/slitbound/core.py", READ_NUMPY,
            READ_NUMPY.replace("z + 0.0", "z"), [FOURIER + "test_decimal_entries_refused"]),
-    Mutant("fourier-evenness-unchecked", "src/slitbound/core.py",
-           "        if not even:\n", "        if False:\n",
-           [FOURIER + "test_refuses_a_vector_that_is_not_even"]),
+    Mutant("fourier-one-entry-half", "src/slitbound/core.py", SHAPE_CHECK,
+           SHAPE_CHECK.replace("< 2", "< 1"),
+           [FOURIER + "test_a_one_entry_half_is_refused"]),
+    # a whole vector written for the positional form would read as a longer half
+    Mutant("fourier-half-positional", "src/slitbound/core.py",
+           "    def __init__(self, slit_width: float, *, half):\n",
+           "    def __init__(self, slit_width: float, half):\n",
+           [FOURIER + "test_a_positional_vector_is_refused"]),
     Mutant("parseval-unchecked", "src/slitbound/core.py",
            "    if abs(math.fsum(w + w[1:]) - 1.0) > 1e-8:\n", "    if False:\n",
            ["tests/test_core.py::TestMomentumMoments::test_refuses_a_state_off_parseval"]),
@@ -240,10 +243,10 @@ MUTANTS = [
     Mutant("lanczos-amplitude-overflows", "src/slitbound/special.py",
            "    amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)\n",
            "    amp = math.sqrt(math.pi / (SI_2PI * delta_x))\n", [FLOAT_MAXIMUM]),
-    # the norm summed before the shape is checked: an entry beyond the float
-    # range in a short vector is then refused for its norm
-    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + HALF + NORM_SUM,
-           HALF + NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
+    # the norm summed before the length is checked: an entry beyond the float
+    # range in a one-entry half is then refused for its norm
+    Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + NORM_SUM,
+           NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
     Mutant("geometry-sign-unchecked", DIFFRACTION,
            "            if not getattr(self, name) > 0:\n", "            if False:\n",
            ["tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),

@@ -1,6 +1,7 @@
 """Independent oracles shared by the tests: sampled densities and their
-moments, random even slit states, the Euler-Lagrange check of the
-variational problem, the numpy formulas of the cosine state and of the
+moments, the whole coefficient vector mirrored from a slit state's half,
+random even slit states, the Euler-Lagrange check of the variational
+problem, the numpy formulas of the cosine state and of the
 moments and residuals of any coefficient vector, even or not, that the
 pure-Python `core` replaced, of the truncated-sinc position amplitude
 that the pure-Python `special` replaced, the detector-plane intensity
@@ -85,6 +86,13 @@ def concentration_probability(density: SampledDensity, delta_p: float) -> float:
     return float(np.trapezoid(np.interp(pts, g, v), pts))
 
 
+def mirror(half) -> tuple:
+    """The whole vector c_-N..c_N of an even state given by its half c_0..c_N:
+    the entries n > 0, last first, before the half."""
+    half = tuple(half)
+    return half[:0:-1] + half
+
+
 def eval_momentum_density(state: FourierState, k):
     """Exact |psi~(k)|^2 of a truncated slit state.
 
@@ -95,10 +103,10 @@ def eval_momentum_density(state: FourierState, k):
     """
     dx = state.slit_width
     ka = np.atleast_1d(np.asarray(k, dtype=float))
-    kn = 2.0 * np.pi * np.asarray(state.n_values) / dx
+    kn = 2.0 * np.pi * np.arange(-state.n_max, state.n_max + 1) / dx
     # np.sinc(z) = sin(pi z)/(pi z); argument (k - k_n) dx / 2 = pi * z
     z = (ka[:, None] - kn[None, :]) * dx / (2.0 * np.pi)
-    amp = np.sqrt(dx / (2.0 * np.pi)) * (np.sinc(z) @ np.asarray(state.coefficients))
+    amp = np.sqrt(dx / (2.0 * np.pi)) * (np.sinc(z) @ np.asarray(mirror(state.half)))
     dens = np.abs(amp) ** 2
     return float(dens[0]) if np.isscalar(k) else dens
 
@@ -113,7 +121,7 @@ def random_symmetric_state(
     if project_boundary:
         v = (-1.0) ** np.arange(-n_max, n_max + 1)
         c = c - v * (np.dot(v, c) / np.dot(v, v))
-    return FourierState(delta_x, c)
+    return FourierState(delta_x, half=c[n_max:])
 
 
 @dataclass(frozen=True)
@@ -132,9 +140,8 @@ def verify_stationarity(state: FourierState) -> StationarityReport:
     maximum residual over all stored n is returned.
     """
     scale = 2.0 * np.pi / state.slit_width
-    c = np.asarray(state.coefficients)
-    i0 = state.n_max  # index of n = 0
-    c0, c1 = c[i0], c[i0 + 1]
+    c, n = np.asarray(mirror(state.half)), np.arange(-state.n_max, state.n_max + 1)
+    c0, c1 = state.half[:2]
     K2 = scale**2
     # n=0: -beta c0 - alpha = 0;  n=1: -beta c1 + alpha = -K2 c1
     A = np.array([[-c0, -1.0], [-c1, 1.0]], dtype=complex)
@@ -142,9 +149,8 @@ def verify_stationarity(state: FourierState) -> StationarityReport:
         beta, alpha = np.linalg.solve(A, np.array([0.0, -K2 * c1], dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"multiplier fit is singular: {exc}") from exc
-    n = np.asarray(state.n_values, dtype=float)
-    lhs = (K2 * n**2 - beta) * c
-    rhs = (-1.0) ** np.asarray(state.n_values) * alpha
+    lhs = (K2 * n.astype(float) ** 2 - beta) * c
+    rhs = (-1.0) ** n * alpha
     resid = float(np.max(np.abs(lhs - rhs)))
     return StationarityReport(alpha=complex(alpha), beta=complex(beta), max_residual=resid)
 

@@ -58,7 +58,7 @@ def test_criterion_2_sharp_bound_equality():
     t0 = time.perf_counter()
     dx = 1.0
     state = min_uncertainty_coefficients(10_000, dx)
-    _, sigma_p = momentum_moments(state)
+    sigma_p = momentum_moments(state)
     elapsed = time.perf_counter() - t0
     product = sigma_p * dx
     rel = abs(product - np.pi) / np.pi
@@ -155,7 +155,7 @@ def test_criterion_6_property_suites():
     minimality_ok = True
     for _ in range(200):
         state = random_symmetric_state(24, dx, rng, project_boundary=True)
-        _, sigma_p = momentum_moments(state)
+        sigma_p = momentum_moments(state)
         if not sigma_p * dx >= np.pi * (1 - 1e-6):
             minimality_ok = False
             break

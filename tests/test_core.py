@@ -9,6 +9,7 @@ from scipy.special import zeta
 from oracles import (
     SampledDensity,
     eval_momentum_density,
+    mirror,
     np_constraint_residuals,
     np_cosine_coefficients,
     np_minstate_tables,
@@ -61,55 +62,69 @@ class TestFourierState:
         # 1e200 squares to inf, which divided out leaves every coefficient 0;
         # 1e-160 squares to a subnormal that leaves Parseval off by 1.1e-5;
         # nan and inf leave a nan state
-        for raw in ([1e200] * 3, [1e-160] * 3, [1.0, np.nan, 1.0], [1.0, np.inf, 1.0],
-                    [0.0] * 3):
+        for half in ([1e200] * 2, [1e-160] * 2, [np.nan, 1.0], [np.inf, 1.0], [0.0] * 2):
             with pytest.raises(InvalidArgument, match="cannot normalize a coefficient vector"):
-                FourierState(1.0, raw)
+                FourierState(1.0, half=half)
         # Python raises OverflowError where these reach inf: the squares'
         # fsum, the modulus of a huge complex, an int beyond the float range
-        for raw in ([1.2e154] * 3, [1, complex(1.7e308, 1.7e308), 1], [1, 10**400, 1]):
+        for half in ([1.2e154] * 2, [complex(1.7e308, 1.7e308), 1], [10**400, 1], [1, 10**400]):
             with pytest.raises(InvalidArgument, match="of squared norm inf$"):
-                FourierState(1.0, raw)
+                FourierState(1.0, half=half)
 
     def test_refuses_a_vector_of_the_wrong_shape(self):
-        # the shape is checked first, so an int beyond the float range in a
-        # vector of even or short length still names the shape; strings are
-        # not numbers, though complex() would read "1" as one
-        for raw in ([], [1.0], [1.0, 2.0], [[1.0, 2.0, 3.0]], 3.0, ["a", "b", "c"],
-                    [10**400], [10**400, 1], "111", ["1", "2", "1"],
-                    [np.ones(2), 1.0, 1.0]):
-            with pytest.raises(InvalidArgument, match="1-d odd-length vector"):
+        # the length is checked first, so an int beyond the float range in a
+        # one-entry half still names the shape; strings are not numbers,
+        # though complex() would read "1" as one
+        for half in ([], [1.0], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]], 3.0,
+                     ["a", "b", "c"], [10**400], "111", ["1", "2", "1"],
+                     [np.ones(2), 1.0, 1.0], np.ones((2, 2))):
+            with pytest.raises(InvalidArgument, match="^half must be a 1-d vector c_0..c_n_max "
+                                                      "with n_max >= 1$"):
+                FourierState(1.0, half=half)
+
+    def test_a_positional_vector_is_refused(self):
+        # the half is keyword-only, so a whole vector c_-N..c_N written for
+        # the positional form is not read as a longer half
+        for raw in ([1.0, 2.0, 1.0], np.array([1.0, 2.0, 1.0])):
+            with pytest.raises(TypeError):
                 FourierState(1.0, raw)
+
+    def test_a_one_entry_half_is_refused(self):
+        # n_max = 0 would be a single mode, which no slit state of the
+        # variational problem is
+        for half in ([1.0], (1j,), np.array([2.0]), [np.float64(1.0)]):
+            with pytest.raises(InvalidArgument, match="with n_max >= 1$"):
+                FourierState(1.0, half=half)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_normalizes_far_from_unit_scale(self, scale):
-        state = FourierState(1.0, [scale, 2.0 * scale, scale])
+        state = FourierState(1.0, half=[2.0 * scale, scale])
         assert verify_constraints(state).parseval <= 4 * np.finfo(float).eps
 
     def test_integer_entries_square_as_floats(self):
         # 4e9 squared wraps in int64, so a numpy integer, in an array or a
         # list, is read as a Python int
-        want = FourierState(1.0, [1, 4e9, 1]).coefficients
-        for raw in ([1, np.int64(4_000_000_000), 1], np.array([1, 4_000_000_000, 1])):
-            assert FourierState(1.0, raw).coefficients == want
+        want = FourierState(1.0, half=[4e9, 1]).half
+        for half in ([np.int64(4_000_000_000), 1], np.array([4_000_000_000, 1])):
+            assert FourierState(1.0, half=half).half == want
         # an int is the float it rounds to in the norm as in the quotient:
         # 2**53 + 3 rounds to 2**53 + 4, and its exact square would move the norm
         big = 2**53 + 3
-        assert FourierState(1.0, [1, big, 1]).coefficients == \
-            FourierState(1.0, [1.0, float(big), 1.0]).coefficients
+        assert FourierState(1.0, half=[big, 1]).half == \
+            FourierState(1.0, half=[float(big), 1.0]).half
 
     def test_numpy_scalars_in_a_list_read_as_python_numbers(self):
         # float32 quotients would leave the state off Parseval beyond 1e-8
-        f32 = np.float32(0.1) * np.ones(3, np.float32)
-        state = FourierState(1.0, list(f32))
-        assert {type(c) for c in state.coefficients} == {float}
-        assert state.coefficients == FourierState(1.0, f32).coefficients
-        assert momentum_moments(state)[1] == pytest.approx(2 * math.pi * math.sqrt(2 / 3))
+        f32 = np.float32(0.1) * np.ones(2, np.float32)
+        state = FourierState(1.0, half=list(f32))
+        assert {type(c) for c in state.half} == {float}
+        assert state.half == FourierState(1.0, half=f32).half
+        assert momentum_moments(state) == pytest.approx(2 * math.pi * math.sqrt(2 / 3))
 
     def test_decimal_entries_refused(self):
         # a Decimal does not mix with float arithmetic
-        with pytest.raises(InvalidArgument, match="1-d odd-length vector"):
-            FourierState(1.0, [Decimal(1)] * 3)
+        with pytest.raises(InvalidArgument, match="^half must be a 1-d vector"):
+            FourierState(1.0, half=[Decimal(1)] * 2)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_even_vectors_accepted_as_lists_and_arrays(self, dtype):
@@ -117,36 +132,26 @@ class TestFourierState:
         half = rng.standard_normal(9).astype(dtype)
         if dtype is complex:
             half += 1j * rng.standard_normal(9)
-        raw = np.concatenate([half[:0:-1], half])
-        want = np_normalized(raw)
-        for given in (raw, raw.tolist(), tuple(raw)):
-            state = FourierState(1.0, given)
-            assert state.n_max == 8 and state.n_values == range(-8, 9)
-            assert state.coefficients == state.half[:0:-1] + state.half
+        want = np_normalized(mirror(half))
+        for given in (half, half.tolist(), tuple(half)):
+            state = FourierState(1.0, half=given)
+            assert state.n_max == 8
             assert len(state.half) == len(state.weights) == 9
-            assert_within_ulps(np.asarray(state.coefficients).real, want.real, 4)
-            assert_within_ulps(np.asarray(state.coefficients).imag, want.imag, 4)
-
-    def test_refuses_a_vector_that_is_not_even(self):
-        # the refusal comes before the norm's: [nan, 1, 1] names evenness
-        for raw in ([1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [1j, 1.0, -1j], [np.nan, 1.0, 1.0],
-                    np.array([1.0, 2.0, 3.0, 2.0, 1.0 + 2.0**-52]), [1, 2, 3, 2, 1, 0, 1]):
-            with pytest.raises(InvalidArgument,
-                               match="^a slit state is even: c_-n must equal c_n for every n$"):
-                FourierState(1.0, raw)
+            assert_within_ulps(np.asarray(mirror(state.half)).real, want.real, 4)
+            assert_within_ulps(np.asarray(mirror(state.half)).imag, want.imag, 4)
 
     def test_signed_zero_pairs_are_even(self):
-        # -0.0 == 0.0, so the pair is even and both sides store c_n's sign
-        state = FourierState(1.0, [-0.0, 1.0, 0.0])
-        assert [math.copysign(1.0, c) for c in state.coefficients] == [1.0, 1.0, 1.0]
-        state = FourierState(1.0, [0.0, 1.0, -0.0])
-        assert [math.copysign(1.0, c) for c in state.coefficients] == [-1.0, 1.0, -1.0]
+        # a zero of the half keeps its sign, which c_-n and c_n then share
+        state = FourierState(1.0, half=[1.0, 0.0])
+        assert [math.copysign(1.0, c) for c in mirror(state.half)] == [1.0, 1.0, 1.0]
+        state = FourierState(1.0, half=[1.0, -0.0])
+        assert [math.copysign(1.0, c) for c in mirror(state.half)] == [-1.0, 1.0, -1.0]
 
     def test_real_input_stores_floats(self):
-        for raw in ([1.0, 2.0, 1.0], [1, 2, 1], np.array([1.0, 2.0, 1.0]), np.array([1, 2, 1])):
-            state = FourierState(1.0, raw)
-            assert {type(c) for c in state.coefficients} == {float}
-            assert state.coefficients == tuple(v / math.sqrt(6.0) for v in (1.0, 2.0, 1.0))
+        for half in ([2.0, 1.0], [2, 1], np.array([2.0, 1.0]), np.array([2, 1])):
+            state = FourierState(1.0, half=half)
+            assert {type(c) for c in state.half} == {float}
+            assert state.half == tuple(v / math.sqrt(6.0) for v in (2.0, 1.0))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_arrays_divide_as_python_numbers(self, dtype):
@@ -156,16 +161,15 @@ class TestFourierState:
         half = rng.standard_normal(21).astype(dtype)
         if dtype is complex:
             half += 1j * rng.standard_normal(21)
-        raw = np.concatenate([half[:0:-1], half])
-        norm = math.sqrt(math.fsum([abs(z) * abs(z) for z in raw.tolist()]))
-        got = [complex(c) for c in FourierState(1.0, raw).coefficients]
-        want = [complex(z) / norm for z in raw.tolist()]
+        norm = math.sqrt(math.fsum([abs(z) * abs(z) for z in mirror(half.tolist())]))
+        got = [complex(c) for c in FourierState(1.0, half=half).half]
+        want = [complex(z) / norm for z in half.tolist()]
         assert [(z.real.hex(), z.imag.hex()) for z in got] == \
             [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 @pytest.mark.parametrize("call", [
-    lambda dx: FourierState(dx, [1, 2, 1]),
+    lambda dx: FourierState(dx, half=[2, 1]),
     lambda dx: eval_position_wavefunction([0.0, 0.5], dx),
     lambda dx: eval_momentum_wavefunction([0.0, 1.0], dx),
     lambda dx: build_report(None, 1.0, dx),
@@ -187,13 +191,15 @@ class TestMinUncertaintyCoefficients:
         assert raw[11] == pytest.approx(0.3001054, abs=5e-8)
         state = min_uncertainty_coefficients(10, 1.0)
         # renormalization preserves ratios
-        ratio = state.coefficients[11] / state.coefficients[10]
+        ratio = state.half[1] / state.half[0]
         assert ratio.real == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_symmetry_exact(self):
+        # the half is c_n at n >= 0; the same formula at n <= 0 gives its bits
         state = min_uncertainty_coefficients(50, 2.0)
-        c = state.coefficients
-        assert np.array_equal(c, c[::-1])
+        a = math.sqrt(8.0) / math.pi
+        at_minus_n = [(-a if n % 2 else a) / (1.0 - 4.0 * n * n) for n in range(0, -51, -1)]
+        assert FourierState(2.0, half=at_minus_n).half == state.half
 
     def test_parseval_tail_at_1000(self):
         n = np.arange(-1000, 1001)
@@ -209,15 +215,10 @@ class TestMinUncertaintyCoefficients:
     def test_parseval_after_construction(self):
         for n_max in (1, 16, 4096):
             state = min_uncertainty_coefficients(n_max, 1.0)
-            assert abs(np.sum(np.abs(state.coefficients) ** 2) - 1.0) < 1e-10
+            assert abs(np.sum(np.abs(mirror(state.half)) ** 2) - 1.0) < 1e-10
 
 
 class TestMomentumMoments:
-    def test_min_state_zero_mean(self):
-        state = min_uncertainty_coefficients(500, 1.0)
-        mean, _ = momentum_moments(state)
-        assert abs(mean) < 1e-13
-
     def test_refuses_a_state_off_parseval(self):
         # weights that sum to 1 within 1e-8 are taken, and further off refused
         state = min_uncertainty_coefficients(16, 1.0)
@@ -230,15 +231,14 @@ class TestMomentumMoments:
             momentum_moments(state)
 
     def test_single_mode_zero_sigma(self):
-        c = np.zeros(3)
-        c[1] = 1.0  # n = 0
-        state = FourierState(1.0, c)
-        _, sigma_p = momentum_moments(state)
-        assert sigma_p == 0.0
+        c = np.zeros(2)
+        c[0] = 1.0  # n = 0
+        state = FourierState(1.0, half=c)
+        assert momentum_moments(state) == 0.0
 
     def test_sharp_product_at_1e4(self):
         state = min_uncertainty_coefficients(10**4, 1.0)
-        _, sigma_p = momentum_moments(state)
+        sigma_p = momentum_moments(state)
         assert sigma_p * 1.0 == pytest.approx(np.pi, rel=1e-4)
 
     def test_tail_corrected_series_reaches_pi(self):
@@ -254,9 +254,9 @@ class TestMomentumMoments:
 
     def test_scaling_law(self):
         state = min_uncertainty_coefficients(256, 1.0)
-        _, sigma_1 = momentum_moments(state)
+        sigma_1 = momentum_moments(state)
         for s in (0.25, 3.0, 477e-6):
-            _, sigma_s = momentum_moments(FourierState(s, state.coefficients))
+            sigma_s = momentum_moments(FourierState(s, half=state.half))
             assert sigma_s == pytest.approx(sigma_1 / s, rel=1e-14)
 
 
@@ -350,19 +350,22 @@ class TestConstraints:
         assert bigger.boundary < res.boundary
 
     def test_single_mode_boundary(self):
-        c = np.zeros(3)
-        c[1] = 1.0
-        assert verify_constraints(FourierState(1.0, c)).boundary == pytest.approx(1.0)
+        c = np.zeros(2)
+        c[0] = 1.0
+        assert verify_constraints(FourierState(1.0, half=c)).boundary == pytest.approx(1.0)
 
     def test_equal_superposition(self):
         # c_0 = 2/sqrt(6), c_-1 = c_1 = 1/sqrt(6): boundary sum = c_0 - c_-1 - c_1 = 0
-        c = np.array([1.0, 2.0, 1.0])
-        assert verify_constraints(FourierState(1.0, c)).boundary == pytest.approx(0.0, abs=1e-15)
+        half = np.array([2.0, 1.0])
+        assert verify_constraints(FourierState(1.0, half=half)).boundary == \
+            pytest.approx(0.0, abs=1e-15)
         # c_0 = 1/sqrt(3), c_-1 = c_1 = 1j/sqrt(3): the n = -1 and n = 1 terms
         # both enter with sign -1
-        c = np.array([1.0j, 1.0, 1.0j]) / np.sqrt(3)
+        half = np.array([1.0, 1.0j]) / np.sqrt(3)
+        c = np.asarray(mirror(half))
         expected = abs(np.conj(c[1]) - np.conj(c[0]) - np.conj(c[2]))
-        assert verify_constraints(FourierState(1.0, c)).boundary == pytest.approx(expected)
+        assert verify_constraints(FourierState(1.0, half=half)).boundary == \
+            pytest.approx(expected)
 
 
 class TestStationarity:
@@ -372,11 +375,10 @@ class TestStationarity:
         dx = 1.0
         state = min_uncertainty_coefficients(1000, dx)
         rep = verify_stationarity(state)
-        assert state.coefficients == state.coefficients[::-1]
         beta_expected = (np.pi / dx) ** 2
         assert rep.beta.real == pytest.approx(beta_expected, rel=1e-12)
         assert abs(rep.beta.imag) < 1e-12
-        c0 = state.coefficients[state.n_max].real
+        c0 = state.half[0]
         assert rep.alpha.real == pytest.approx(-beta_expected * c0, rel=1e-12)
         assert rep.max_residual < 1e-10
 
@@ -384,7 +386,6 @@ class TestStationarity:
         rng = np.random.default_rng(3)
         state = random_symmetric_state(32, 1.0, rng)
         rep = verify_stationarity(state)
-        assert state.coefficients == state.coefficients[::-1]
         assert rep.max_residual > 1e-3
 
 
@@ -396,8 +397,8 @@ def assert_within_ulps(got, want, ulps):
 
 def full_vector_sums(state):
     """(sigma_p, parseval, boundary) by fsums over all 2 n_max + 1 modes of
-    ``coefficients``, m1 included: the sums the half's sums replace."""
-    c, n = state.coefficients, state.n_values
+    the mirrored half, m1 included: the sums the half's sums replace."""
+    c, n = mirror(state.half), range(-state.n_max, state.n_max + 1)
     w = [abs(z) * abs(z) for z in c]
     m1 = math.fsum([k * v for k, v in zip(n, w)])
     m2 = math.fsum([(k * k) * v for k, v in zip(n, w)])
@@ -421,9 +422,8 @@ class TestHalfSums:
     @pytest.mark.parametrize("n_max", sorted(FROZEN))
     def test_cosine_state_frozen(self, n_max):
         state = min_uncertainty_coefficients(n_max, 1.0)
-        mean, sigma_p = momentum_moments(state)
+        sigma_p = momentum_moments(state)
         res = verify_constraints(state)
-        assert mean == 0.0
         assert (sigma_p.hex(), res.parseval.hex(), res.boundary.hex()) == self.FROZEN[n_max]
         assert (sigma_p, *res) == full_vector_sums(state)
 
@@ -435,8 +435,8 @@ class TestHalfSums:
             half = rng.standard_normal(n_max + 1) * 10.0 ** [-150, 0, 150][i % 3]
             if dtype is complex:
                 half = half + 1j * half[::-1]
-            state = FourierState(0.3, np.concatenate([half[:0:-1], half]))
-            assert (momentum_moments(state)[1], *verify_constraints(state)) == \
+            state = FourierState(0.3, half=half)
+            assert (momentum_moments(state), *verify_constraints(state)) == \
                 full_vector_sums(state)
 
 
@@ -448,14 +448,15 @@ class TestAgainstNumpyOracle:
     @pytest.mark.parametrize("dx", [1e-6, 477e-6, 1.0])
     def test_cosine_state(self, n_max, dx):
         state = min_uncertainty_coefficients(n_max, dx)
-        assert type(state.coefficients) is tuple and state.n_values == range(-n_max, n_max + 1)
+        assert type(state.half) is tuple and (state.n_max, len(state.half)) == (n_max, n_max + 1)
         want = np_cosine_coefficients(n_max)
-        assert_within_ulps(np.asarray(state.coefficients).real, want.real, 4)
-        assert np.all(np.asarray(state.coefficients).imag == 0.0)
-        mean, sigma_p = momentum_moments(state)
+        assert_within_ulps(np.asarray(mirror(state.half)).real, want.real, 4)
+        assert np.all(np.asarray(state.half).imag == 0.0)
+        sigma_p = momentum_moments(state)
         want_mean, want_sigma = np_momentum_moments(want, dx)
         assert_within_ulps(sigma_p, want_sigma, 4)
-        assert abs(mean) <= abs(want_mean) + 1e-15 * want_sigma
+        # sigma_p is taken about 0, the mean of every even state
+        assert abs(want_mean) <= 1e-15 * want_sigma
         res = verify_constraints(state)
         want_res = np_constraint_residuals(want)
         assert abs(res.parseval - want_res[0]) <= 1e-15
@@ -466,16 +467,15 @@ class TestAgainstNumpyOracle:
         rng = np.random.default_rng(n_max)
         for _ in range(10):
             half = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
-            raw = np.concatenate([half[:0:-1], half])
-            state = FourierState(0.3, raw)
-            want = np_normalized(raw)
-            got = np.asarray(state.coefficients)
+            state = FourierState(0.3, half=half)
+            want = np_normalized(mirror(half))
+            got = np.asarray(mirror(state.half))
             assert_within_ulps(got.real, want.real, 4)
             assert_within_ulps(got.imag, want.imag, 4)
-            mean, sigma_p = momentum_moments(state)
+            sigma_p = momentum_moments(state)
             want_mean, want_sigma = np_momentum_moments(want, 0.3)
             assert_within_ulps(sigma_p, want_sigma, 4)
-            assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-14 * want_sigma)
+            assert want_mean == pytest.approx(0.0, abs=1e-14 * want_sigma)
             res = verify_constraints(state)
             want_res = np_constraint_residuals(want)
             assert abs(res.parseval - want_res[0]) <= 1e-15
@@ -585,14 +585,6 @@ class TestBuildReport:
 
 
 class TestInvariantsProperties:
-    def test_symmetry_implies_zero_mean(self):
-        rng = np.random.default_rng(21)
-        dx = 0.9
-        for _ in range(50):
-            state = random_symmetric_state(48, dx, rng, project_boundary=False)
-            mean, _ = momentum_moments(state)
-            assert abs(mean) < 1e-12 * (2 * np.pi / dx)
-
     def test_minimality_of_variational_solution(self):
         # any boundary-constrained normalized state has sigma_p*dx >= pi*hbar
         rng = np.random.default_rng(7)
@@ -609,4 +601,4 @@ class TestInvariantsProperties:
         rng = np.random.default_rng(5)
         for _ in range(50):
             state = random_symmetric_state(32, 1.0, rng)
-            assert abs(np.sum(np.abs(state.coefficients) ** 2) - 1.0) < 1e-10
+            assert abs(np.sum(np.abs(mirror(state.half)) ** 2) - 1.0) < 1e-10
