@@ -49,14 +49,14 @@ class FourierState:
             sq = [v * v for v in map(float, map(abs, half))]  # a float before it is squared
             norm2 = math.fsum(sq + sq[1:])
         except (TypeError, ValueError):  # not a sequence, not numbers or too short
-            raise InvalidArgument("half must be a 1-d vector c_0..c_n_max "
-                                  "with n_max >= 1") from None
+            raise InvalidArgument("half must be a 1-d vector c_0..c_N with N >= 1") from None
         except OverflowError:  # an entry, a modulus or the sum beyond the float range
             norm2 = math.inf
         if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
             raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
         norm = math.sqrt(norm2)
-        self.slit_width, self.n_max = float(slit_width), len(half) - 1
+        self.slit_width = float(slit_width)
+        self.n_max = len(half) - 1
         self.half = tuple([z / norm for z in half])
         self.weights = tuple([v * v for v in map(abs, self.half)])
 

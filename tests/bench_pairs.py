@@ -22,6 +22,7 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import pathlib
@@ -148,8 +149,7 @@ def main(argv: list[str]) -> int:
                    f"--seconds {args.seconds:g} --trace 0",
         "git": shas,
         "python": platform.python_version(),
-        "numpy": subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                                capture_output=True, text=True).stdout.strip(),
+        "numpy": importlib.metadata.version("numpy"),
         "nproc": os.cpu_count(),
         "host": f"{platform.system()} {platform.machine()}; times are perfbench's "
                 "host-speed-scaled figures",

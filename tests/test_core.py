@@ -78,8 +78,8 @@ class TestFourierState:
         for half in ([], [1.0], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]], 3.0,
                      ["a", "b", "c"], [10**400], "111", ["1", "2", "1"],
                      [np.ones(2), 1.0, 1.0], np.ones((2, 2))):
-            with pytest.raises(InvalidArgument, match="^half must be a 1-d vector c_0..c_n_max "
-                                                      "with n_max >= 1$"):
+            with pytest.raises(InvalidArgument,
+                               match=r"^half must be a 1-d vector c_0\.\.c_N with N >= 1$"):
                 FourierState(1.0, half=half)
 
     def test_a_positional_vector_is_refused(self):
@@ -93,7 +93,7 @@ class TestFourierState:
         # n_max = 0 would be a single mode, which no slit state of the
         # variational problem is
         for half in ([1.0], (1j,), np.array([2.0]), [np.float64(1.0)]):
-            with pytest.raises(InvalidArgument, match="with n_max >= 1$"):
+            with pytest.raises(InvalidArgument, match="with N >= 1$"):
                 FourierState(1.0, half=half)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
