@@ -13,7 +13,8 @@ each end-to-end metric of ``BENCHMARK.json``, each side's median, inclusive
 quartiles and minimum, the pairs the change wins, and a claim block for
 metric M (op_p50_ms by default).  A claim is met when the change is better
 in at least 9 of 10 pairs and its median beats the parent's by more than
-the parent's interquartile range.  This is the paired, repeated design of
+the parent's interquartile range.  The record's ``what`` lists the subjects
+of the commits from PARENT to CHANGE.  This is the paired, repeated design of
 Kalibera & Jones, "Rigorous Benchmarking in Reasonable Time" (ISMM 2013).
 
 pytest does not collect this file.
@@ -144,7 +145,8 @@ def main(argv: list[str]) -> int:
 
     block = {"seeds": seeds, "first": first, **summarize(runs["parent"], runs["change"])}
     record = {
-        "what": git("log", "-1", "--format=%s", shas["change"]),
+        "what": "; ".join(git("log", "--reverse", "--format=%s",
+                              f"{shas['parent']}..{shas['change']}").splitlines()),
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed N "
                    f"--seconds {args.seconds:g} --trace 0",
         "git": shas,
