@@ -2,10 +2,11 @@
 sigma_p * delta_x >= pi * hbar, concentration-bound reanalysis of measured
 uncertainty products, and an end-to-end 4f diffraction simulation.
 
-The package defines the exception types and imports no submodule; every
-other name below loads its submodule on first use (PEP 562)."""
+The package defines the exception types and the readers' vector check and
+imports no submodule; every other name below loads its submodule on first use (PEP 562)."""
 
 import importlib
+from collections.abc import Mapping, Set
 
 __version__ = "0.1.0"
 
@@ -16,6 +17,13 @@ class InvalidArgument(ValueError):
 
 class NumericFailure(RuntimeError):
     """A numerical routine failed to converge or produced an unusable result."""
+
+
+def _ordered(x, name: str):
+    """x, unless text, bytes, a set or a mapping: those iterate by character, hash or key."""
+    if isinstance(x, (str, bytes, bytearray, Set, Mapping)):
+        raise InvalidArgument(f"{name} must be numbers in order, not a {type(x).__name__}")
+    return x
 
 
 # public name -> the submodule that defines it

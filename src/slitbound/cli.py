@@ -200,9 +200,8 @@ def cmd_simulate(args):
     # NoiseSpec's checks again, now naming --seed
     noise = _flag("--seed", diffraction.NoiseSpec, noise.additive_sigma, args.seed, noise.quantize)
     intens = diffraction.synthesize_frame(geometry, detector, noise)
-    y = detector.pixel_positions()
     tables = [("frame.csv", ["pixel", "y_mm", "intensity"],
-               [np.arange(1, detector.num_pixels + 1), y * 1e3, intens],
+               [np.arange(1, detector.num_pixels + 1), detector.pixel_positions() * 1e3, intens],
                ["normalized=false"])]
     return tables, (
         "simulate_report.json",
@@ -210,7 +209,7 @@ def cmd_simulate(args):
             **geometry_parameters,
             "num_pixels": detector.num_pixels,
             "pixel_size_m": detector.pixel_size,
-            "detector_span_m": detector.span,
+            "detector_span_m": detector.num_pixels * detector.pixel_size,
             "noise_sigma": noise.additive_sigma,
             "quantize": noise.quantize,
             "seed": noise.seed,

@@ -24,7 +24,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from . import InvalidArgument, NumericFailure
+from . import InvalidArgument, NumericFailure, _ordered
 
 # a momentum uncertainty is well defined when its window can hold at least
 # this probability weight
@@ -167,7 +167,7 @@ class ReanalysisRow(NamedTuple):
 def reanalyze_products(a_values) -> list[ReanalysisRow]:
     """One ReanalysisRow per product a (in units of hbar): xi = a/(2*pi),
     the concentration bound at that xi, and the well-definedness verdict."""
-    a_arr = [float(a) for a in a_values]
+    a_arr = [float(a) for a in _ordered(a_values, "products a")]
     if not all(math.isfinite(a) and a > 0 for a in a_arr):
         raise InvalidArgument("all products a must be finite and positive")
     rows = []

@@ -21,7 +21,7 @@ math.fsum.
 import math
 from typing import NamedTuple
 
-from . import InvalidArgument
+from . import InvalidArgument, _ordered
 
 # the most modes per side, checked before the 2*n_max+1 modes are built
 MAX_NMAX = 1_000_000
@@ -30,17 +30,17 @@ MAX_NMAX = 1_000_000
 class FourierState:
     """Even slit state c_n = c_-n, n = -n_max..n_max, given by its half.
 
-    ``half`` is c_0..c_n_max with n_max >= 1, real or complex; a non-number
-    or a Decimal is refused.  It is kept divided by the norm, a numpy scalar
-    read through tolist(): Parseval holds to machine precision and a real
-    input stays real.  ``weights`` is the half's |c_n|^2, formed once for
-    every moment and check.
+    ``half`` is c_0..c_n_max in order with n_max >= 1, real or complex; a
+    non-number, a Decimal, text, bytes, a set or a mapping is refused.  It is
+    kept divided by the norm, a numpy scalar read through tolist(): Parseval
+    holds to machine precision and a real input stays real.  ``weights`` is
+    the half's |c_n|^2, formed once for every moment and check.
     """
 
     def __init__(self, slit_width: float, *, half):
         _check_width(slit_width)
         try:
-            half = tuple(half)
+            half = tuple(_ordered(half, "half"))
             if len(half) < 2:  # the length first, before an overflowing entry
                 raise ValueError
             if not {float, int, complex}.issuperset(map(type, half)):
@@ -104,7 +104,7 @@ def _check_width(delta_x: float) -> None:
 
 def _over(f, x):
     """f at a number x as a float, or the list of f over a sequence x."""
-    return [f(float(v)) for v in x] if hasattr(x, "__iter__") else f(float(x))
+    return [f(float(v)) for v in _ordered(x, "points")] if hasattr(x, "__iter__") else f(float(x))
 
 
 def _sinc(t: float) -> float:

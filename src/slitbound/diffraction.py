@@ -9,7 +9,7 @@ of ``SlitGeometry.scale``, the estimator expands symmetrically from the center,
     gamma_hat_n = (2/pi) * sqrt(sum_i u_i^2 * I_i / sum_i I_i),
 
 over pixels i = N/2-n+1 .. N/2+n of the frame, and converges to gamma (minus
-the off-detector tail) as n -> N/2; it and the theory depend on s alone.
+the off-detector tail) as n -> N/2; it, the frame and the theory depend on s alone.
 
 In u every truncated-sinc state is the one of width 2, whose wavenumber is u.
 ``band_moments`` integrates an even function of u, u^2 times its density for
@@ -47,7 +47,7 @@ _GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
 class SlitGeometry:
     """Slit width, laser wavelength and focal length of the imaging lens."""
 
-    __slots__ = ("slit_width", "wavelength", "focal_length", "scale", "k0")
+    __slots__ = ("slit_width", "wavelength", "focal_length", "scale")
 
     def __init__(self, slit_width: float, wavelength: float, focal_length: float):
         self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
@@ -57,11 +57,9 @@ class SlitGeometry:
         # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
         lf = self.wavelength * self.focal_length
         self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
-        self.k0 = 2.0 * math.pi / self.wavelength  # the vacuum wavenumber
-        for name, value in (("k0 = 2*pi/wavelength", self.k0),
-                            ("scale = pi*slit_width/(wavelength*focal_length)", self.scale)):
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidArgument(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise InvalidArgument("scale = pi*slit_width/(wavelength*focal_length) must be "
+                                  f"finite and positive, got {self.scale}")
 
 
 class DetectorSpec:
@@ -79,10 +77,6 @@ class DetectorSpec:
         if not 0 < pixel_size < math.inf:
             raise InvalidArgument(f"pixel_size must be positive and finite, got {pixel_size}")
         self.num_pixels, self.pixel_size = num_pixels, pixel_size
-
-    @property
-    def span(self) -> float:
-        return self.num_pixels * self.pixel_size
 
     def pixel_positions(self) -> np.ndarray:
         """Pixel centers y_i = (i - (N+1)/2) * pixel_size, i = 1..N; symmetric
@@ -112,14 +106,13 @@ def synthesize_frame(
     geometry: SlitGeometry, detector: DetectorSpec, noise: NoiseSpec = NoiseSpec()
 ) -> np.ndarray:
     """The frame's intensities: the detector-plane intensity density
-    (k0/f) * |phi~(k0*y/f)|^2, normalized to 1 over the real line, sampled at
-    the pixel centers y with the noise model applied, additive zero-mean
-    Gaussian (sigma relative to the frame peak), optional quantization
-    saturating at the peak, negatives clipped to 0.  Deterministic for a
-    fixed seed."""
-    k = geometry.k0 * detector.pixel_positions() / geometry.focal_length
-    intens = geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(
-        k, geometry.slit_width)
+    s * rho(s*y), rho the width-2 state's density in u and s the scale,
+    normalized to 1 over the real line, sampled at the pixel centers y with
+    the noise model applied, additive zero-mean Gaussian (sigma relative to
+    the frame peak), optional quantization saturating at the peak, negatives
+    clipped to 0.  Deterministic for a fixed seed."""
+    intens = geometry.scale * eval_lanczos_momentum_density(
+        geometry.scale * detector.pixel_positions(), 2.0)
     peak = float(np.max(intens))
     if noise.additive_sigma > 0:
         rng = np.random.default_rng(noise.seed)

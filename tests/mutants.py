@@ -269,6 +269,19 @@ MUTANTS = [
     Mutant("xi-flag-unnamed", CLI,
            '_flag("--xi", lp_lambda0, xi)', "lp_lambda0(xi)",
            ["tests/test_cli.py::TestLpbound::test_refusal_names_the_flag"]),
+    # the frame's intensity density is s * rho(s*y), normalized over y
+    Mutant("frame-scale-dropped", DIFFRACTION,
+           "    intens = geometry.scale * eval_lanczos_momentum_density(\n",
+           "    intens = eval_lanczos_momentum_density(\n",
+           ["tests/test_diffraction.py::TestSynthesizeFrame::"
+            "test_noiseless_equals_profile_samples"]),
+    # a set read in hash order by every reader of a vector
+    Mutant("reader-takes-a-set", "src/slitbound/__init__.py",
+           "    if isinstance(x, (str, bytes, bytearray, Set, Mapping)):\n",
+           "    if isinstance(x, (str, bytes, bytearray, Mapping)):\n",
+           [FOURIER_SHAPE,
+            "tests/test_special.py::test_unordered_points_refused[sine_integral]",
+            "tests/test_reanalysis.py::TestReanalyzeProducts::test_unordered_products_rejected"]),
     Mutant("a-flag-unnamed", CLI,
            '_flag("--a", concentration.reanalyze_products, args.a)',
            "concentration.reanalyze_products(args.a)",

@@ -202,10 +202,12 @@ def np_lanczos_position(x, slit_width: float) -> np.ndarray:
 
 def np_intensity_profile(geometry, y) -> np.ndarray:
     """Detector-plane intensity density (k0/f) * |phi~(k0*y/f)|^2 on an array
-    of y; even in y and normalized to 1 over the real line."""
-    k = geometry.k0 * np.asarray(y, dtype=float) / geometry.focal_length
-    return geometry.k0 / geometry.focal_length * eval_lanczos_momentum_density(
-        k, geometry.slit_width)
+    of y, k0 = 2*pi/lambda the vacuum wavenumber: the density of the slit's
+    width in k, not the width-2 one in u = s*y that the frame samples.  Even
+    in y and normalized to 1 over the real line."""
+    k0 = 2.0 * math.pi / geometry.wavelength
+    k = k0 * np.asarray(y, dtype=float) / geometry.focal_length
+    return k0 / geometry.focal_length * eval_lanczos_momentum_density(k, geometry.slit_width)
 
 
 def np_momentum_wavefunction(k, delta_x: float) -> np.ndarray:

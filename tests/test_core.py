@@ -74,13 +74,26 @@ class TestFourierState:
     def test_refuses_a_vector_of_the_wrong_shape(self):
         # the length is checked first, so an int beyond the float range in a
         # one-entry half still names the shape; strings are not numbers,
-        # though complex() would read "1" as one
+        # though complex() would read "1" as one; a set iterates in hash
+        # order, a mapping by its keys and bytes as small ints, so none is
+        # c_0..c_N in the order written
         for half in ([], [1.0], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]], 3.0,
                      ["a", "b", "c"], [10**400], "111", ["1", "2", "1"],
-                     [np.ones(2), 1.0, 1.0], np.ones((2, 2))):
+                     [np.ones(2), 1.0, 1.0], np.ones((2, 2)), {3.0, 1.0, 2.0},
+                     frozenset({3.0, 1.0}), {2.0: 1.0, 1.0: 2.0}, {2.0: 1.0, 1.0: 2.0}.keys(),
+                     b"\x01\x02", bytearray(b"\x01\x02")):
             with pytest.raises(InvalidArgument,
                                match=r"^half must be a 1-d vector c_0\.\.c_N with N >= 1$"):
                 FourierState(1.0, half=half)
+
+    def test_ordered_iterables_read_alike(self):
+        # a tuple, a generator, an array, a mapping's values and a range
+        want = FourierState(1.0, half=[3.0, 1.0, 2.0]).half
+        for half in ((3.0, 1.0, 2.0), (v for v in [3.0, 1.0, 2.0]), np.array([3.0, 1.0, 2.0]),
+                     {"c0": 3.0, "c1": 1.0, "c2": 2.0}.values()):
+            assert FourierState(1.0, half=half).half == want
+        want = FourierState(1.0, half=[3, 2, 1]).half
+        assert FourierState(1.0, half=range(3, 0, -1)).half == want
 
     def test_a_positional_vector_is_refused(self):
         # the half is keyword-only, so a whole vector c_-N..c_N written for

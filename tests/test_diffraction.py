@@ -71,17 +71,21 @@ class TestIntensityProfile:
         y = np.linspace(0, 0.005, 200)
         assert np.allclose(np_intensity_profile(wide, y),
                            s * np_intensity_profile(GEOMETRY, s * y), rtol=1e-12)
-        # and so do the frames, on a detector whose pixels scale by s exactly
-        assert np.allclose(synthesize_frame(wide, DetectorSpec(512, 8e-6)),
-                           s * synthesize_frame(GEOMETRY, DetectorSpec(512, s * 8e-6)),
-                           rtol=1e-12)
+        # a frame depends on the geometry through s = pi*dx/(lambda*f) alone:
+        # at (3*lambda, f/3) s rounds to the same bits, and so does the frame
+        same = SlitGeometry(slit_width=GEOMETRY.slit_width,
+                            wavelength=3.0 * GEOMETRY.wavelength,
+                            focal_length=GEOMETRY.focal_length / 3.0)
+        assert same.scale == GEOMETRY.scale
+        assert np.array_equal(synthesize_frame(same, DETECTOR),
+                              synthesize_frame(GEOMETRY, DETECTOR))
 
 
 class TestSlitGeometry:
     @pytest.mark.parametrize("field", ["slit_width", "wavelength", "focal_length"])
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
     def test_fields_must_be_positive(self, field, bad):
-        # each field is refused by name, before the derived k0 and scale
+        # each field is refused by name, before the derived scale
         # (which would refuse a zero slit width with another message) exist
         fields = {"slit_width": 477e-6, "wavelength": 632.82e-9, "focal_length": 0.150}
         with pytest.raises(InvalidArgument, match=f"^{field} must be positive, got {bad}$"):
@@ -89,9 +93,6 @@ class TestSlitGeometry:
 
 
 class TestDetectorSpec:
-    def test_span(self):
-        assert DETECTOR.span == pytest.approx(29.184e-3, rel=1e-15)
-
     def test_positions_symmetric(self):
         y = DETECTOR.pixel_positions()
         assert y.size == 3648
@@ -131,9 +132,14 @@ class TestDetectorSpec:
 
 class TestSynthesizeFrame:
     def test_noiseless_equals_profile_samples(self):
+        # the frame is s * rho(s*y), the width-2 density in u = s*y, bit for bit
         frame = synthesize_frame(GEOMETRY, DETECTOR)
+        s = GEOMETRY.scale
+        assert np.array_equal(frame, s * eval_lanczos_momentum_density(
+            s * DETECTOR.pixel_positions(), 2.0))
+        # and the k-form density (k0/f) * |phi~(k0*y/f)|^2 to rounding
         expected = np_intensity_profile(GEOMETRY, DETECTOR.pixel_positions())
-        assert np.array_equal(frame, expected)
+        assert np.max(np.abs(frame - expected)) <= 1e-15 * np.max(expected)
 
     def test_noiseless_symmetric(self):
         v = synthesize_frame(GEOMETRY, DETECTOR)
@@ -213,7 +219,7 @@ class TestGammaTrace:
         n, y_extent, _ = noiseless_trace()
         assert n[0] == 1 and n[-1] == 1824
         assert y_extent[0] == pytest.approx(8e-6)
-        assert y_extent[-1] == pytest.approx(DETECTOR.span / 2)
+        assert y_extent[-1] == pytest.approx(DETECTOR.num_pixels * DETECTOR.pixel_size / 2)
 
     def test_nondecreasing(self):
         _, _, gamma_hat = noiseless_trace()

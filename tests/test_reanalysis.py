@@ -66,6 +66,17 @@ class TestReanalyzeProducts:
         with pytest.raises(InvalidArgument):
             reanalyze_products([0.0])
 
+    def test_unordered_products_rejected(self):
+        # bytes would read as a = 49 and 50, a set in hash order, a mapping by key
+        for bad in (b"12", "12", {1.0, 2.0}, frozenset({1.0}), {1.128: 2.464}):
+            message = f"^products a must be numbers in order, not a {type(bad).__name__}$"
+            with pytest.raises(InvalidArgument, match=message):
+                reanalyze_products(bad)
+        want = reanalyze_products([1.128, 2.464])
+        for good in ((1.128, 2.464), (a for a in [1.128, 2.464]), np.array([1.128, 2.464])):
+            assert reanalyze_products(good) == want
+        assert reanalyze_products(range(1, 3)) == reanalyze_products([1.0, 2.0])
+
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidArgument, match="finite"):

@@ -10,6 +10,8 @@ from slitbound import (
     InvalidArgument,
     eval_lanczos_momentum_density,
     eval_lanczos_position,
+    eval_momentum_wavefunction,
+    eval_position_wavefunction,
     lanczos_gamma,
     sine_integral,
 )
@@ -164,6 +166,33 @@ def test_float_kernel_matches_array_path_bitwise():
             assert np.float64(_si(x)).view(np.int64) == want.view(np.int64), x
         for x in (np.inf, -np.inf, np.nan):
             assert np.isnan(_si(x)) and np.isnan(sine_integral(np.array([x]))[0]), x
+
+
+READERS = {
+    "sine_integral": sine_integral,
+    "eval_lanczos_position": lambda x: eval_lanczos_position(x, 1.0),
+    "eval_lanczos_momentum_density": lambda k: eval_lanczos_momentum_density(k, 1.0),
+    "eval_position_wavefunction": lambda x: eval_position_wavefunction(x, 1.0),
+    "eval_momentum_wavefunction": lambda k: eval_momentum_wavefunction(k, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_unordered_points_refused(name):
+    # text iterates by character (b"1" as 49), a set in hash order, a mapping by key
+    for bad in ("0.1", b"1", bytearray(b"1"), {0.1, 0.2}, frozenset({0.1}), {0.1: 0.2}):
+        with pytest.raises(InvalidArgument,
+                           match=f"^points must be numbers in order, not a {type(bad).__name__}$"):
+            READERS[name](bad)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_ordered_points_read_alike(name):
+    want = READERS[name]([0.25, 0.0, 0.5])
+    for points in ((0.25, 0.0, 0.5), (v for v in [0.25, 0.0, 0.5])):
+        assert READERS[name](points) == want
+    assert np.array_equal(np.asarray(READERS[name](np.array([0.25, 0.0, 0.5]))), want)
+    assert READERS[name](range(1)) == READERS[name]([0.0])
 
 
 @pytest.mark.parametrize("dx", [0.0, -0.0, -1.0, np.nan, np.inf])
