@@ -26,6 +26,14 @@ def _ordered(x, name: str):
     return x
 
 
+def _real(x, name: str):
+    """x, if real: numpy data of kind b, i, u or f (read as floats, text is parsed and a
+    complex loses its imaginary part), any other object a type with __float__."""
+    if not (x.dtype.kind in "biuf" if hasattr(x, "dtype") else hasattr(type(x), "__float__")):
+        raise InvalidArgument(f"{name} must be real, not {getattr(x, 'dtype', type(x).__name__)}")
+    return x
+
+
 # public name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys(["LpBoundResult", "ReanalysisRow", "lp_lambda0", "reanalyze_products"],

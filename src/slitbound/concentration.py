@@ -24,7 +24,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from . import InvalidArgument, NumericFailure, _ordered
+from . import InvalidArgument, NumericFailure, _ordered, _real
 
 # a momentum uncertainty is well defined when its window can hold at least
 # this probability weight
@@ -83,9 +83,9 @@ def lp_lambda0(xi: float) -> LpBoundResult:
     """
     if not (math.isfinite(xi) and xi >= 0):
         raise InvalidArgument(f"xi must be finite and nonnegative, got {xi}")
-    xi = abs(xi)  # -0.0 as +0.0, so no result is a negative zero
+    xi = abs(float(xi))  # -0.0 as +0.0, so no result is a negative zero
     lam, tail = _solve(xi) if xi < _XI_SATURATED else _SATURATED
-    return LpBoundResult(xi=float(xi), kernel_c=math.pi * xi / 2.0, lambda0=lam, tail=tail)
+    return LpBoundResult(xi=xi, kernel_c=math.pi * xi / 2.0, lambda0=lam, tail=tail)
 
 
 def _start(c: float) -> float:
@@ -167,7 +167,7 @@ class ReanalysisRow(NamedTuple):
 def reanalyze_products(a_values) -> list[ReanalysisRow]:
     """One ReanalysisRow per product a (in units of hbar): xi = a/(2*pi),
     the concentration bound at that xi, and the well-definedness verdict."""
-    a_arr = [float(a) for a in _ordered(a_values, "products a")]
+    a_arr = [float(_real(a, "products a")) for a in _ordered(a_values, "products a")]
     if not all(math.isfinite(a) and a > 0 for a in a_arr):
         raise InvalidArgument("all products a must be finite and positive")
     rows = []

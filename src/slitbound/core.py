@@ -21,7 +21,7 @@ math.fsum.
 import math
 from typing import NamedTuple
 
-from . import InvalidArgument, _ordered
+from . import InvalidArgument, _ordered, _real
 
 # the most modes per side, checked before the 2*n_max+1 modes are built
 MAX_NMAX = 1_000_000
@@ -38,7 +38,7 @@ class FourierState:
     """
 
     def __init__(self, slit_width: float, *, half):
-        _check_width(slit_width)
+        self.slit_width = _check_width(slit_width)
         try:
             half = tuple(_ordered(half, "half"))
             if len(half) < 2:  # the length first, before an overflowing entry
@@ -55,7 +55,6 @@ class FourierState:
         if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan
             raise InvalidArgument(f"cannot normalize a coefficient vector of squared norm {norm2}")
         norm = math.sqrt(norm2)
-        self.slit_width = float(slit_width)
         self.n_max = len(half) - 1
         self.half = tuple([z / norm for z in half])
         self.weights = tuple([v * v for v in map(abs, self.half)])
@@ -96,15 +95,18 @@ def momentum_moments(state: FourierState) -> float:
     return 2.0 * math.pi / state.slit_width * math.sqrt(m2)
 
 
-def _check_width(delta_x: float) -> None:
-    """Refuse a slit width that is not positive and finite: zero, negative, inf or nan."""
+def _check_width(delta_x: float) -> float:
+    """delta_x as a float, refused unless positive and finite: zero, negative, inf or nan."""
     if not 0 < delta_x < math.inf:
         raise InvalidArgument(f"delta_x must be positive and finite, got {delta_x}")
+    return float(delta_x)
 
 
 def _over(f, x):
-    """f at a number x as a float, or the list of f over a sequence x."""
-    return [f(float(v)) for v in _ordered(x, "points")] if hasattr(x, "__iter__") else f(float(x))
+    """f at a real number x as a float, or the list of f over a sequence x of them."""
+    if not hasattr(x, "__iter__"):
+        return f(float(_real(x, "points")))
+    return [f(v if type(v) is float else float(_real(v, "points"))) for v in _ordered(x, "points")]
 
 
 def _sinc(t: float) -> float:
@@ -118,7 +120,7 @@ def eval_position_wavefunction(x, delta_x: float):
     Defined only inside the slit; |x| > delta_x/2 is a domain error.  A
     float for a number x, a list for a sequence.
     """
-    _check_width(delta_x)
+    delta_x = _check_width(delta_x)
     amp = math.sqrt(2.0 / delta_x)
 
     def psi(v):
@@ -148,7 +150,7 @@ def eval_momentum_wavefunction(k, delta_x: float):
     removable singularities at delta_x*k = +/- pi evaluated by their finite
     limit sqrt(delta_x/pi)/2.  A float for a number k, a list for a sequence.
     """
-    _check_width(delta_x)
+    delta_x = _check_width(delta_x)
     amp = 2.0 * math.sqrt(math.pi) * math.sqrt(delta_x)
     return _over(lambda v: amp * _momentum_shape(v * delta_x), k)
 
@@ -179,7 +181,7 @@ def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> Uncer
     the Kennard verdict."""
     if sigma_p < 0 or (sigma_x is not None and sigma_x < 0):
         raise InvalidArgument("standard deviations must be nonnegative")
-    _check_width(delta_x)
+    delta_x = _check_width(delta_x)
     delta_p = 2.0 * sigma_p
     product = sigma_p * delta_x
     verdicts = {

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import InvalidArgument, reports
+from . import InvalidArgument, _real, reports
 from .special import eval_lanczos_momentum_density
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
@@ -50,10 +50,10 @@ class SlitGeometry:
     __slots__ = ("slit_width", "wavelength", "focal_length", "scale")
 
     def __init__(self, slit_width: float, wavelength: float, focal_length: float):
-        self.slit_width, self.wavelength, self.focal_length = slit_width, wavelength, focal_length
-        for name in self.__slots__[:3]:
-            if not getattr(self, name) > 0:
-                raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
+        for name, value in zip(self.__slots__, (slit_width, wavelength, focal_length)):
+            if not value > 0:
+                raise InvalidArgument(f"{name} must be positive, got {value}")
+            setattr(self, name, float(value))
         # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
         lf = self.wavelength * self.focal_length
         self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
@@ -99,7 +99,7 @@ class NoiseSpec:
         if not hasattr(type(seed), "__index__") or seed < 0:
             raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
         # -0.0 as +0.0, so no report echoes a negative zero
-        self.additive_sigma, self.seed, self.quantize = abs(additive_sigma), seed, quantize
+        self.additive_sigma, self.seed, self.quantize = abs(float(additive_sigma)), seed, quantize
 
 
 def synthesize_frame(
@@ -134,7 +134,7 @@ def gamma_trace(
     u_max = geometry.scale * ((detector.num_pixels - 1) / 2.0 * detector.pixel_size)
     if not math.isfinite(u_max * u_max):
         raise InvalidArgument(f"frame extent scale*y = +-{u_max:.3g} is too large: u^2 overflows")
-    v = np.asarray(intensities, dtype=float)
+    v = np.asarray(_real(np.asarray(intensities), "intensities"), dtype=float)
     if v.shape != (detector.num_pixels,):
         raise InvalidArgument("intensities length must equal num_pixels")
     if not np.all((v >= 0) & np.isfinite(v)):

@@ -17,16 +17,15 @@ below 1e-16 on their range).
 
 The module loads no numpy, so ``lanczos`` starts without it: on a number
 or a sequence every formula is Python float arithmetic.  Si and the
-momentum density also take an array through numpy, imported there.  Si
-evaluates each polynomial on a float as one nested Horner expression and
-on an array with a loop over the same coefficients, the same operations in
-the same order, so an array and a list of the same points give the same
-bits.  The slit width is a float, as in ``core``.
+momentum density also take an array through numpy, imported there.  Each
+rational form of Si is one function of nested Horner expressions that runs
+on a float and on an array alike, so an array and a list of the same points
+give the same bits.  The slit width is a float, as in ``core``.
 """
 
 import math
 
-from . import InvalidArgument
+from . import InvalidArgument, _real
 from .core import _check_width, _over, _sinc
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
@@ -73,45 +72,41 @@ _SI_DEN = (
 )
 
 
-def _poly(coeffs, y):
-    # Horner's rule on an array, as a multiply and an add per step, each
-    # rounded.  The first step makes acc a new array, then updated in place
-    acc = coeffs[-1] * y + coeffs[-2]
-    for c in coeffs[-3::-1]:
-        acc *= y
-        acc += c
-    return acc
+def _pade(ax, y):
+    # Si by its Pade form at ax = |x| <= 4 and y = x^2, on a float or an array
+    p0, p1, p2, p3, p4, p5, p6, p7 = _SI_NUM
+    q0, q1, q2, q3, q4, q5, q6 = _SI_DEN
+    return (ax * (((((((p7 * y + p6) * y + p5) * y + p4) * y + p3) * y + p2) * y + p1) * y + p0)
+            / ((((((q6 * y + q5) * y + q4) * y + q3) * y + q2) * y + q1) * y + q0))
+
+
+def _fg(ax, y):
+    # the auxiliary functions (f, g) at ax = |x| > 4 and y = 1/x^2, on a float or an array
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _F_NUM
+    q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _F_DEN
+    f = (((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y + p3)
+             * y + p2) * y + p1) * y + p0)
+         / (ax * (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y
+                    + q2) * y + q1) * y + q0)))
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _G_NUM
+    q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _G_DEN
+    g = (y * ((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y
+                  + p3) * y + p2) * y + p1) * y + p0)
+         / (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y + q2)
+             * y + q1) * y + q0))
+    return f, g
 
 
 def _si(x: float) -> float:
-    # Si on a float: every _poly of the array path written out as one nested
-    # Horner expression, the same operations in the same order, so a float
-    # and an array element get the same bits
+    # Si on a float, by the forms the array path evaluates
     ax = abs(x)
     y = ax * ax
-    if y <= 16.0:  # the Pade form
-        p0, p1, p2, p3, p4, p5, p6, p7 = _SI_NUM
-        q0, q1, q2, q3, q4, q5, q6 = _SI_DEN
-        out = (ax * (((((((p7 * y + p6) * y + p5) * y + p4) * y + p3) * y + p2) * y + p1) * y + p0)
-               / ((((((q6 * y + q5) * y + q4) * y + q3) * y + q2) * y + q1) * y + q0))
-    else:  # the auxiliary functions f and g in y = 1/x^2
-        y = 1.0 / y
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _F_NUM
-        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _F_DEN
-        f = (((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y + p3)
-                 * y + p2) * y + p1) * y + p0)
-             / (ax * (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y
-                        + q2) * y + q1) * y + q0)))
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _G_NUM
-        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _G_DEN
-        g = (y * ((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y
-                      + p3) * y + p2) * y + p1) * y + p0)
-             / (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y + q2)
-                 * y + q1) * y + q0))
-        try:
-            out = math.pi / 2.0 - f * math.cos(ax) - g * math.sin(ax)
-        except ValueError:  # math.cos and math.sin raise at inf, where numpy gives nan
-            out = math.nan
+    if y <= 16.0:
+        out = _pade(ax, y)
+    else:
+        f, g = _fg(ax, 1.0 / y)
+        # math.cos and math.sin raise at inf, where numpy gives nan
+        out = math.pi / 2.0 - f * math.cos(ax) - g * math.sin(ax) if ax < math.inf else math.nan
     # np.sign's factor: Si(-0.0) is 0.0
     return out if x >= 0 else -out
 
@@ -123,16 +118,14 @@ def sine_integral(x):
         return _over(_si, x)
     import numpy as np
 
-    xa = np.asarray(x, dtype=float)
+    xa = np.asarray(_real(x, "points"), dtype=float)
     ax = np.abs(xa)
     small = ax * ax <= 16.0
     out = np.empty_like(ax)
     a = ax[small]
-    out[small] = a * _poly(_SI_NUM, a * a) / _poly(_SI_DEN, a * a)
+    out[small] = _pade(a, a * a)
     a = ax[~small]
-    y = 1.0 / (a * a)
-    f = _poly(_F_NUM, y) / (a * _poly(_F_DEN, y))
-    g = y * _poly(_G_NUM, y) / _poly(_G_DEN, y)
+    f, g = _fg(a, 1.0 / (a * a))
     # at inf, 0 * nan = nan
     out[~small] = math.pi / 2.0 - f * np.cos(a) - g * np.sin(a)
     out *= np.sign(xa)
@@ -148,7 +141,7 @@ def eval_lanczos_position(x, delta_x: float):
     Returns 0 outside the slit (the preparation truncates there).  A float
     for a number, a list for a sequence.
     """
-    _check_width(delta_x)
+    delta_x = _check_width(delta_x)
     amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)
 
     def phi(v):
@@ -172,7 +165,7 @@ def eval_lanczos_momentum_density(k, delta_x: float):
     even in k and normalized over the real line.  A float for a number, a
     list for a sequence, an array for an array.
     """
-    _check_width(delta_x)
+    delta_x = _check_width(delta_x)
     scale = delta_x / (8.0 * math.pi**2 * SI_2PI)
 
     def density(v, si=_si):
@@ -184,7 +177,7 @@ def eval_lanczos_momentum_density(k, delta_x: float):
         return _over(density, k)
     import numpy as np
 
-    out = density(np.asarray(k, dtype=float), sine_integral)
+    out = density(np.asarray(_real(k, "points"), dtype=float), sine_integral)
     return float(out) if np.isscalar(k) else out
 
 
@@ -197,8 +190,8 @@ def lanczos_tail_bounds(delta_x: float, k_max: float) -> tuple[float, float]:
     2pi/(u^2-pi^2) + 4pi*u/(u^2-pi^2)^2 + 8/(u-pi)^3.
     Valid for dx*k_max/2 > 2*pi, with dx = delta_x.
     """
-    _check_width(delta_x)
-    U = delta_x * k_max / 2.0
+    delta_x = _check_width(delta_x)
+    U = delta_x * float(_real(k_max, "k_max")) / 2.0
     if U <= 2.0 * math.pi:
         raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
     # lead >= 1 inflates the bracket's leading term 2pi/(u^2-pi^2) at U, as

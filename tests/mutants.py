@@ -37,6 +37,8 @@ Mutant = collections.namedtuple("Mutant", "name file old new nodes")
 
 CLI, REPORTS = "src/slitbound/cli.py", "src/slitbound/reports.py"
 DIFFRACTION = "src/slitbound/diffraction.py"
+SPECIAL = "src/slitbound/special.py"
+NOT_REAL = "tests/test_special.py::test_points_that_are_not_real_refused"
 STRICT = "tests/test_cli.py::TestStrictReports::"
 ESTIMATE = "tests/test_cli.py::TestSimulateAndEstimate::"
 CAPS = "tests/test_cli.py::TestSizeCaps::"
@@ -174,10 +176,15 @@ MUTANTS = [
             MIRRORED + "test_underflowed_grid_mirrors_as_negative_zero"]),
     Mutant("mirror-row-unsigned", REPORTS, MIRROR, MIRROR.replace('"-" + "-".join', '"".join'),
            [DENSITY_GRIDS, MIRRORED + "test_coefficient_table_rows"]),
-    Mutant("si-kernel-swapped-coefficient", "src/slitbound/special.py",
-           "        out = (ax * (((((((p7 * y + p6) * y + p5)",
-           "        out = (ax * (((((((p7 * y + p5) * y + p6)",
-           ["tests/test_special.py::test_float_kernel_matches_array_path_bitwise"]),
+    Mutant("si-kernel-swapped-coefficient", SPECIAL,
+           "    return (ax * (((((((p7 * y + p6) * y + p5)",
+           "    return (ax * (((((((p7 * y + p5) * y + p6)",
+           ["tests/test_special.py::TestSineIntegral::test_against_32_digit_references"]),
+    # the array path alone moves x = 4 to the f, g form
+    Mutant("si-array-edge-strict", SPECIAL,
+           "    small = ax * ax <= 16.0\n", "    small = ax * ax < 16.0\n",
+           ["tests/test_special.py::TestSineIntegral::"
+            "test_array_call_matches_scalar_calls_bitwise"]),
     Mutant("fourier-norm-unchecked", "src/slitbound/core.py",
            "        if not 2.0**-1022 <= norm2 < math.inf:  # zero, subnormal, inf or nan\n",
            "        if norm2 == 0.0:\n",
@@ -248,7 +255,7 @@ MUTANTS = [
     Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + NORM_SUM,
            NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
     Mutant("geometry-sign-unchecked", DIFFRACTION,
-           "            if not getattr(self, name) > 0:\n", "            if False:\n",
+           "            if not value > 0:\n", "            if False:\n",
            ["tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),
     Mutant("temp-file-kept", REPORTS,
            "            os.unlink(tmp)\n", "            pass\n",
@@ -282,6 +289,44 @@ MUTANTS = [
            [FOURIER_SHAPE,
             "tests/test_special.py::test_unordered_points_refused[sine_integral]",
             "tests/test_reanalysis.py::TestReanalyzeProducts::test_unordered_products_rejected"]),
+    # each reader of numbers refuses text, None and complex values
+    Mutant("points-read-text", "src/slitbound/core.py",
+           'float(_real(v, "points"))', "float(v)", [NOT_REAL + "[eval_position_wavefunction]"]),
+    Mutant("products-read-text", "src/slitbound/concentration.py",
+           'float(_real(a, "products a"))', "float(a)",
+           ["tests/test_reanalysis.py::TestReanalyzeProducts::"
+            "test_products_that_are_not_real_rejected"]),
+    Mutant("si-array-reads-complex", SPECIAL,
+           'np.asarray(_real(x, "points"), dtype=float)', "np.asarray(x, dtype=float)",
+           [NOT_REAL + "[sine_integral]"]),
+    Mutant("density-array-reads-complex", SPECIAL,
+           'np.asarray(_real(k, "points"), dtype=float)', "np.asarray(k, dtype=float)",
+           [NOT_REAL + "[eval_lanczos_momentum_density]"]),
+    Mutant("intensities-read-text", DIFFRACTION,
+           'np.asarray(_real(np.asarray(intensities), "intensities"), dtype=float)',
+           "np.asarray(intensities, dtype=float)",
+           [GAMMA_TRACE + "test_intensities_that_are_not_real_rejected"]),
+    Mutant("real-takes-complex-data", "src/slitbound/__init__.py",
+           'x.dtype.kind in "biuf"', 'x.dtype.kind in "biufc"',
+           [NOT_REAL + "[sine_integral]", NOT_REAL + "[eval_position_wavefunction]"]),
+    # each scalar entry computes in Python floats, not in a numpy scalar's type
+    Mutant("xi-kept-float32", "src/slitbound/concentration.py",
+           "    xi = abs(float(xi))", "    xi = abs(xi)",
+           ["tests/test_concentration.py::TestLambda0::test_numpy_scalar_read_as_a_python_float"]),
+    Mutant("geometry-kept-float32", DIFFRACTION,
+           "            setattr(self, name, float(value))\n",
+           "            setattr(self, name, value)\n",
+           ["tests/test_diffraction.py::TestSlitGeometry::test_lengths_read_as_python_floats"]),
+    Mutant("width-kept-float32", "src/slitbound/core.py",
+           "    return float(delta_x)\n", "    return delta_x\n",
+           ["tests/test_special.py::test_width_read_as_a_python_float"]),
+    Mutant("noise-sigma-kept-float32", DIFFRACTION,
+           "abs(float(additive_sigma))", "abs(additive_sigma)",
+           ["tests/test_diffraction.py::TestSynthesizeFrame::"
+            "test_noise_sigma_read_as_a_python_float"]),
+    Mutant("band-edge-kept-float32", SPECIAL,
+           'float(_real(k_max, "k_max"))', "k_max",
+           ["tests/test_special.py::test_width_read_as_a_python_float"]),
     Mutant("a-flag-unnamed", CLI,
            '_flag("--a", concentration.reanalyze_products, args.a)',
            "concentration.reanalyze_products(args.a)",

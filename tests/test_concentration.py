@@ -69,6 +69,12 @@ def window_mass(density, delta_p: float) -> float:
 
 
 class TestLambda0:
+    def test_numpy_scalar_read_as_a_python_float(self):
+        # in float32 arithmetic xi = 20 read lambda0 = 1.0000002 and was refused,
+        # and xi = 0.179 read lambda0 1e-7 off with tail 0.0
+        for xi in (np.float32(20.0), np.float32(0.179), np.float64(0.5), np.int64(3)):
+            assert repr(lp_lambda0(xi)) == repr(lp_lambda0(float(xi)))
+
     def test_zero(self):
         res = lp_lambda0(0.0)
         assert res.lambda0 == 0.0

@@ -91,6 +91,15 @@ class TestSlitGeometry:
         with pytest.raises(InvalidArgument, match=f"^{field} must be positive, got {bad}$"):
             SlitGeometry(**{**fields, field: bad})
 
+    def test_lengths_read_as_python_floats(self):
+        # float32 lengths give the scale and the frame of their float values:
+        # in float32 arithmetic the scale was 1.8e-8 off
+        lengths = [np.float32(v) for v in (477e-6, 632.82e-9, 0.150)]
+        narrow, wide = SlitGeometry(*lengths), SlitGeometry(*map(float, lengths))
+        assert [type(getattr(narrow, name)) for name in narrow.__slots__] == [float] * 4
+        assert narrow.scale == wide.scale
+        assert np.array_equal(synthesize_frame(narrow, DETECTOR), synthesize_frame(wide, DETECTOR))
+
 
 class TestDetectorSpec:
     def test_positions_symmetric(self):
@@ -140,6 +149,13 @@ class TestSynthesizeFrame:
         # and the k-form density (k0/f) * |phi~(k0*y/f)|^2 to rounding
         expected = np_intensity_profile(GEOMETRY, DETECTOR.pixel_positions())
         assert np.max(np.abs(frame - expected)) <= 1e-15 * np.max(expected)
+
+    def test_noise_sigma_read_as_a_python_float(self):
+        # in float32 arithmetic sigma * peak drew other noise than sigma's float value
+        sigma = np.float32(1e-3)
+        assert type(NoiseSpec(sigma).additive_sigma) is float
+        assert np.array_equal(synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(sigma, 7)),
+                              synthesize_frame(GEOMETRY, DETECTOR, NoiseSpec(float(sigma), 7)))
 
     def test_noiseless_symmetric(self):
         v = synthesize_frame(GEOMETRY, DETECTOR)
@@ -242,6 +258,19 @@ class TestGammaTrace:
         detector = DetectorSpec(num_pixels=2, pixel_size=2e155)
         with pytest.raises(InvalidArgument, match=r"\+-1\.58e\+159 is too large: u\^2 overflows"):
             gamma_trace(detector, [0.2, 0.2], GEOMETRY)
+
+    def test_intensities_that_are_not_real_rejected(self):
+        # numpy would drop the imaginary part or parse the text
+        frame = synthesize_frame(GEOMETRY, DETECTOR)
+        text = frame.astype(str)
+        for bad in (frame + 0j, text, text.tolist(), [None] * frame.size):
+            with pytest.raises(InvalidArgument, match="^intensities must be real, not "):
+                gamma_trace(DETECTOR, bad, GEOMETRY)
+        want = gamma_trace(DETECTOR, frame, GEOMETRY)[2]
+        assert np.array_equal(gamma_trace(DETECTOR, frame.tolist(), GEOMETRY)[2], want)
+        counts = np.rint(frame / frame.max() * 1000).astype(int)
+        assert np.array_equal(gamma_trace(DETECTOR, counts, GEOMETRY)[2],
+                              gamma_trace(DETECTOR, counts.astype(float), GEOMETRY)[2])
 
     def test_depends_on_geometry_only_through_scale(self):
         # (3*lambda, f/3) has the same scale pi*delta_x/(lambda*f) up to rounding

@@ -77,6 +77,14 @@ class TestReanalyzeProducts:
             assert reanalyze_products(good) == want
         assert reanalyze_products(range(1, 3)) == reanalyze_products([1.0, 2.0])
 
+    def test_products_that_are_not_real_rejected(self):
+        # text would read as the number it spells, a complex without its imaginary part
+        for bad in (["1.5"], ["abc"], [None], [1.5j], np.array([1.5 + 0j]), np.array(["1.5"])):
+            with pytest.raises(InvalidArgument, match="^products a must be real, not "):
+                reanalyze_products(bad)
+        want = reanalyze_products([3.0, 1.5, 2.0])
+        assert repr(reanalyze_products([3, np.float32(1.5), np.int8(2)])) == repr(want)
+
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidArgument, match="finite"):

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from slitbound import (
     lanczos_gamma,
     sine_integral,
 )
+from slitbound.core import FourierState, build_report
 from slitbound.diffraction import band_moments
 from slitbound.reports import format_csv
 from slitbound.special import (
@@ -154,9 +156,10 @@ def test_list_path_matches_array_path_bitwise(dx):
 
 
 def test_float_kernel_matches_array_path_bitwise():
-    # special._si, the nested Horner form that lists and numbers take, has
-    # the bits of the array path's _poly loop on both sides of x^2 = 16, at
-    # +-0, a subnormal and far out; past every finite x both give nan
+    # special._si, the path that lists and numbers take, has the bits of the
+    # array path on both sides of x^2 = 16, at +-0, a subnormal and far out:
+    # both evaluate _pade and _fg, but each chooses its form and applies the
+    # sign itself; past every finite x both give nan
     four = [float(np.nextafter(4.0, np.inf)), float(np.nextafter(4.0, -np.inf))]
     points = [0.0, -0.0, *four, 4.0, 2 * np.pi, 1e300, 5e-324, 2.5e-310, 1.7976931348623157e308]
     points += [-x for x in points]
@@ -166,6 +169,30 @@ def test_float_kernel_matches_array_path_bitwise():
             assert np.float64(_si(x)).view(np.int64) == want.view(np.int64), x
         for x in (np.inf, -np.inf, np.nan):
             assert np.isnan(_si(x)) and np.isnan(sine_integral(np.array([x]))[0]), x
+
+
+# sine_integral's bits at the SI_REFERENCES points, at 4.0's lower neighbour,
+# at +-0 and at the least subnormal, frozen as hex from commit 9878d8e, where
+# the float and the array path wrote their rational forms apart: now that
+# they share them, neither path can catch a reordering in the other
+SI_FROZEN = [
+    "0x1.5798ee2308c3ap-27", "0x1.f8f126a7a3cf9p-2", "0x1.e465000d0d798p-1",
+    "0x1.cb849b78ad0f1p+0", "0x1.c2953656cd858p+0", "0x1.c21999d582befp+0",
+    "0x1.c21999d582befp+0", "0x1.c19d3a86f3e46p+0", "0x1.6b0bfb5042afbp+0",
+    "0x1.a88977ca9201fp+0", "0x1.8b7a348ab6a46p+0", "0x1.8fee0219444edp+0",
+    "0x1.91facc41f3ac9p+0", "0x1.9225f2c4fee01p+0", "0x1.92205cee772abp+0",
+    "0x1.921fa58cf158cp+0", "0x1.c21999d582befp+0", "0x0.0p+0", "0x0.0p+0",
+    "0x0.0000000000001p-1022",
+]
+
+
+def test_bits_frozen_on_both_paths():
+    points = [float(x) for x, _ in SI_REFERENCES]
+    points += [float(np.nextafter(4.0, 3.0)), 0.0, -0.0, 5e-324]
+    assert len(points) == len(SI_FROZEN)
+    for x, want in zip(points, SI_FROZEN):
+        got = (sine_integral(x), sine_integral(np.array([x]))[0])
+        assert [float(v).hex() for v in got] == [want, want], x
 
 
 READERS = {
@@ -187,9 +214,20 @@ def test_unordered_points_refused(name):
 
 
 @pytest.mark.parametrize("name", READERS)
+def test_points_that_are_not_real_refused(name):
+    # text would read as the number it spells and a complex, numpy's too,
+    # without its imaginary part; None or an object without __float__ is no number
+    for bad in (["0.1"], ["abc"], [None], [[0.1]], None, 1j, [np.complex128(0.1)],
+                np.complex64(0.1), np.array([0.1 + 0j]), np.array(["0.1"]), [np.str_("0.1")]):
+        with pytest.raises(InvalidArgument, match="^points must be real, not "):
+            READERS[name](bad)
+
+
+@pytest.mark.parametrize("name", READERS)
 def test_ordered_points_read_alike(name):
     want = READERS[name]([0.25, 0.0, 0.5])
-    for points in ((0.25, 0.0, 0.5), (v for v in [0.25, 0.0, 0.5])):
+    for points in ((0.25, 0.0, 0.5), (v for v in [0.25, 0.0, 0.5]),
+                   [Fraction(1, 4), False, np.float32(0.5)], [Decimal("0.25"), np.int8(0), 0.5]):
         assert READERS[name](points) == want
     assert np.array_equal(np.asarray(READERS[name](np.array([0.25, 0.0, 0.5]))), want)
     assert READERS[name](range(1)) == READERS[name]([0.0])
@@ -206,6 +244,27 @@ def test_width_must_be_positive(dx):
     for call in calls:
         with pytest.raises(InvalidArgument, match="^delta_x must be positive and finite, got "):
             call()
+
+
+def test_width_read_as_a_python_float():
+    # a numpy scalar width computes in Python floats, as its float value does;
+    # float32 arithmetic would move each result by about 1e-8
+    calls = [lambda w: eval_position_wavefunction([1e-5], w),
+             lambda w: eval_momentum_wavefunction([3e3], w),
+             lambda w: eval_lanczos_position([1e-5], w),
+             lambda w: eval_lanczos_momentum_density([3e3], w),
+             lambda w: eval_lanczos_momentum_density(np.array([3e3]), w).tolist(),
+             lambda w: lanczos_tail_bounds(w, 1e5),
+             lambda w: build_report(None, 7e3, w),
+             lambda w: FourierState(w, half=[1.0, 0.5]).slit_width]
+    width = np.float32(477e-6)
+    for call in calls:
+        assert repr(call(width)) == repr(call(float(width)))
+    # and so does the band edge of the tail bounds, which refuse text
+    want = repr(lanczos_tail_bounds(1.0, 600.0))
+    assert repr(lanczos_tail_bounds(1.0, np.float32(600.0))) == want
+    with pytest.raises(InvalidArgument, match="^k_max must be real, not str$"):
+        lanczos_tail_bounds(1.0, "600")
 
 
 class TestLanczosPosition:
