@@ -76,7 +76,7 @@ class DetectorSpec:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
         if not 0 < pixel_size < math.inf:
             raise InvalidArgument(f"pixel_size must be positive and finite, got {pixel_size}")
-        self.num_pixels, self.pixel_size = num_pixels, pixel_size
+        self.num_pixels, self.pixel_size = num_pixels, float(pixel_size)
 
     def pixel_positions(self) -> np.ndarray:
         """Pixel centers y_i = (i - (N+1)/2) * pixel_size, i = 1..N; symmetric

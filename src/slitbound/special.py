@@ -80,8 +80,9 @@ def _pade(ax, y):
             / ((((((q6 * y + q5) * y + q4) * y + q3) * y + q2) * y + q1) * y + q0))
 
 
-def _fg(ax, y):
-    # the auxiliary functions (f, g) at ax = |x| > 4 and y = 1/x^2, on a float or an array
+def _asymptotic(ax, y, cos_x, sin_x):
+    # Si = pi/2 - f*cos(x) - g*sin(x) by the auxiliary functions f and g at ax = |x| > 4
+    # and y = 1/x^2, on a float or an array, given cos(ax) and sin(ax)
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = _F_NUM
     q0, q1, q2, q3, q4, q5, q6, q7, q8, q9 = _F_DEN
     f = (((((((((((p10 * y + p9) * y + p8) * y + p7) * y + p6) * y + p5) * y + p4) * y + p3)
@@ -94,7 +95,7 @@ def _fg(ax, y):
                   + p3) * y + p2) * y + p1) * y + p0)
          / (((((((((q9 * y + q8) * y + q7) * y + q6) * y + q5) * y + q4) * y + q3) * y + q2)
              * y + q1) * y + q0))
-    return f, g
+    return math.pi / 2.0 - f * cos_x - g * sin_x
 
 
 def _si(x: float) -> float:
@@ -104,9 +105,8 @@ def _si(x: float) -> float:
     if y <= 16.0:
         out = _pade(ax, y)
     else:
-        f, g = _fg(ax, 1.0 / y)
         # math.cos and math.sin raise at inf, where numpy gives nan
-        out = math.pi / 2.0 - f * math.cos(ax) - g * math.sin(ax) if ax < math.inf else math.nan
+        out = _asymptotic(ax, 1.0 / y, math.cos(ax), math.sin(ax)) if ax < math.inf else math.nan
     # np.sign's factor: Si(-0.0) is 0.0
     return out if x >= 0 else -out
 
@@ -125,9 +125,8 @@ def sine_integral(x):
     a = ax[small]
     out[small] = _pade(a, a * a)
     a = ax[~small]
-    f, g = _fg(a, 1.0 / (a * a))
     # at inf, 0 * nan = nan
-    out[~small] = math.pi / 2.0 - f * np.cos(a) - g * np.sin(a)
+    out[~small] = _asymptotic(a, 1.0 / (a * a), np.cos(a), np.sin(a))
     out *= np.sign(xa)
     return float(out) if np.isscalar(x) else out
 

@@ -180,6 +180,11 @@ MUTANTS = [
            "    return (ax * (((((((p7 * y + p6) * y + p5)",
            "    return (ax * (((((((p7 * y + p5) * y + p6)",
            ["tests/test_special.py::TestSineIntegral::test_against_32_digit_references"]),
+    # a regrouping that both paths share moves Si by ulps, which only frozen bits catch
+    Mutant("si-asymptotic-regrouped", SPECIAL,
+           "    return math.pi / 2.0 - f * cos_x - g * sin_x\n",
+           "    return math.pi / 2.0 - (f * cos_x + g * sin_x)\n",
+           ["tests/test_special.py::test_bits_frozen_on_both_paths"]),
     # the array path alone moves x = 4 to the f, g form
     Mutant("si-array-edge-strict", SPECIAL,
            "    small = ax * ax <= 16.0\n", "    small = ax * ax < 16.0\n",
@@ -320,6 +325,10 @@ MUTANTS = [
     Mutant("width-kept-float32", "src/slitbound/core.py",
            "    return float(delta_x)\n", "    return delta_x\n",
            ["tests/test_special.py::test_width_read_as_a_python_float"]),
+    Mutant("pixel-size-kept-float32", DIFFRACTION,
+           "num_pixels, float(pixel_size)", "num_pixels, pixel_size",
+           ["tests/test_diffraction.py::TestDetectorSpec::"
+            "test_pixel_size_read_as_a_python_float"]),
     Mutant("noise-sigma-kept-float32", DIFFRACTION,
            "abs(float(additive_sigma))", "abs(additive_sigma)",
            ["tests/test_diffraction.py::TestSynthesizeFrame::"

@@ -128,6 +128,13 @@ class TestDetectorSpec:
                            match=f"^pixel_size must be positive and finite, got {bad}$"):
             DetectorSpec(num_pixels=4, pixel_size=bad)
 
+    def test_pixel_size_read_as_a_python_float(self):
+        # in float32 arithmetic the theory trace was 1.4e-8 off
+        pitch = np.float32(8e-6)
+        narrow, wide = DetectorSpec(3648, pitch), DetectorSpec(3648, float(pitch))
+        assert type(narrow.pixel_size) is float
+        assert np.array_equal(theory_trace(GEOMETRY, narrow), theory_trace(GEOMETRY, wide))
+
     def test_integer_fields(self):
         # a float count or seed is refused here, not deep inside numpy
         with pytest.raises(InvalidArgument, match="num_pixels must be an integer, got 4.0"):

@@ -158,8 +158,8 @@ def test_list_path_matches_array_path_bitwise(dx):
 def test_float_kernel_matches_array_path_bitwise():
     # special._si, the path that lists and numbers take, has the bits of the
     # array path on both sides of x^2 = 16, at +-0, a subnormal and far out:
-    # both evaluate _pade and _fg, but each chooses its form and applies the
-    # sign itself; past every finite x both give nan
+    # both evaluate _pade and _asymptotic, but each chooses the form, takes
+    # cos and sin and applies the sign itself; past every finite x both give nan
     four = [float(np.nextafter(4.0, np.inf)), float(np.nextafter(4.0, -np.inf))]
     points = [0.0, -0.0, *four, 4.0, 2 * np.pi, 1e300, 5e-324, 2.5e-310, 1.7976931348623157e308]
     points += [-x for x in points]
