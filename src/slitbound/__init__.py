@@ -2,10 +2,11 @@
 sigma_p * delta_x >= pi * hbar, concentration-bound reanalysis of measured
 uncertainty products, and an end-to-end 4f diffraction simulation.
 
-The package defines the exception types and the readers' vector check and
-imports no submodule; every other name below loads its submodule on first use (PEP 562)."""
+The package defines the exception types and the readers of every public entry and imports
+no submodule; every other name below loads its submodule on first use (PEP 562)."""
 
 import importlib
+import math
 from collections.abc import Mapping, Set
 
 __version__ = "0.1.0"
@@ -20,8 +21,9 @@ class NumericFailure(RuntimeError):
 
 
 def _ordered(x, name: str):
-    """x, unless text, bytes, a set or a mapping: those iterate by character, hash or key."""
-    if isinstance(x, (str, bytes, bytearray, Set, Mapping)):
+    """x, if a 1-d sequence, but not text, bytes, a set or a mapping: by character, hash or key."""
+    if isinstance(x, (str, bytes, bytearray, Set, Mapping)) or not hasattr(x, "__iter__") \
+            or getattr(x, "ndim", 1) != 1:
         raise InvalidArgument(f"{name} must be numbers in order, not a {type(x).__name__}")
     return x
 
@@ -32,6 +34,23 @@ def _real(x, name: str):
     if not (x.dtype.kind in "biuf" if hasattr(x, "dtype") else hasattr(type(x), "__float__")):
         raise InvalidArgument(f"{name} must be real, not {getattr(x, 'dtype', type(x).__name__)}")
     return x
+
+
+def _float(x, name: str) -> float:
+    """x as a float, if one real number within the float range."""
+    try:
+        return float(_real(x, name))
+    except (OverflowError, TypeError):  # an int or a Fraction past the floats, or an array
+        raise InvalidArgument(f"{name} must be one number within the float range") from None
+
+
+def _number(x, name: str, strict: bool = True) -> float:
+    """x as a float, refused unless finite and positive, or nonnegative where not strict."""
+    v = _float(x, name)
+    if not (v < math.inf and (v > 0 if strict else v >= 0)):
+        raise InvalidArgument(f"{name} must be positive and finite, got {v}" if strict
+                              else f"{name} must be finite and nonnegative, got {v}")
+    return abs(v)  # -0.0 as +0.0, so no result or report echoes a negative zero
 
 
 # public name -> the submodule that defines it

@@ -122,9 +122,10 @@ def cmd_lanczos(args):
 
     k_max = 16 * math.pi / delta_x
     # what the momentum CSV leaves out beyond |k| = k_max; the second moment's
-    # bound, about 0.34/delta_x^2, leaves the float range below a width of
-    # about 4e-155 m and above about 4e161 m, and is then reported as null
-    w_tail, m2_tail = special.lanczos_tail_bounds(delta_x, k_max)
+    # bound, about 0.34/delta_x^2, is null outside widths of about 4e-155 to
+    # 4e161 m, and both are nan below 2.8e-307 m, where k_max and the grid overflow
+    w_tail, m2_tail = (special.lanczos_tail_bounds(delta_x, k_max) if k_max < math.inf
+                       else (math.nan, math.nan))
     tables = [
         _even_table("lanczos_position_density.csv", ["x_m", "density_per_m"], delta_x / 2, 500,
                     lambda x: [v * v for v in special.eval_lanczos_position(x, delta_x)]),

@@ -21,7 +21,7 @@ math.fsum.
 import math
 from typing import NamedTuple
 
-from . import InvalidArgument, _ordered, _real
+from . import InvalidArgument, _float, _number, _ordered
 
 # the most modes per side, checked before the 2*n_max+1 modes are built
 MAX_NMAX = 1_000_000
@@ -38,7 +38,7 @@ class FourierState:
     """
 
     def __init__(self, slit_width: float, *, half):
-        self.slit_width = _check_width(slit_width)
+        self.slit_width = _number(slit_width, "delta_x")
         try:
             half = tuple(_ordered(half, "half"))
             if len(half) < 2:  # the length first, before an overflowing entry
@@ -95,18 +95,11 @@ def momentum_moments(state: FourierState) -> float:
     return 2.0 * math.pi / state.slit_width * math.sqrt(m2)
 
 
-def _check_width(delta_x: float) -> float:
-    """delta_x as a float, refused unless positive and finite: zero, negative, inf or nan."""
-    if not 0 < delta_x < math.inf:
-        raise InvalidArgument(f"delta_x must be positive and finite, got {delta_x}")
-    return float(delta_x)
-
-
 def _over(f, x):
     """f at a real number x as a float, or the list of f over a sequence x of them."""
     if not hasattr(x, "__iter__"):
-        return f(float(_real(x, "points")))
-    return [f(v if type(v) is float else float(_real(v, "points"))) for v in _ordered(x, "points")]
+        return f(_float(x, "points"))
+    return [f(v if type(v) is float else _float(v, "points")) for v in _ordered(x, "points")]
 
 
 def _sinc(t: float) -> float:
@@ -120,7 +113,7 @@ def eval_position_wavefunction(x, delta_x: float):
     Defined only inside the slit; |x| > delta_x/2 is a domain error.  A
     float for a number x, a list for a sequence.
     """
-    delta_x = _check_width(delta_x)
+    delta_x = _number(delta_x, "delta_x")
     amp = math.sqrt(2.0 / delta_x)
 
     def psi(v):
@@ -150,7 +143,7 @@ def eval_momentum_wavefunction(k, delta_x: float):
     removable singularities at delta_x*k = +/- pi evaluated by their finite
     limit sqrt(delta_x/pi)/2.  A float for a number k, a list for a sequence.
     """
-    delta_x = _check_width(delta_x)
+    delta_x = _number(delta_x, "delta_x")
     amp = 2.0 * math.sqrt(math.pi) * math.sqrt(delta_x)
     return _over(lambda v: amp * _momentum_shape(v * delta_x), k)
 
@@ -179,9 +172,10 @@ def build_report(sigma_x: float | None, sigma_p: float, delta_x: float) -> Uncer
     delta_p = 2*sigma_p by definition; the product reported is sigma_p *
     delta_x / hbar so the sharp bound reads product >= pi.  A sigma_x adds
     the Kennard verdict."""
-    if sigma_p < 0 or (sigma_x is not None and sigma_x < 0):
-        raise InvalidArgument("standard deviations must be nonnegative")
-    delta_x = _check_width(delta_x)
+    sigma_p = _float(sigma_p, "sigma_p")  # inf is kept, for the report to refuse
+    sigma_p = sigma_p if sigma_p == math.inf else _number(sigma_p, "sigma_p", strict=False)
+    sigma_x = sigma_x if sigma_x is None else _number(sigma_x, "sigma_x", strict=False)
+    delta_x = _number(delta_x, "delta_x")
     delta_p = 2.0 * sigma_p
     product = sigma_p * delta_x
     verdicts = {

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import InvalidArgument, _real, reports
+from . import InvalidArgument, _number, _real, reports
 from .special import eval_lanczos_momentum_density
 
 # resolution of the line CCD's A/D converter, which quantizes a frame
@@ -51,15 +51,10 @@ class SlitGeometry:
 
     def __init__(self, slit_width: float, wavelength: float, focal_length: float):
         for name, value in zip(self.__slots__, (slit_width, wavelength, focal_length)):
-            if not value > 0:
-                raise InvalidArgument(f"{name} must be positive, got {value}")
-            setattr(self, name, float(value))
+            setattr(self, name, _number(value, name))
         # the detector maps y to u = slit_width*k/2 = scale*y; lambda*f can underflow to 0
         lf = self.wavelength * self.focal_length
-        self.scale = math.pi * self.slit_width / lf if lf > 0 else math.inf
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise InvalidArgument("scale = pi*slit_width/(wavelength*focal_length) must be "
-                                  f"finite and positive, got {self.scale}")
+        self.scale = _number(math.pi * self.slit_width / lf if lf > 0 else math.inf, "scale")
 
 
 class DetectorSpec:
@@ -74,9 +69,7 @@ class DetectorSpec:
             raise InvalidArgument(f"num_pixels must be <= {reports.MAX_PIXELS}, got {num_pixels}")
         if num_pixels < 2 or num_pixels % 2 != 0:
             raise InvalidArgument(f"num_pixels must be even and >= 2, got {num_pixels}")
-        if not 0 < pixel_size < math.inf:
-            raise InvalidArgument(f"pixel_size must be positive and finite, got {pixel_size}")
-        self.num_pixels, self.pixel_size = num_pixels, float(pixel_size)
+        self.num_pixels, self.pixel_size = num_pixels, _number(pixel_size, "pixel_size")
 
     def pixel_positions(self) -> np.ndarray:
         """Pixel centers y_i = (i - (N+1)/2) * pixel_size, i = 1..N; symmetric
@@ -92,14 +85,10 @@ class NoiseSpec:
     __slots__ = ("additive_sigma", "seed", "quantize")
 
     def __init__(self, additive_sigma: float = 0.0, seed: int = 42, quantize: bool = False):
-        if not (np.isfinite(additive_sigma) and additive_sigma >= 0):
-            raise InvalidArgument(
-                f"additive_sigma must be finite and nonnegative, got {additive_sigma}"
-            )
+        self.additive_sigma = _number(additive_sigma, "additive_sigma", strict=False)
         if not hasattr(type(seed), "__index__") or seed < 0:
             raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
-        # -0.0 as +0.0, so no report echoes a negative zero
-        self.additive_sigma, self.seed, self.quantize = abs(float(additive_sigma)), seed, quantize
+        self.seed, self.quantize = seed, quantize
 
 
 def synthesize_frame(
@@ -166,10 +155,10 @@ def band_moments(f, width: float, count: int) -> np.ndarray:
     pi/2, with 8-point Gauss-Legendre on every panel; f takes the nodes u > 0
     of up to _BLOCK panels at once, as a (panels, 8) array.
     """
-    if not width > 0 or count < 0:
-        raise InvalidArgument(f"band_moments needs width > 0 and count >= 0, got {width}, {count}")
-    # an infinite width stays a float, which the panel check refuses
-    per = math.ceil(width / _PANEL) if width < math.inf else math.inf
+    width = _number(width, "width")
+    if count < 0:
+        raise InvalidArgument(f"band_moments needs count >= 0, got {count}")
+    per = math.ceil(width / _PANEL)
     if not count * per <= MAX_PANELS:  # a NaN or infinite count fails as well
         raise InvalidArgument(
             f"the band quadrature needs {count * per:.3g} panels of pi/slit_width, "

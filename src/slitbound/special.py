@@ -25,8 +25,8 @@ give the same bits.  The slit width is a float, as in ``core``.
 
 import math
 
-from . import InvalidArgument, _real
-from .core import _check_width, _over, _sinc
+from . import InvalidArgument, _number, _real
+from .core import _over, _sinc
 
 # Rational-approximation coefficients for the auxiliary functions f, g and
 # the small-argument Pade form of Si (Cephes/Boost lineage, |x| >= 4 resp.
@@ -140,7 +140,7 @@ def eval_lanczos_position(x, delta_x: float):
     Returns 0 outside the slit (the preparation truncates there).  A float
     for a number, a list for a sequence.
     """
-    delta_x = _check_width(delta_x)
+    delta_x = _number(delta_x, "delta_x")
     amp = math.sqrt(math.pi / SI_2PI) / math.sqrt(delta_x)
 
     def phi(v):
@@ -164,7 +164,7 @@ def eval_lanczos_momentum_density(k, delta_x: float):
     even in k and normalized over the real line.  A float for a number, a
     list for a sequence, an array for an array.
     """
-    delta_x = _check_width(delta_x)
+    delta_x = _number(delta_x, "delta_x")
     scale = delta_x / (8.0 * math.pi**2 * SI_2PI)
 
     def density(v, si=_si):
@@ -189,8 +189,8 @@ def lanczos_tail_bounds(delta_x: float, k_max: float) -> tuple[float, float]:
     2pi/(u^2-pi^2) + 4pi*u/(u^2-pi^2)^2 + 8/(u-pi)^3.
     Valid for dx*k_max/2 > 2*pi, with dx = delta_x.
     """
-    delta_x = _check_width(delta_x)
-    U = delta_x * float(_real(k_max, "k_max")) / 2.0
+    delta_x = _number(delta_x, "delta_x")
+    U = delta_x * _number(k_max, "k_max") / 2.0
     if U <= 2.0 * math.pi:
         raise InvalidArgument("tail bound requires dx*k_max/2 > 2*pi")
     # lead >= 1 inflates the bracket's leading term 2pi/(u^2-pi^2) at U, as

@@ -61,7 +61,12 @@ NORM_SUM = ("            if not {float, int, complex}.issuperset(map(type, half)
 HALF_SUMS = "tests/test_core.py::TestHalfSums::"
 SHAPE_CHECK = ("            if len(half) < 2:  # the length first, before an overflowing entry\n"
                "                raise ValueError\n")
-WIDTH_CHECK = "    if not 0 < delta_x < math.inf:\n"
+INIT = "src/slitbound/__init__.py"
+CONTRACT = "tests/test_contract.py::"
+FLOAT_ERRORS = "    except (OverflowError, TypeError):"
+BOUND_CHECK = "    if not (v < math.inf and (v > 0 if strict else v >= 0)):\n"
+GEOMETRY_READ = "            setattr(self, name, _number(value, name))\n"
+PIXEL_SIZE_READ = '_number(pixel_size, "pixel_size")'
 FLOAT_MAXIMUM = STRICT + "test_float_maximum_width_computes"
 RESTART = ("tests/test_concentration.py::TestLambda0Solve::"
            "test_start_above_eigenvalue_restarts_from_zero")
@@ -96,15 +101,46 @@ MUTANTS = [
            ["tests/test_diffraction.py::TestBandMoments::test_matches_32_node_reference",
             "tests/test_diffraction.py::TestBandMoments::test_even_monomials_exact"]),
     Mutant("uniform-one-panel", DIFFRACTION,
-           "    per = math.ceil(width / _PANEL) if width < math.inf else math.inf\n",
-           "    per = 1\n",
+           "    per = math.ceil(width / _PANEL)\n", "    per = 1\n",
            ["tests/test_diffraction.py::TestBandMoments::test_widths_match_32_node_reference"]),
-    Mutant("width-unchecked", "src/slitbound/core.py", WIDTH_CHECK, "    if False:\n",
+    # the one scalar reader of every width, length, sigma, xi and k_max
+    Mutant("width-unchecked", INIT, BOUND_CHECK, "    if False:\n",
            ["tests/test_special.py::test_width_must_be_positive"]),
-    Mutant("width-infinite-accepted", "src/slitbound/core.py", WIDTH_CHECK,
-           "    if not 0 < delta_x:\n",
+    Mutant("reader-takes-infinity", INIT, BOUND_CHECK,
+           BOUND_CHECK.replace("v < math.inf and ", ""),
            ["tests/test_core.py::test_infinite_width_refused",
-            "tests/test_special.py::test_width_must_be_positive"]),
+            "tests/test_special.py::test_width_must_be_positive",
+            "tests/test_diffraction.py::TestDetectorSpec::"
+            "test_pixel_size_must_be_positive_and_finite",
+            "tests/test_special.py::TestLanczosMomentumDensity::"
+            "test_tail_bounds_refuse_a_band_edge_not_positive_and_finite"]),
+    Mutant("reader-strict-ignored", INIT, BOUND_CHECK,
+           BOUND_CHECK.replace("(v > 0 if strict else v >= 0)", "v >= 0"),
+           ["tests/test_special.py::test_width_must_be_positive",
+            "tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),
+    Mutant("reader-overflow-unmapped", INIT, FLOAT_ERRORS,
+           FLOAT_ERRORS.replace("OverflowError, ", ""),
+           [CONTRACT + f"test_raises_only_library_errors[{entry}]"
+            for entry in ("lp_lambda0", "reanalyze_products", "sine_integral")]),
+    Mutant("reader-takes-an-array", INIT, FLOAT_ERRORS, FLOAT_ERRORS.replace(", TypeError", ""),
+           [CONTRACT + "test_an_array_where_a_number_is_read_is_refused"]),
+    Mutant("reader-keeps-float32", INIT,
+           "        return float(_real(x, name))\n", "        return _real(x, name)\n",
+           ["tests/test_special.py::test_width_read_as_a_python_float",
+            "tests/test_diffraction.py::TestDetectorSpec::test_pixel_size_read_as_a_python_float",
+            "tests/test_diffraction.py::TestSlitGeometry::test_lengths_read_as_python_floats"]),
+    # a vector reader given a number or an array not of one dimension
+    Mutant("ordered-takes-a-number", INIT,
+           ' or not hasattr(x, "__iter__") \\\n            or getattr(x, "ndim", 1) != 1:\n',
+           ":\n", [CONTRACT + "test_a_vector_reader_refuses_what_is_not_one_sequence"]),
+    # below a width of about 2.8e-307 m lanczos must still reach its non-finite grid
+    Mutant("tail-bounds-at-infinite-k-max", CLI, "if k_max < math.inf", "if True",
+           [STRICT + "test_non_finite_result_is_numeric_failure[lanczos]"]),
+    Mutant("report-refuses-infinite-sigma-p", "src/slitbound/core.py",
+           "    sigma_p = sigma_p if sigma_p == math.inf else _number(",
+           "    sigma_p = _number(",
+           ["tests/test_core.py::TestBuildReport::test_infinite_sigma_p_kept",
+            STRICT + "test_non_finite_result_is_numeric_failure[lanczos]"]),
     # an infinite argument reaches only the momentum shape's cos(u/2)
     Mutant("trig-no-nan-at-inf", "src/slitbound/core.py",
            "(math.cos(u / 2.0) if math.isfinite(u) else math.nan)", "math.cos(u / 2.0)",
@@ -129,7 +165,7 @@ MUTANTS = [
            "    if not count * per <= MAX_PANELS:"
            "  # a NaN or infinite count fails as well\n",
            "    if False:\n",
-           ["tests/test_diffraction.py::TestTheoryTrace::test_infinite_band_edge_refused",
+           ["tests/test_diffraction.py::TestTheoryTrace::test_invalid_grid",
             CAPS + "test_band_panels_of_overflowing_extent"]),
     Mutant("detector-float-count", DIFFRACTION,
            '        if not hasattr(type(num_pixels), "__index__"):\n', "        if False:\n",
@@ -157,8 +193,7 @@ MUTANTS = [
            '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max <= MAX_NMAX:\n',
            '    if not hasattr(type(n_max), "__index__") or not 1 <= n_max:\n',
            [CAPS + "test_nmax_cap"]),
-    Mutant("pixel-size-infinite-accepted", DIFFRACTION,
-           "        if not 0 < pixel_size < math.inf:\n", "        if not 0 < pixel_size:\n",
+    Mutant("pixel-size-unchecked", DIFFRACTION, PIXEL_SIZE_READ, "float(pixel_size)",
            ["tests/test_diffraction.py::TestDetectorSpec::"
             "test_pixel_size_must_be_positive_and_finite"]),
     Mutant("pixels-uncapped", DIFFRACTION,
@@ -259,8 +294,8 @@ MUTANTS = [
     # range in a one-entry half is then refused for its norm
     Mutant("fourier-overflow-hides-shape", "src/slitbound/core.py", SHAPE_CHECK + NORM_SUM,
            NORM_SUM + SHAPE_CHECK, [FOURIER_SHAPE]),
-    Mutant("geometry-sign-unchecked", DIFFRACTION,
-           "            if not value > 0:\n", "            if False:\n",
+    Mutant("geometry-sign-unchecked", DIFFRACTION, GEOMETRY_READ,
+           GEOMETRY_READ.replace("_number(value, name)", "float(value)"),
            ["tests/test_diffraction.py::TestSlitGeometry::test_fields_must_be_positive"]),
     Mutant("temp-file-kept", REPORTS,
            "            os.unlink(tmp)\n", "            pass\n",
@@ -288,17 +323,16 @@ MUTANTS = [
            ["tests/test_diffraction.py::TestSynthesizeFrame::"
             "test_noiseless_equals_profile_samples"]),
     # a set read in hash order by every reader of a vector
-    Mutant("reader-takes-a-set", "src/slitbound/__init__.py",
-           "    if isinstance(x, (str, bytes, bytearray, Set, Mapping)):\n",
-           "    if isinstance(x, (str, bytes, bytearray, Mapping)):\n",
+    Mutant("reader-takes-a-set", INIT,
+           "(str, bytes, bytearray, Set, Mapping))", "(str, bytes, bytearray, Mapping))",
            [FOURIER_SHAPE,
             "tests/test_special.py::test_unordered_points_refused[sine_integral]",
             "tests/test_reanalysis.py::TestReanalyzeProducts::test_unordered_products_rejected"]),
     # each reader of numbers refuses text, None and complex values
     Mutant("points-read-text", "src/slitbound/core.py",
-           'float(_real(v, "points"))', "float(v)", [NOT_REAL + "[eval_position_wavefunction]"]),
+           '_float(v, "points")', "float(v)", [NOT_REAL + "[eval_position_wavefunction]"]),
     Mutant("products-read-text", "src/slitbound/concentration.py",
-           'float(_real(a, "products a"))', "float(a)",
+           '_float(a, "products a")', "float(a)",
            ["tests/test_reanalysis.py::TestReanalyzeProducts::"
             "test_products_that_are_not_real_rejected"]),
     Mutant("si-array-reads-complex", SPECIAL,
@@ -311,30 +345,26 @@ MUTANTS = [
            'np.asarray(_real(np.asarray(intensities), "intensities"), dtype=float)',
            "np.asarray(intensities, dtype=float)",
            [GAMMA_TRACE + "test_intensities_that_are_not_real_rejected"]),
-    Mutant("real-takes-complex-data", "src/slitbound/__init__.py",
+    Mutant("real-takes-complex-data", INIT,
            'x.dtype.kind in "biuf"', 'x.dtype.kind in "biufc"',
            [NOT_REAL + "[sine_integral]", NOT_REAL + "[eval_position_wavefunction]"]),
-    # each scalar entry computes in Python floats, not in a numpy scalar's type
+    # each scalar entry reads through the reader, so it computes in Python
+    # floats, not in a numpy scalar's type
     Mutant("xi-kept-float32", "src/slitbound/concentration.py",
-           "    xi = abs(float(xi))", "    xi = abs(xi)",
+           '_number(xi, "xi", strict=False)', "abs(xi)",
            ["tests/test_concentration.py::TestLambda0::test_numpy_scalar_read_as_a_python_float"]),
-    Mutant("geometry-kept-float32", DIFFRACTION,
-           "            setattr(self, name, float(value))\n",
-           "            setattr(self, name, value)\n",
+    Mutant("geometry-kept-float32", DIFFRACTION, GEOMETRY_READ,
+           GEOMETRY_READ.replace("_number(value, name)", "value"),
            ["tests/test_diffraction.py::TestSlitGeometry::test_lengths_read_as_python_floats"]),
-    Mutant("width-kept-float32", "src/slitbound/core.py",
-           "    return float(delta_x)\n", "    return delta_x\n",
-           ["tests/test_special.py::test_width_read_as_a_python_float"]),
-    Mutant("pixel-size-kept-float32", DIFFRACTION,
-           "num_pixels, float(pixel_size)", "num_pixels, pixel_size",
+    Mutant("pixel-size-kept-float32", DIFFRACTION, PIXEL_SIZE_READ, "pixel_size",
            ["tests/test_diffraction.py::TestDetectorSpec::"
             "test_pixel_size_read_as_a_python_float"]),
     Mutant("noise-sigma-kept-float32", DIFFRACTION,
-           "abs(float(additive_sigma))", "abs(additive_sigma)",
+           '_number(additive_sigma, "additive_sigma", strict=False)', "abs(additive_sigma)",
            ["tests/test_diffraction.py::TestSynthesizeFrame::"
             "test_noise_sigma_read_as_a_python_float"]),
     Mutant("band-edge-kept-float32", SPECIAL,
-           'float(_real(k_max, "k_max"))', "k_max",
+           '_number(k_max, "k_max")', "k_max",
            ["tests/test_special.py::test_width_read_as_a_python_float"]),
     Mutant("a-flag-unnamed", CLI,
            '_flag("--a", concentration.reanalyze_products, args.a)',

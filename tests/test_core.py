@@ -592,6 +592,20 @@ class TestBuildReport:
         with pytest.raises(InvalidArgument):
             build_report(None, -1.0, 1.0)
 
+    def test_nan_sigma_refused(self):
+        # nan < 0 is false, so a nan once gave a nan product and every verdict false
+        with pytest.raises(InvalidArgument, match="^sigma_x must be finite and nonnegative"):
+            build_report(math.nan, 1.0, 1.0)
+        with pytest.raises(InvalidArgument, match="^sigma_p must be finite and nonnegative"):
+            build_report(None, math.nan, 1.0)
+
+    def test_infinite_sigma_p_kept(self):
+        # a width below about 1.8e-308 overflows sigma_p, and lanczos then
+        # refuses its files as non-finite: exit 3, not a refused input
+        report = build_report(None, np.float32(np.inf), 1e-310)
+        assert report.sigma_p == report.product_over_hbar == math.inf
+        assert type(report.sigma_p) is float
+
     def test_kennard_with_sigma_x(self):
         report = build_report(0.5, 1.0, 1.0)
         assert report.verdicts["kennard"]

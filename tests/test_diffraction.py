@@ -88,7 +88,8 @@ class TestSlitGeometry:
         # each field is refused by name, before the derived scale
         # (which would refuse a zero slit width with another message) exist
         fields = {"slit_width": 477e-6, "wavelength": 632.82e-9, "focal_length": 0.150}
-        with pytest.raises(InvalidArgument, match=f"^{field} must be positive, got {bad}$"):
+        with pytest.raises(InvalidArgument,
+                           match=f"^{field} must be positive and finite, got {bad}$"):
             SlitGeometry(**{**fields, field: bad})
 
     def test_lengths_read_as_python_floats(self):
@@ -324,9 +325,9 @@ class TestTheoryTrace:
             theory_trace(GEOMETRY, DetectorSpec(num_pixels=2, pixel_size=1e303))
 
     def test_infinite_band_edge_refused(self):
-        # u = scale*y past the floats is refused as too many panels before any
-        # array holds it, so numpy warns of no overflow
-        with pytest.raises(InvalidArgument, match=f"needs inf panels.*{MAX_PANELS}"):
+        # u = scale*y past the floats is refused as a width before any array
+        # holds it, so numpy warns of no overflow
+        with pytest.raises(InvalidArgument, match="^width must be positive and finite, got inf$"):
             theory_trace(GEOMETRY, DetectorSpec(num_pixels=4, pixel_size=1e305))
 
 
@@ -392,13 +393,12 @@ class TestBandMoments:
         assert band_moments(sinc_moment(2), 2.0, 0).shape == (0,)
 
     def test_invalid_arguments(self):
-        for width in (0.0, -1.0, np.nan):
-            with pytest.raises(InvalidArgument, match="width > 0"):
+        for width in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgument,
+                               match=f"^width must be positive and finite, got {width}$"):
                 band_moments(sinc_moment(2), width, 3)
         with pytest.raises(InvalidArgument, match="count >= 0"):
             band_moments(sinc_moment(2), 1.0, -1)
-        with pytest.raises(InvalidArgument, match=f"needs inf panels.*{MAX_PANELS}"):
-            band_moments(sinc_moment(2), np.inf, 3)
 
     @pytest.mark.parametrize("width,per", [(1.0, 1), (4.0, 3)])
     def test_panel_cap_boundary(self, monkeypatch, width, per):

@@ -356,10 +356,17 @@ class TestLanczosMomentumDensity:
     def test_tail_bounds_need_a_band_past_two_pi(self, dx):
         # the Si asymptotics hold for u = dx*k_max/2 > 2*pi: at and below it
         # the bound is refused
-        for k_max in (4.0 * np.pi / dx, 1.0 / dx, 0.0):
+        for k_max in (4.0 * np.pi / dx, 1.0 / dx):
             with pytest.raises(InvalidArgument, match="requires dx\\*k_max/2 > 2\\*pi"):
                 lanczos_tail_bounds(dx, k_max)
         assert all(np.isfinite(lanczos_tail_bounds(dx, 4.0 * np.nextafter(np.pi, 4) / dx)))
+
+    def test_tail_bounds_refuse_a_band_edge_not_positive_and_finite(self):
+        # a nan or infinite k_max once gave (nan, nan), an uncertified bound
+        for k_max in (0.0, -1e3, np.nan, np.inf):
+            with pytest.raises(InvalidArgument,
+                               match=f"^k_max must be positive and finite, got {k_max}$"):
+                lanczos_tail_bounds(1.0, k_max)
 
     def test_tail_bounds_certify(self):
         # bounds must dominate the numerically integrated remainder
